@@ -309,6 +309,12 @@ impl InternedDb {
     pub fn table(&self, id: crate::database::TableId) -> &InternedTable {
         &self.tables[id.0]
     }
+
+    /// Rows of table `id` in this snapshot; 0 for a table created after
+    /// it was taken.
+    pub(crate) fn rows_in(&self, id: crate::database::TableId) -> usize {
+        self.tables.get(id.0).map_or(0, |t| t.n_rows)
+    }
 }
 
 #[cfg(test)]

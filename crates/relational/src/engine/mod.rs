@@ -51,8 +51,10 @@
 //!   are chunked by row range ([`stepmap::RowMapChunks`],
 //!   [`GroupChunks`]), and because tables are append-only a chunk over
 //!   old rows stays exact forever — growth appends one chunk over just
-//!   the new rows on next use (`O(batch)`), with periodic compaction
-//!   bounding the chunk count;
+//!   the new rows on next use, merging adjacent chunks size-tiered
+//!   ([`stepmap::Chunks::extend_to`]) so the chunk count stays
+//!   logarithmic and the rows already covered are rebuilt only once the
+//!   appended tail has grown to half of them;
 //! * everything else is **kept**: a step/row map over an un-grown table
 //!   stays exact even though the id space grew, because a newly-interned
 //!   value cannot occur in rows that have not changed (probing such a map
@@ -100,12 +102,14 @@
 //! queries keep answering (the `catch_unwind` regression tests below and
 //! in `tests/engine_equivalence.rs` enforce this).
 
+mod advance;
 mod interner;
 mod parallel;
 mod sharded;
 mod shared;
 mod stepmap;
 
+pub use advance::AdvanceStats;
 pub use interner::{InternedDb, InternedTable, Interner, RefreshDelta, RefreshError, NULL_ID};
 pub use parallel::{par_map, par_map_with};
 pub use sharded::{
@@ -124,7 +128,7 @@ use crate::types::ColId;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
-use stepmap::{RowMap, RowMapChunks, StepKey, StepMap, MAX_CACHE_CHUNKS};
+use stepmap::{Chunks, RowMap, RowMapChunks, StepKey, StepMap};
 
 /// A shared evaluation engine over one database snapshot. See the module
 /// docs.
@@ -198,15 +202,8 @@ struct GroupChunk {
     by_start: HashMap<u32, Vec<CloseBucket>>,
 }
 
-/// The chunked per-anchor-shape log partition: `Arc`-shared chunks over
-/// disjoint row ranges covering `[0, covered)` of the log.
-#[derive(Debug, Clone, Default)]
-struct GroupChunks {
-    chunks: Vec<Arc<GroupChunk>>,
-    /// Log rows covered by the chunks (the log's `n_rows` when last
-    /// extended).
-    covered: usize,
-}
+/// The chunked per-anchor-shape log partition.
+type GroupChunks = Chunks<GroupChunk>;
 
 /// One set-based template of a fused-suite bucket: its result slot and
 /// warm step maps.
@@ -323,22 +320,6 @@ fn split_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
         lo = hi;
     }
     out
-}
-
-/// Maximal consecutive runs of a sorted, deduplicated row-id slice, as
-/// half-open `(start, end)` ranges in row-id space.
-fn consecutive_runs(rows: &[u32]) -> Vec<(usize, usize)> {
-    let mut runs = Vec::new();
-    let mut i = 0;
-    while i < rows.len() {
-        let mut j = i + 1;
-        while j < rows.len() && rows[j] == rows[j - 1] + 1 {
-            j += 1;
-        }
-        runs.push((rows[i] as usize, rows[j - 1] as usize + 1));
-        i = j;
-    }
-    runs
 }
 
 impl Engine {
@@ -772,15 +753,13 @@ impl Engine {
                         // One fresh, uncached chunk over just `[lo, hi)`.
                         // Its `by_start` keys are already distinct, so the
                         // starts need no scratch-mark dedup.
-                        let n_rows = self.snapshot.table(key.log).n_rows;
-                        let (lo, hi) = (lo.min(n_rows), hi.min(n_rows));
-                        let chunk = self.build_group_chunk(&key, lo, hi);
+                        let log = self.snapshot.table(key.log);
+                        let (lo, hi) = (lo.min(log.n_rows), hi.min(log.n_rows));
+                        let chunk = self
+                            .build_group_chunk(&key, log.cols[key.start_col].iter_range(lo, hi));
                         let starts: Vec<u32> = chunk.by_start.keys().copied().collect();
                         grouped.push(GroupedBucket {
-                            groups: GroupChunks {
-                                chunks: vec![Arc::new(chunk)],
-                                covered: hi,
-                            },
+                            groups: Chunks::one(chunk, hi),
                             starts,
                             templates: Vec::new(),
                         });
@@ -853,18 +832,20 @@ impl Engine {
     /// [`Engine::eval_suite`] restricted to an explicit **anchor row
     /// set**: only rows in `rows` can appear in the answers, while chain
     /// steps still walk the whole support tables. This is the
-    /// *scattered-residue* delta evaluator behind the maintained
-    /// partition: when a support table grows, a template stepping into
-    /// it can newly explain old anchor rows — but explanation is
-    /// monotone under append-only growth, so only the *previously
-    /// unexplained* residue needs re-asking, and the residue is usually
-    /// a small scattered fraction of the log. Per query, the result
+    /// *scattered-rows* delta evaluator behind the maintained partition:
+    /// when a support table grows, a template stepping into it can
+    /// newly explain old anchor rows — but explanation is monotone under
+    /// append-only growth, so only *previously unexplained* rows need
+    /// re-asking, and of those only the ones an appended row can reach
+    /// (the advance core's candidate set, a scattered handful of
+    /// the log). Per query, the result
     /// equals the `eval_suite` answer intersected with `rows` (the
     /// stream-equivalence suite enforces this differentially).
     ///
-    /// Like [`Engine::eval_suite_range`], partitions over `rows` are
-    /// built fresh (one grouped chunk per consecutive run) and not
-    /// cached — reserve this for genuine deltas.
+    /// Like [`Engine::eval_suite_range`], the partition over `rows` is
+    /// built fresh (one grouped chunk straight from the row list, so a
+    /// scattered set costs `O(rows)`) and not cached — reserve this for
+    /// genuine deltas.
     pub fn eval_suite_rows(
         &self,
         db: &Database,
@@ -914,30 +895,21 @@ impl Engine {
                 let ix = match bucket_ix.get(&key) {
                     Some(&ix) => ix,
                     None => {
-                        // One fresh chunk per consecutive run of the row
-                        // set; a start can recur across runs, so the
-                        // gathered starts are dedup'd (the grouped walk
-                        // visits each start once and reads close buckets
-                        // from every chunk).
-                        let n_rows = self.snapshot.table(key.log).n_rows;
-                        let mut chunks: Vec<Arc<GroupChunk>> = Vec::new();
-                        let mut starts: Vec<u32> = Vec::new();
-                        for (a, z) in consecutive_runs(&row_ids) {
-                            let (a, z) = (a.min(n_rows), z.min(n_rows));
-                            if a == z {
-                                continue;
-                            }
-                            let chunk = self.build_group_chunk(&key, a, z);
-                            starts.extend(chunk.by_start.keys().copied());
-                            chunks.push(Arc::new(chunk));
-                        }
-                        starts.sort_unstable();
-                        starts.dedup();
+                        // One fresh chunk straight from the (ascending)
+                        // row list: its `by_start` keys are already
+                        // distinct, and each bucket's rows stay ascending.
+                        let log = self.snapshot.table(key.log);
+                        let start_col = &log.cols[key.start_col];
+                        let in_log = row_ids.partition_point(|&r| (r as usize) < log.n_rows);
+                        let chunk = self.build_group_chunk(
+                            &key,
+                            row_ids[..in_log]
+                                .iter()
+                                .map(|&r| (r as usize, &start_col[r as usize])),
+                        );
+                        let starts: Vec<u32> = chunk.by_start.keys().copied().collect();
                         grouped.push(GroupedBucket {
-                            groups: GroupChunks {
-                                chunks,
-                                covered: n_rows,
-                            },
+                            groups: Chunks::one(chunk, log.n_rows),
                             starts,
                             templates: Vec::new(),
                         });
@@ -1495,35 +1467,17 @@ impl Engine {
         let it = self.snapshot.table(table);
         let n_rows = it.n_rows;
         let mut state = match unpoison(self.rowmaps.lock()).get(&key) {
-            Some(state) if state.covered == n_rows => return state.clone(),
+            Some(state) if state.covered() == n_rows => return state.clone(),
             Some(state) => state.clone(),
             None => RowMapChunks::default(),
         };
-        // Extend outside the lock: scan only the uncovered suffix.
-        state.chunks.push(Arc::new(RowMap::build_range(
-            it,
-            col,
-            state.covered,
-            n_rows,
-        )));
-        state.covered = n_rows;
-        if state.chunks.len() > MAX_CACHE_CHUNKS {
-            // Amortized compaction: one full rebuild every
-            // `MAX_CACHE_CHUNKS` extensions bounds per-probe overhead.
-            state.chunks = vec![Arc::new(RowMap::build(it, col))];
-        }
+        // Extend outside the lock: scan only the uncovered suffix (plus
+        // whatever recent chunks the size-tiered merge absorbs).
+        state.extend_to(n_rows, |from, to| RowMap::build_range(it, col, from, to));
         let mut cache = unpoison(self.rowmaps.lock());
+        // A concurrent extender that got at least as far wins.
         match cache.get(&key) {
-            // A concurrent extender got further, or as far with no more
-            // chunks (ties prefer the compacter state, so a paid-for
-            // compaction is never discarded): theirs wins.
-            Some(existing)
-                if existing.covered > state.covered
-                    || (existing.covered == state.covered
-                        && existing.chunks.len() <= state.chunks.len()) =>
-            {
-                existing.clone()
-            }
+            Some(existing) if existing.covered() >= n_rows => existing.clone(),
             _ => {
                 cache.insert(key, state.clone());
                 state
@@ -1552,15 +1506,20 @@ impl Engine {
         })
     }
 
-    /// Builds one partition chunk for rows `[from, to)` of the key's log.
-    fn build_group_chunk(&self, key: &GroupKey, from: usize, to: usize) -> GroupChunk {
+    /// Builds one partition chunk over `rows` of the key's log: ascending
+    /// `(row, start id)` pairs — a contiguous range read chunk-wise off
+    /// the start column (no per-element segment resolution), or an
+    /// explicit row list. Close/filter columns are probed per surviving
+    /// row.
+    fn build_group_chunk<'a>(
+        &self,
+        key: &GroupKey,
+        rows: impl Iterator<Item = (usize, &'a u32)>,
+    ) -> GroupChunk {
         let log = self.snapshot.table(key.log);
         // start id -> (close id, or NULL_ID for open queries) -> rows.
-        // The start column drives the scan chunk-wise (no per-element
-        // segment resolution); close/filter columns are probed per
-        // surviving row.
         let mut groups: HashMap<u32, HashMap<u32, Vec<RowId>>> = HashMap::new();
-        for (r, &start) in log.cols[key.start_col].iter_range(from, to) {
+        for (r, &start) in rows {
             if start == NULL_ID {
                 continue;
             }
@@ -1602,27 +1561,18 @@ impl Engine {
         let key = GroupKey::of(q);
         let n_rows = self.snapshot.table(q.log).n_rows;
         let mut state = match unpoison(self.groups.lock()).get(&key) {
-            Some(state) if state.covered == n_rows => return state.clone(),
+            Some(state) if state.covered() == n_rows => return state.clone(),
             Some(state) => state.clone(),
             None => GroupChunks::default(),
         };
-        let chunk = self.build_group_chunk(&key, state.covered, n_rows);
-        state.chunks.push(Arc::new(chunk));
-        state.covered = n_rows;
-        if state.chunks.len() > MAX_CACHE_CHUNKS {
-            state.chunks = vec![Arc::new(self.build_group_chunk(&key, 0, n_rows))];
-        }
+        let start_col = &self.snapshot.table(key.log).cols[key.start_col];
+        state.extend_to(n_rows, |from, to| {
+            self.build_group_chunk(&key, start_col.iter_range(from, to))
+        });
         let mut cache = unpoison(self.groups.lock());
+        // See `rowmap_for`: a concurrent extender that got as far wins.
         match cache.get(&key) {
-            // See `rowmap_for`: further coverage wins; ties prefer the
-            // state with fewer chunks so compactions are kept.
-            Some(existing)
-                if existing.covered > state.covered
-                    || (existing.covered == state.covered
-                        && existing.chunks.len() <= state.chunks.len()) =>
-            {
-                existing.clone()
-            }
+            Some(existing) if existing.covered() >= n_rows => existing.clone(),
             _ => {
                 cache.insert(key, state.clone());
                 state
@@ -2367,6 +2317,124 @@ mod tests {
         assert!(matches!(err, RefreshError::CatalogShrank { .. }));
         // ...and the engine still answers from its intact snapshot.
         assert_eq!(engine.explained_rows(&db, &q, opts).unwrap(), expected);
+    }
+
+    /// ⌈log2 n⌉ + 1: the chunk-count bound after `n` extensions.
+    fn chunk_bound(n: usize) -> usize {
+        n.next_power_of_two().trailing_zeros() as usize + 1
+    }
+
+    #[test]
+    fn tiered_merging_never_rebuilds_the_base_before_the_tail_is_half_of_it() {
+        // The merge policy alone, with chunks that just record their range.
+        let mut chunks: Chunks<(usize, usize)> = Chunks::default();
+        chunks.extend_to(1000, |from, to| (from, to));
+        assert_eq!(chunks.chunks.len(), 1);
+        let mut base_rebuilt_at = None;
+        for n in 1001..=2000 {
+            let mut built = None;
+            chunks.extend_to(n, |from, to| {
+                built = Some((from, to));
+                (from, to)
+            });
+            let (from, to) = built.expect("one build per extension");
+            assert_eq!(to, n);
+            if from == 0 && base_rebuilt_at.is_none() {
+                base_rebuilt_at = Some(n);
+            }
+            // The chunks tile `[0, n)` in row order.
+            let mut at = 0;
+            for c in &chunks.chunks {
+                assert_eq!(c.0, at);
+                at = c.1;
+            }
+            assert_eq!((at, chunks.covered()), (n, n));
+            assert!(chunks.chunks.len() <= 1 + chunk_bound(n - 1000), "n = {n}");
+        }
+        // `[0, 1000)` is rebuilt only once the tail has grown to half of
+        // it — and before the tail outgrows it.
+        assert!(
+            base_rebuilt_at.is_some_and(|n| n >= 1500),
+            "{base_rebuilt_at:?}"
+        );
+    }
+
+    #[test]
+    fn merged_chunks_answer_like_a_cold_build() {
+        let mut db = Database::new();
+        let log = db
+            .create_table(
+                "Log",
+                &[
+                    ("Lid", DataType::Int),
+                    ("User", DataType::Int),
+                    ("Patient", DataType::Int),
+                ],
+            )
+            .unwrap();
+        // "Someone else opened [L.Patient]'s record before": grouped...
+        let grouped = ChainQuery {
+            log,
+            lid_col: 0,
+            start_col: 2,
+            steps: vec![ChainStep::new(log, 2, 1)],
+            close_col: Some(1),
+            anchor_filters: vec![],
+        };
+        // ...and decorated (anchor-dependent, per-row path over row maps).
+        let mut earlier = ChainStep::new(log, 2, 1);
+        earlier.filters.push(StepFilter {
+            col: 0,
+            op: CmpOp::Lt,
+            rhs: Rhs::AnchorCol(0),
+        });
+        let decorated = ChainQuery {
+            steps: vec![earlier],
+            ..grouped.clone()
+        };
+        let opts = EvalOptions::default();
+        let mut engine = Engine::new(&db);
+        for n in 1..=70usize {
+            let i = n as i64;
+            db.insert(
+                log,
+                vec![Value::Int(i), Value::Int(i % 5), Value::Int((i * 7) % 11)],
+            )
+            .unwrap();
+            engine.refresh(&db).unwrap();
+            let rowmap = engine.rowmap_for(log, 2);
+            let partition = engine.groups_for(&grouped);
+            assert_eq!((rowmap.covered(), partition.covered()), (n, n));
+            assert!(rowmap.chunks.len() <= chunk_bound(n), "row map, n = {n}");
+            assert!(
+                partition.chunks.len() <= chunk_bound(n),
+                "partition, n = {n}"
+            );
+
+            // Row lists read ascending across merged chunks, exactly as a
+            // single cold chunk lists them.
+            let cold = Engine::new(&db);
+            let cold_map = cold.rowmap_for(log, 2);
+            assert_eq!(cold_map.chunks.len(), 1);
+            for id in 0..engine.snapshot.interner.len() as u32 {
+                let merged: Vec<u32> = rowmap.rows_of(id).collect();
+                assert_eq!(merged, cold_map.rows_of(id).collect::<Vec<u32>>());
+            }
+            // Grouped and per-row answers over the merged caches match the
+            // row evaluator, full-log and over a scattered row set.
+            let every_third =
+                RowSet::from_sorted_vec(&(0..n as u32).step_by(3).collect::<Vec<_>>());
+            for q in [&grouped, &decorated] {
+                let oracle = q.explained_rows(&db, opts).unwrap();
+                assert_eq!(engine.explained_rows(&db, q, opts).unwrap(), oracle);
+                let scattered = engine
+                    .eval_suite_rows(&db, std::slice::from_ref(q), opts, &every_third)
+                    .remove(0)
+                    .unwrap();
+                let expect: Vec<u32> = oracle.into_iter().filter(|r| r % 3 == 0).collect();
+                assert_eq!(scattered.to_vec(), expect, "n = {n}");
+            }
+        }
     }
 
     #[test]

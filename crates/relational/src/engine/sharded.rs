@@ -42,6 +42,7 @@
 //! vector, so every epoch-pinned byte-stability guarantee carries over
 //! unchanged.
 
+use super::advance::{absorb, advance_shard, AdvanceStats, Residue};
 use super::parallel::par_map;
 use super::shared::{compute_maintained, Epoch, Maintained, SuitePin};
 use super::{Engine, RefreshError, RefreshStats};
@@ -373,110 +374,57 @@ fn compute_maintained_sharded(
             to_global_set(shard, &m.explained),
         )
     });
-    let mut anchors = RowSet::new();
-    let mut explained = RowSet::new();
-    for (a, e) in per {
-        anchors.union_with(&a);
-        explained.union_with(&e);
-    }
-    let unexplained = anchors.difference(&explained);
-    Maintained {
-        anchors,
-        explained,
-        unexplained,
-        log_len: global_log_len,
-    }
+    absorb(&Maintained::default(), per, global_log_len)
 }
 
 /// Advances the global materialization across one sharded ingest: each
-/// shard computes its **local** delta — appended-range anchor scan,
-/// tail-range evaluation over the appended rows for every template, and
-/// a residue-restricted re-ask of the templates whose support grew in
-/// that shard, over the shard's slice of the previous global
-/// `unexplained` set (see [`Maintained`] for the monotonicity argument)
-/// — and the global-id deltas merge associatively into the previous
-/// sets.
+/// shard runs the advance core ([`advance_shard`]) over its **local**
+/// rows, seeing the previous global `unexplained` set through its
+/// `local → global` map, and the global-id deltas merge associatively
+/// into the previous sets (see [`Maintained`] for the monotonicity
+/// argument). Each shard pays O(its appended rows × join fan-out), and
+/// re-asks its whole slice of the residue only when its backward walk
+/// touches more values and rows than the residue holds. Returns the per-shard advance counts in shard
+/// order.
 fn advance_maintained_sharded(
     prev_shards: &[ShardEpoch],
     shards: &[ShardEpoch],
     pin: &SuitePin,
     prev: &Maintained,
-    reports: &[ShardRefresh],
     global_log_len: usize,
-) -> Maintained {
+) -> (Maintained, Vec<AdvanceStats>) {
     let idx: Vec<usize> = (0..shards.len()).collect();
-    let deltas: Vec<(RowSet, RowSet)> = par_map(&idx, |&s| {
+    let deltas = par_map(&idx, |&s| {
         let shard = &shards[s];
-        let engine = shard.engine();
-        let db = shard.db();
-        let grown = &reports[s].refresh.delta.grown;
-        let (l0, l1) = (prev_shards[s].log_len(), shard.log_len());
-        let log = engine.snapshot().table(pin.log);
-        let mut fresh: Vec<RowId> = Vec::new();
-        for r in l0..l1 {
-            if engine.anchor_passes_filters(&pin.anchor_filters, log, r) {
-                fresh.push(r as RowId);
-            }
-        }
-        let anchors = RowSet::from_sorted_vec(&fresh);
-        // Appended rows: one range evaluation over every template. Old
-        // rows: explanation is monotone under append-only growth, so
-        // templates stepping into a grown table re-ask only this shard's
-        // slice of the previous *unexplained residue* (global residue
-        // ids mapped back through the sorted global-id index).
-        let reaches_growth =
-            |q: &ChainQuery| -> bool { q.steps.iter().any(|st| grown.contains(&st.table)) };
-        let reask: Vec<ChainQuery> = pin
-            .queries
-            .iter()
-            .filter(|q| reaches_growth(q))
-            .cloned()
-            .collect();
-        let mut explained = RowSet::new();
-        if l1 > l0 {
-            for set in engine
-                .eval_suite_range(db, &pin.queries, pin.opts, l0, l1)
-                .into_iter()
-                .flatten()
-            {
-                explained.union_with(&set);
-            }
-        }
-        if !reask.is_empty() {
-            let local: Vec<RowId> = prev
-                .unexplained
-                .iter()
-                .filter_map(|g| shard.find_global(g))
-                .collect();
-            if !local.is_empty() {
-                let residue = RowSet::from_sorted_vec(&local);
-                for set in engine
-                    .eval_suite_rows(db, &reask, pin.opts, &residue)
-                    .into_iter()
-                    .flatten()
-                {
-                    explained.union_with(&set);
-                }
-            }
-        }
+        let delta = advance_shard(
+            prev_shards[s].engine(),
+            shard.engine(),
+            shard.db(),
+            pin,
+            Residue {
+                len: prev.unexplained.len(),
+                contains: |r| prev.unexplained.contains(shard.to_global(r)),
+                // Global residue ids mapped back through the sorted
+                // global-id index.
+                all: || {
+                    let local: Vec<RowId> = prev
+                        .unexplained
+                        .iter()
+                        .filter_map(|g| shard.find_global(g))
+                        .collect();
+                    RowSet::from_sorted_vec(&local)
+                },
+            },
+        );
         (
-            to_global_set(shard, &anchors),
-            to_global_set(shard, &explained),
+            to_global_set(shard, &delta.anchors),
+            to_global_set(shard, &delta.explained),
+            delta.stats,
         )
     });
-    let mut anchors = prev.anchors.clone();
-    let mut explained = prev.explained.clone();
-    for (a, e) in deltas {
-        anchors.union_with(&a);
-        explained.union_with(&e);
-    }
-    let unexplained = anchors.difference(&explained);
-    Maintained {
-        anchors,
-        explained,
-        unexplained,
-        log_len: global_log_len,
-    }
+    let stats = deltas.iter().map(|d| d.2).collect();
+    let sets = deltas.into_iter().map(|(a, e, _)| (a, e));
+    (absorb(prev, sets, global_log_len), stats)
 }
 
 /// What one shard's refresh did during a sharded ingest.
@@ -487,6 +435,9 @@ pub struct ShardRefresh {
     /// Set when this shard's incremental refresh was refused and the
     /// writer recovered by rebuilding the shard engine from scratch.
     pub rebuilt: Option<RefreshError>,
+    /// What advancing each pinned suite cost in this shard, indexed by
+    /// pin id.
+    pub advance: Vec<AdvanceStats>,
 }
 
 /// What one [`ShardedEngine::ingest_with`] published.
@@ -507,6 +458,26 @@ impl ShardedIngestReport {
     /// True when any shard fell back to a full rebuild.
     pub fn rebuilt_any(&self) -> bool {
         self.shards.iter().any(|s| s.rebuilt.is_some())
+    }
+
+    /// The operator-facing line for an ingest whose advance re-asked the
+    /// **whole** residue in some shard ([`AdvanceStats::used_full_residue`])
+    /// instead of the rows the appended batch could reach; `None` on the
+    /// delta path.
+    pub fn full_residue_notice(&self) -> Option<String> {
+        let mut full = self
+            .shards
+            .iter()
+            .flat_map(|s| &s.advance)
+            .filter(|a| a.used_full_residue);
+        let first = full.next()?;
+        Some(format!(
+            "epoch {}: the backward walk from the appended rows outgrew the residue; \
+             all {} residue rows were re-asked in {} shard(s)",
+            self.seq,
+            first.residue_rows,
+            1 + full.count()
+        ))
     }
 
     /// Operator-facing warnings, one per shard that fell back to a full
@@ -792,6 +763,7 @@ impl ShardedEngine {
                     ShardRefresh {
                         refresh: stats,
                         rebuilt: None,
+                        advance: Vec::new(),
                     },
                 ),
                 Err(err) => (
@@ -799,6 +771,7 @@ impl ShardedEngine {
                     ShardRefresh {
                         refresh: RefreshStats::default(),
                         rebuilt: Some(err),
+                        advance: Vec::new(),
                     },
                 ),
             }
@@ -834,19 +807,22 @@ impl ShardedEngine {
         // when any shard fell back to a rebuild (or the pin is newer than
         // `base`).
         let pins = unpoison(self.pins.lock()).clone();
-        let rebuilt_any = report.shards.iter().any(|s| s.rebuilt.is_some());
+        let rebuilt_any = report.rebuilt_any();
+        for shard in &mut report.shards {
+            shard.advance = vec![AdvanceStats::default(); pins.len()];
+        }
         let maintained: Vec<Arc<Maintained>> = pins
             .iter()
             .enumerate()
             .map(|(i, pin)| match base.maintained.get(i) {
-                Some(prev) if !rebuilt_any => Arc::new(advance_maintained_sharded(
-                    &base.shards,
-                    &shards,
-                    pin,
-                    prev,
-                    &report.shards,
-                    global_len,
-                )),
+                Some(prev) if !rebuilt_any => {
+                    let (m, stats) =
+                        advance_maintained_sharded(&base.shards, &shards, pin, prev, global_len);
+                    for (shard, stats) in report.shards.iter_mut().zip(stats) {
+                        shard.advance[i] = stats;
+                    }
+                    Arc::new(m)
+                }
                 _ => Arc::new(compute_maintained_sharded(&shards, pin, global_len)),
             })
             .collect();
@@ -871,18 +847,19 @@ impl ShardedEngine {
         *next_seq += 1;
         let seq = *next_seq;
         let shards = Self::partition(&db, self.key, n, seq);
+        // A replacement invalidates every maintained set: recompute cold.
+        let pins = unpoison(self.pins.lock()).clone();
         let report = ShardedIngestReport {
             seq,
             shards: (0..n)
                 .map(|_| ShardRefresh {
                     refresh: RefreshStats::default(),
                     rebuilt: Some(RefreshError::Replaced),
+                    advance: vec![AdvanceStats::default(); pins.len()],
                 })
                 .collect(),
         };
         let global_log_len = db.table(self.key.table).len();
-        // A replacement invalidates every maintained set: recompute cold.
-        let pins = unpoison(self.pins.lock()).clone();
         let maintained = pins
             .iter()
             .map(|pin| Arc::new(compute_maintained_sharded(&shards, pin, global_log_len)))

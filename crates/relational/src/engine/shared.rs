@@ -76,6 +76,7 @@
 //! log partitions / row maps extend chunk-wise), so batch your appends:
 //! one `ingest` per arriving batch, not per row.
 
+use super::advance::{absorb, advance_shard, AdvanceStats, Residue};
 use super::{Engine, RefreshError, RefreshStats};
 use crate::chain::{ChainQuery, CmpOp, EvalOptions};
 use crate::database::{Database, TableId};
@@ -122,10 +123,12 @@ pub struct SuitePin {
 /// (one [`Engine::eval_suite_range`] over the tail covers them all); a
 /// template whose support tables grew can additionally newly explain
 /// *old* anchor rows, but any such row was by definition still
-/// unexplained, so re-asking just those templates over the previous
-/// `unexplained` residue ([`Engine::eval_suite_rows`]) recovers exactly
-/// the missing explanations. The advance is O(delta + residue), never
-/// O(log).
+/// unexplained, **and** its new explanation must use an appended row —
+/// so only the residue rows a backward walk from the appended rows can
+/// reach are re-asked ([`Engine::eval_suite_rows`]). The advance costs
+/// O(appended rows × join fan-out); the whole residue is re-asked only
+/// when that walk touches more values and rows than the residue holds
+/// (see [`super::advance`]).
 #[derive(Debug, Clone, Default)]
 pub struct Maintained {
     /// Log rows matching the pin's anchor filters.
@@ -167,70 +170,33 @@ pub(super) fn compute_maintained(engine: &Engine, db: &Database, pin: &SuitePin)
     }
 }
 
-/// Advances `prev` across one incremental refresh whose grown tables are
-/// `grown`: O(delta) anchor scan over the appended log rows, tail-range
-/// evaluation of every template over the appended rows, and a
-/// residue-restricted re-ask (unioned in — see [`Maintained`] for why
-/// that is enough) of the templates whose support grew, over the
-/// previous `unexplained` set only.
+/// Advances `prev` across one incremental refresh from `base` (the
+/// previous epoch's engine) to its refreshed fork `engine`: the advance
+/// core ([`advance_shard`]) over the whole log, unioned into the previous
+/// sets (see [`Maintained`] for why that is enough).
 pub(super) fn advance_maintained(
+    base: &Engine,
     engine: &Engine,
     db: &Database,
     pin: &SuitePin,
     prev: &Maintained,
-    grown: &[TableId],
-) -> Maintained {
-    let log = engine.snapshot().table(pin.log);
-    let (l0, l1) = (prev.log_len, log.n_rows);
-    let mut anchors = prev.anchors.clone();
-    let mut fresh: Vec<u32> = Vec::new();
-    for r in l0..l1 {
-        if engine.anchor_passes_filters(&pin.anchor_filters, log, r) {
-            fresh.push(r as u32);
-        }
-    }
-    anchors.union_with(&RowSet::from_sorted_vec(&fresh));
-    // Every template can explain the appended rows `[l0, l1)` — one
-    // range evaluation covers them all. A template stepping into a
-    // grown table (the log itself included — self-join templates step
-    // back into it) can additionally newly explain *old* anchor rows;
-    // explanation is monotone under append-only growth, so only the
-    // previous *unexplained residue* needs re-asking, not the whole
-    // log — that is what keeps the advance O(delta + residue).
-    let reaches_growth =
-        |q: &ChainQuery| -> bool { q.steps.iter().any(|s| grown.contains(&s.table)) };
-    let reask: Vec<ChainQuery> = pin
-        .queries
-        .iter()
-        .filter(|q| reaches_growth(q))
-        .cloned()
-        .collect();
-    let mut explained = prev.explained.clone();
-    if l1 > l0 {
-        for set in engine
-            .eval_suite_range(db, &pin.queries, pin.opts, l0, l1)
-            .into_iter()
-            .flatten()
-        {
-            explained.union_with(&set);
-        }
-    }
-    if !reask.is_empty() && !prev.unexplained.is_empty() {
-        for set in engine
-            .eval_suite_rows(db, &reask, pin.opts, &prev.unexplained)
-            .into_iter()
-            .flatten()
-        {
-            explained.union_with(&set);
-        }
-    }
-    let unexplained = anchors.difference(&explained);
-    Maintained {
-        anchors,
-        explained,
-        unexplained,
-        log_len: l1,
-    }
+) -> (Maintained, AdvanceStats) {
+    let delta = advance_shard(
+        base,
+        engine,
+        db,
+        pin,
+        Residue {
+            len: prev.unexplained.len(),
+            contains: |r| prev.unexplained.contains(r),
+            all: || prev.unexplained.clone(),
+        },
+    );
+    let log_len = engine.snapshot().table(pin.log).n_rows;
+    (
+        absorb(prev, [(delta.anchors, delta.explained)], log_len),
+        delta.stats,
+    )
 }
 
 /// One immutable published state of the world: the database and the
@@ -304,6 +270,9 @@ pub struct IngestReport {
     /// recovered by rebuilding the successor engine from scratch; holds
     /// the error so the caller can log it.
     pub rebuilt: Option<RefreshError>,
+    /// What advancing each pinned suite's [`Maintained`] partition cost,
+    /// indexed by pin id.
+    pub advance: Vec<AdvanceStats>,
 }
 
 impl IngestReport {
@@ -456,29 +425,30 @@ impl SharedEngine {
         let seq = *next_seq + 1;
         persist(&db, &out, seq)?;
         *next_seq = seq;
-        let report = IngestReport {
-            seq,
-            refresh,
-            rebuilt,
-        };
         // Advance every pinned suite's materialization: O(delta) on the
         // incremental path, cold recompute when the engine was rebuilt
         // (or the pin was registered against a newer epoch than `base`).
         let pins = unpoison(self.pins.lock()).clone();
-        let maintained: Vec<Arc<Maintained>> = pins
+        let (maintained, advance) = pins
             .iter()
             .enumerate()
             .map(|(i, pin)| match base.maintained.get(i) {
-                Some(prev) if report.rebuilt.is_none() => Arc::new(advance_maintained(
-                    &engine,
-                    &db,
-                    pin,
-                    prev,
-                    &report.refresh.delta.grown,
-                )),
-                _ => Arc::new(compute_maintained(&engine, &db, pin)),
+                Some(prev) if rebuilt.is_none() => {
+                    let (m, stats) = advance_maintained(&base.engine, &engine, &db, pin, prev);
+                    (Arc::new(m), stats)
+                }
+                _ => (
+                    Arc::new(compute_maintained(&engine, &db, pin)),
+                    AdvanceStats::default(),
+                ),
             })
-            .collect();
+            .unzip();
+        let report = IngestReport {
+            seq,
+            refresh,
+            rebuilt,
+            advance,
+        };
         *unpoison(self.current.write()) = Arc::new(Epoch {
             db,
             engine,
@@ -507,13 +477,14 @@ impl SharedEngine {
         let engine = Engine::new(&db);
         *next_seq += 1;
         let seq = *next_seq;
+        // A replacement invalidates every maintained set: recompute cold.
+        let pins = unpoison(self.pins.lock()).clone();
         let report = IngestReport {
             seq,
             refresh: RefreshStats::default(),
             rebuilt: Some(RefreshError::Replaced),
+            advance: vec![AdvanceStats::default(); pins.len()],
         };
-        // A replacement invalidates every maintained set: recompute cold.
-        let pins = unpoison(self.pins.lock()).clone();
         let maintained = pins
             .iter()
             .map(|pin| Arc::new(compute_maintained(&engine, &db, pin)))

@@ -17,6 +17,7 @@ use crate::chain::{ChainStep, CmpOp, Rhs};
 use crate::database::TableId;
 use crate::types::ColId;
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Identity of a shareable step map.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -179,6 +180,7 @@ impl RowMap {
     }
 
     /// Builds the map over all rows of one column of an interned table.
+    #[cfg(test)]
     pub fn build(table: &InternedTable, enter_col: ColId) -> RowMap {
         Self::build_range(table, enter_col, 0, table.n_rows)
     }
@@ -186,8 +188,7 @@ impl RowMap {
     /// Builds the map over rows `[from, to)`, storing *global* row ids.
     /// NULL enters are skipped (NULL never equi-joins). Scans are
     /// chunk-wise ([`crate::segment::SegVec::iter_range`]) so neither
-    /// extension nor the periodic compaction rebuild pays per-element
-    /// segment resolution.
+    /// extension nor a tier merge pays per-element segment resolution.
     pub fn build_range(table: &InternedTable, enter_col: ColId, from: usize, to: usize) -> RowMap {
         let enter = &table.cols[enter_col];
         let mut lo = u32::MAX;
@@ -235,25 +236,81 @@ impl RowMap {
     }
 }
 
-/// How many chunks a [`RowMapChunks`] (or a log-partition stack) may
-/// accumulate before it is compacted into one chunk covering everything.
-/// Bounds the per-probe chunk overhead while keeping extension `O(batch)`
-/// amortized.
-pub(crate) const MAX_CACHE_CHUNKS: usize = 8;
-
-/// The chunked per-`(table, enter_col)` row-map cache entry: `Arc`-shared
-/// chunks over disjoint, contiguous row ranges covering `[0, covered)`.
-/// Growth appends a chunk over just the new rows; chunks over old rows
-/// are shared with every engine fork that inherited them.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RowMapChunks {
-    pub chunks: Vec<std::sync::Arc<RowMap>>,
-    /// Rows covered by the chunks (the table's `n_rows` when last
-    /// extended).
-    pub covered: usize,
+/// A chunked cache entry: `Arc`-shared chunks over disjoint, contiguous
+/// row ranges covering `[0, covered)` of one append-only table. Chunks
+/// over old rows stay exact forever and are shared with every engine fork
+/// that inherited them; growth rebuilds only a suffix of the stack.
+#[derive(Debug)]
+pub(crate) struct Chunks<C> {
+    pub chunks: Vec<Arc<C>>,
+    /// `ends[i]` = one past the last row chunk `i` covers (chunk `i`
+    /// starts where chunk `i - 1` ends, chunk 0 at row 0).
+    ends: Vec<usize>,
 }
 
-impl RowMapChunks {
+impl<C> Default for Chunks<C> {
+    fn default() -> Self {
+        Chunks {
+            chunks: Vec::new(),
+            ends: Vec::new(),
+        }
+    }
+}
+
+impl<C> Clone for Chunks<C> {
+    fn clone(&self) -> Self {
+        Chunks {
+            chunks: self.chunks.clone(),
+            ends: self.ends.clone(),
+        }
+    }
+}
+
+impl<C> Chunks<C> {
+    /// A single chunk covering rows `[0, to)` (or an uncached slice of
+    /// them — the fused driver's range and row-set evaluators).
+    pub fn one(chunk: C, to: usize) -> Self {
+        Chunks {
+            chunks: vec![Arc::new(chunk)],
+            ends: vec![to],
+        }
+    }
+
+    /// Rows covered by the chunks (the table's `n_rows` when last
+    /// extended).
+    pub fn covered(&self) -> usize {
+        self.ends.last().copied().unwrap_or(0)
+    }
+
+    /// Extends coverage to `[0, n_rows)` with **size-tiered merging**:
+    /// the appended tail absorbs the newest chunk while that chunk is no
+    /// more than twice the tail's size, and `build(from, to)` then runs
+    /// once over the joined range. Every older chunk stays more than
+    /// twice as large as its successor, so `N` extensions leave at most
+    /// `log2(N) + 1` chunks, each row is rebuilt `O(log N)` times over
+    /// its life, and `[0, covered)` is never rebuilt before the tail has
+    /// grown to half of it.
+    pub fn extend_to(&mut self, n_rows: usize, build: impl FnOnce(usize, usize) -> C) {
+        // The tail is `[from, n_rows)`; the newest chunk is `[start, from)`.
+        let mut from = self.covered();
+        while let Some(i) = self.ends.len().checked_sub(1) {
+            let start = if i == 0 { 0 } else { self.ends[i - 1] };
+            if from - start > 2 * (n_rows - from) {
+                break;
+            }
+            self.ends.pop();
+            self.chunks.pop();
+            from = start;
+        }
+        self.chunks.push(Arc::new(build(from, n_rows)));
+        self.ends.push(n_rows);
+    }
+}
+
+/// The chunked per-`(table, enter_col)` row-map cache entry.
+pub(crate) type RowMapChunks = Chunks<RowMap>;
+
+impl Chunks<RowMap> {
     /// Candidate rows for `enter`, across all chunks (ascending: chunks
     /// are in row order and each chunk's lists are ascending).
     #[inline]

@@ -111,8 +111,8 @@ pub use chain::{
 };
 pub use database::{AttrRef, Database, RelationshipKind, TableId};
 pub use engine::{
-    shard_of, Engine, Epoch, EpochVec, IngestReport, Maintained, RefreshDelta, RefreshError,
-    RefreshStats, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine,
+    shard_of, AdvanceStats, Engine, Epoch, EpochVec, IngestReport, Maintained, RefreshDelta,
+    RefreshError, RefreshStats, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine,
     ShardedIngestReport, SharedEngine, SuitePin,
 };
 pub use error::{Error, PileError, Result};

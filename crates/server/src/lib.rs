@@ -531,6 +531,11 @@ impl AuditService {
         if let Some(before) = before {
             self.publish_events(&before, &self.sharded.load());
         }
+        // The operator sees when ingest cost followed the residue
+        // instead of the batch.
+        if let Some(notice) = report.full_residue_notice() {
+            self.record_warning(notice);
+        }
         Ok(report)
     }
 

@@ -496,8 +496,11 @@ fn serve_connection(
 }
 
 /// Drives one subscribed connection: pushes `EVENT` frames as they
-/// arrive on the session's bounded queue, polls the socket for `QUIT`
-/// (or EOF) between deliveries, and exits on shutdown. A disconnected
+/// arrive on the session's bounded queue, checks the socket for `QUIT`
+/// (or EOF) between deliveries, and exits on shutdown. The thread only
+/// ever blocks on the queue, so a publish wakes it at once and a burst
+/// is drained as fast as the socket takes it — a subscriber that reads
+/// its socket is never shed for the server's own waiting. A disconnected
 /// queue means the publisher shed this subscriber as a slow consumer —
 /// the backlog has already been delivered by then, so the session gets
 /// one final typed `ERR slow-consumer` frame and the connection closes.
@@ -508,18 +511,10 @@ fn serve_subscription(
     rx: std::sync::mpsc::Receiver<crate::push::Event>,
 ) {
     use std::sync::mpsc::RecvTimeoutError;
-    // Event mode inverts the read pattern: the socket is *polled* with a
-    // short deadline so event delivery stays prompt, instead of parking
-    // in a long blocking read. Idle subscribers are expected to sit
-    // silent for hours, so the session read deadline no longer applies.
-    if reader
-        .get_mut()
-        .get_mut()
-        .set_read_timeout(Some(Duration::from_millis(5)))
-        .is_err()
-    {
-        return;
-    }
+    // Event mode inverts the read pattern: the thread parks on the event
+    // queue and only *looks* at the socket (a non-blocking read) after a
+    // delivery or a 100 ms idle tick. Idle subscribers are expected to
+    // sit silent for hours, so the session read deadline does not apply.
     let mut line = String::new();
     loop {
         if shutdown.load(Ordering::SeqCst) {
@@ -548,7 +543,17 @@ fn serve_subscription(
                 return;
             }
         }
-        match reader.read_line(&mut line) {
+        // Both halves share one file description, so the socket is
+        // non-blocking only for this read: event writes above keep their
+        // blocking write deadline.
+        if reader.get_mut().get_mut().set_nonblocking(true).is_err() {
+            return;
+        }
+        let polled = reader.read_line(&mut line);
+        if reader.get_mut().get_mut().set_nonblocking(false).is_err() {
+            return;
+        }
+        match polled {
             Ok(FrameLine::Line) => {
                 let word = line.trim();
                 if word.eq_ignore_ascii_case("QUIT") {

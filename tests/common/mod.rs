@@ -45,10 +45,24 @@ pub struct AuditWorld {
 impl AuditWorld {
     /// Builds the world at `tiny` scale with the given seed.
     pub fn tiny(seed: u64) -> AuditWorld {
-        let config = SynthConfig {
+        Self::from_config(SynthConfig {
             seed,
             ..SynthConfig::tiny()
-        };
+        })
+    }
+
+    /// [`AuditWorld::tiny`] with the paper's `Mapping(AuditId,
+    /// CaregiverId)` artifact: the data-set-B templates become two-step
+    /// chains (`Labs → Mapping`), so a support table sits at depth 1.
+    pub fn tiny_mapped(seed: u64) -> AuditWorld {
+        Self::from_config(SynthConfig {
+            seed,
+            use_mapping_table: true,
+            ..SynthConfig::tiny()
+        })
+    }
+
+    fn from_config(config: SynthConfig) -> AuditWorld {
         let hospital = Hospital::generate(config);
         let spec = LogSpec::conventional(&hospital.db).expect("synthetic Log table");
         let t = HandcraftedTemplates::build(&hospital.db, &spec).expect("CareWeb schema");

@@ -24,7 +24,9 @@
 //!   fans out around them.
 
 use eba::audit::metrics;
-use eba::relational::{Database, Maintained, ShardKey, ShardedEngine, SharedEngine, Value};
+use eba::relational::{
+    Database, Maintained, ShardKey, ShardedEngine, SharedEngine, TableId, Value,
+};
 use eba::server::{AuditService, Client, IngestRow, Server, EVENT_QUEUE_CAP};
 use proptest::prelude::*;
 
@@ -82,33 +84,128 @@ fn cold_maintained(
         .clone()
 }
 
-/// Ingests `rows` (strings re-interned through the batch so shard pools
-/// stay aligned) into the live engine — same idiom as the serving path.
-fn ingest_rows(live: &ShardedEngine, source: &Database, rows: &[Vec<Value>]) {
-    live.ingest(|batch| {
-        for row in rows {
-            let mapped: Vec<Value> = row
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => batch.str_value(source.pool().resolve(*s)),
-                    other => *other,
-                })
-                .collect();
-            batch.insert_log(mapped).expect("valid log row");
-        }
-    });
+/// A support-table append a publication can carry. The first three grow
+/// **step 0** of a set-based template and explain one currently
+/// unexplained access outright; a lab order followed by its mapping row
+/// grows first step 0 and then **step 1** of the two-step `Labs →
+/// Mapping` templates, so the explanation only completes through the
+/// depth-1 backward walk.
+#[derive(Debug, Clone, Copy)]
+enum Support {
+    Appointment,
+    Visit,
+    Document,
+    /// A lab whose result user is an audit id nothing maps yet.
+    LabOrder,
+    /// The `Mapping` row for the oldest unmapped lab order (placing the
+    /// order too, in the same publication, when none is waiting).
+    Mapping,
 }
 
-/// Drives a canonical oracle and one live engine through the same batch
+/// One publication of a schedule: `log.0` fake accesses (seeded by
+/// `log.1`) and support rows, appended in one ingest. Each support row
+/// is aimed at the `usize`-th (mod the residue) unexplained access.
+#[derive(Debug, Clone, Default)]
+struct Publication {
+    log: (usize, u64),
+    support: Vec<(Support, usize)>,
+}
+
+impl Publication {
+    fn log(count: usize, seed: u64) -> Publication {
+        Publication {
+            log: (count, seed),
+            support: Vec::new(),
+        }
+    }
+
+    fn support(kind: Support, aim: usize) -> Publication {
+        Publication {
+            support: vec![(kind, aim)],
+            ..Publication::default()
+        }
+    }
+}
+
+/// The dimension rows of one publication, and the old accesses they must
+/// move out of the residue.
+#[derive(Default)]
+struct SupportRows {
+    rows: Vec<(TableId, Vec<Value>)>,
+    explains: Vec<u32>,
+}
+
+/// Turns a publication's support entries into concrete rows against the
+/// current residue. `unmapped` carries lab orders waiting for their
+/// mapping row across publications: `(audit id, user, log row)`.
+fn support_rows(
+    world: &AuditWorld,
+    db: &Database,
+    residue: &Maintained,
+    support: &[(Support, usize)],
+    unmapped: &mut Vec<(i64, Value, u32)>,
+) -> SupportRows {
+    let mut out = SupportRows::default();
+    let table = |name: &str| db.table_id(name).expect("CareWeb table");
+    let log = db.table(world.spec.table);
+    let cols = &world.hospital.log_cols;
+    let residue_rows = residue.unexplained.to_vec();
+    for &(kind, aim) in support {
+        if residue_rows.is_empty() {
+            break;
+        }
+        let rid = residue_rows[aim % residue_rows.len()];
+        let (user, patient) = (log.cell(rid, cols.user), log.cell(rid, cols.patient));
+        let place_order = |out: &mut SupportRows, unmapped: &mut Vec<(i64, Value, u32)>| {
+            let audit = 700_000 + 1_000 * rid as i64 + unmapped.len() as i64;
+            let order = vec![
+                patient,
+                Value::Date(0),
+                Value::Int(audit),
+                Value::Int(audit),
+            ];
+            out.rows.push((table("Labs"), order));
+            unmapped.push((audit, user, rid));
+        };
+        match kind {
+            Support::Appointment | Support::Visit | Support::Document => {
+                let name = match kind {
+                    Support::Appointment => "Appointments",
+                    Support::Visit => "Visits",
+                    _ => "Documents",
+                };
+                out.rows
+                    .push((table(name), vec![patient, Value::Date(0), user]));
+                out.explains.push(rid);
+            }
+            Support::LabOrder => place_order(&mut out, unmapped),
+            Support::Mapping => {
+                if unmapped.is_empty() {
+                    place_order(&mut out, unmapped);
+                }
+                let (audit, user, rid) = unmapped.remove(0);
+                out.rows
+                    .push((table("Mapping"), vec![Value::Int(audit), user]));
+                out.explains.push(rid);
+            }
+        }
+    }
+    out
+}
+
+/// Drives a canonical oracle and one live engine through the same
 /// schedule; after every publish the live engine's *incrementally
 /// advanced* partition must render byte-identically to a cold pin over
-/// the oracle's database.
-fn run_stream_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)]) {
+/// the oracle's database, and every access a support row was aimed at
+/// must have left the residue. Returns how many publications re-asked a
+/// candidate subset of the residue in some shard (the delta path, as
+/// opposed to nothing to re-ask or the whole residue).
+fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publication]) -> usize {
     let oracle = SharedEngine::new(world.hospital.db.clone());
     let live = ShardedEngine::new(world.hospital.db.clone(), key(world), n_shards);
     let pin = live.pin_suite(world.explainer.suite_pin(&world.spec));
 
-    let check = |tag: &str| {
+    let check = |tag: &str, explains: &[u32]| {
         let vec = live.load();
         let m = vec
             .maintained(pin)
@@ -124,20 +221,68 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, batches: &[(usiz
             vec.global_log_len(),
             "{n_shards} shards: partition covers the whole log at {tag}"
         );
+        for &rid in explains {
+            assert!(
+                m.explained.contains(rid) && !m.unexplained.contains(rid),
+                "{n_shards} shards: access {rid} is still unexplained at {tag}"
+            );
+        }
+        cold
     };
 
-    check("the base epoch");
-    for (b, &(count, seed)) in batches.iter().enumerate() {
-        let before = oracle.load().db().table(world.spec.table).len();
-        oracle.ingest(|db| world.inject_batch(db, count, seed));
+    let mut residue = check("the base epoch", &[]);
+    let mut unmapped = Vec::new();
+    let mut on_delta_path = 0;
+    for (b, publication) in schedule.iter().enumerate() {
+        let (count, seed) = publication.log;
+        let base = oracle.load();
+        let before = base.db().table(world.spec.table).len();
+        let support = support_rows(
+            world,
+            base.db(),
+            &residue,
+            &publication.support,
+            &mut unmapped,
+        );
+        oracle.ingest(|db| {
+            world.inject_batch(db, count, seed);
+            for (table, row) in &support.rows {
+                db.insert(*table, row.clone()).expect("valid support row");
+            }
+        });
         let epoch = oracle.load();
         let log = epoch.db().table(world.spec.table);
-        let rows: Vec<Vec<Value>> = (before..log.len())
-            .map(|r| log.row(r as u32).to_vec())
-            .collect();
-        ingest_rows(&live, epoch.db(), &rows);
-        check(&format!("batch {b} ({count} rows)"));
+        // Log rows re-intern their strings through the batch so shard
+        // pools stay aligned — same idiom as the serving path; support
+        // rows carry ints and dates only.
+        let ((), report) = live.ingest(|batch| {
+            for r in before..log.len() {
+                let mapped: Vec<Value> = log
+                    .row(r as u32)
+                    .iter()
+                    .map(|v| match v {
+                        Value::Str(s) => batch.str_value(epoch.db().pool().resolve(*s)),
+                        other => *other,
+                    })
+                    .collect();
+                batch.insert_log(mapped).expect("valid log row");
+            }
+            for (table, row) in &support.rows {
+                batch
+                    .insert_dim(*table, row.clone())
+                    .expect("valid support row");
+            }
+        });
+        on_delta_path += usize::from(report.shards.iter().any(|s| {
+            let a = s.advance[pin];
+            a.candidate_rows > 0 && !a.used_full_residue
+        }));
+        residue = check(
+            &format!("publication {b} ({publication:?})"),
+            &support.explains,
+        );
     }
+    on_delta_path
 }
 
 #[test]
@@ -145,10 +290,58 @@ fn maintained_partition_matches_cold_recompute_over_a_fixed_schedule() {
     let world = AuditWorld::tiny(51);
     // Mixed sizes, an empty publication in the middle, and a final
     // surge — at both the degenerate and the parallel shard count.
-    let batches = [(5usize, 1u64), (0, 2), (12, 3), (1, 4), (17, 5)];
+    let batches = [(5usize, 1u64), (0, 2), (12, 3), (1, 4), (17, 5)]
+        .map(|(count, seed)| Publication::log(count, seed));
     for n_shards in [1usize, 4] {
-        run_stream_differential(&world, n_shards, &batches);
+        let on_delta_path = run_stream_differential(&world, n_shards, &batches);
+        assert!(on_delta_path >= 3, "{n_shards} shards: {on_delta_path}");
     }
+}
+
+#[test]
+fn support_growth_matches_cold_recompute_over_a_fixed_schedule() {
+    let world = AuditWorld::tiny_mapped(53);
+    // Support tables growing between, and together with, log batches:
+    // step-0 growth of the one-step templates, then a lab order whose
+    // mapping row arrives two publications later (depth-1 growth with
+    // the order long since absorbed), and a mixed publication growing
+    // the log, step 0 and step 1 at once.
+    let schedule = [
+        Publication::log(6, 1),
+        Publication::support(Support::Appointment, 0),
+        Publication::support(Support::LabOrder, 3),
+        Publication::log(9, 2),
+        Publication::support(Support::Mapping, 0),
+        Publication::support(Support::Visit, 7),
+        Publication {
+            log: (11, 3),
+            support: vec![
+                (Support::Document, 2),
+                (Support::Mapping, 5),
+                (Support::LabOrder, 9),
+            ],
+        },
+        Publication::support(Support::Mapping, 0),
+        Publication::log(4, 4),
+    ];
+    for n_shards in [1usize, 4] {
+        let on_delta_path = run_stream_differential(&world, n_shards, &schedule);
+        assert!(on_delta_path >= 6, "{n_shards} shards: {on_delta_path}");
+    }
+}
+
+/// A random support entry: kind and aim.
+fn support_entry() -> impl Strategy<Value = (Support, usize)> {
+    (0usize..5, 0usize..1000).prop_map(|(kind, aim)| {
+        let kind = [
+            Support::Appointment,
+            Support::Visit,
+            Support::Document,
+            Support::LabOrder,
+            Support::Mapping,
+        ][kind];
+        (kind, aim)
+    })
 }
 
 proptest! {
@@ -161,8 +354,31 @@ proptest! {
         batches in prop::collection::vec((0usize..18, 0u64..1000), 1..4)
     ) {
         let world = AuditWorld::tiny(52);
+        let schedule: Vec<Publication> = batches
+            .into_iter()
+            .map(|(count, seed)| Publication::log(count, seed))
+            .collect();
         for n_shards in [1usize, 4] {
-            run_stream_differential(&world, n_shards, &batches);
+            run_stream_differential(&world, n_shards, &schedule);
+        }
+    }
+
+    /// Random schedules interleaving log batches with support-table
+    /// growth at depth 0 and depth 1 (and both at once).
+    #[test]
+    fn support_growth_matches_cold_recompute(
+        schedule in prop::collection::vec(
+            (0usize..8, 0u64..1000, prop::collection::vec(support_entry(), 0..3)),
+            1..5,
+        )
+    ) {
+        let world = AuditWorld::tiny_mapped(54);
+        let schedule: Vec<Publication> = schedule
+            .into_iter()
+            .map(|(count, seed, support)| Publication { log: (count, seed), support })
+            .collect();
+        for n_shards in [1usize, 4] {
+            run_stream_differential(&world, n_shards, &schedule);
         }
     }
 }
