@@ -4,12 +4,11 @@
 //! we convert each to natural language and rank the explanations in
 //! ascending order of path length" (§2.1).
 
+use crate::view::AuditView;
 use eba_core::{ExplanationTemplate, LogSpec};
 use eba_relational::{
-    ChainQuery, Database, Engine, Epoch, EpochVec, EvalOptions, PreparedChain, Result, RowId,
-    RowSet, SuitePin,
+    ChainQuery, Database, EvalOptions, PreparedChain, Result, RowId, RowSet, SuitePin,
 };
-use std::collections::HashSet;
 
 /// One rendered explanation for a specific access.
 #[derive(Debug, Clone, PartialEq)]
@@ -79,155 +78,80 @@ impl Explainer {
             .explain(db, spec, row, instances_per_template))
     }
 
-    /// The suite lowered to chain queries, in template order.
-    fn suite_queries(&self, spec: &LogSpec) -> Vec<ChainQuery> {
-        self.templates
-            .iter()
-            .map(|t| t.path.to_chain_query(spec))
-            .collect()
-    }
-
     /// The suite as a [`SuitePin`], ready to hand to
-    /// [`eba_relational::SharedEngine::pin_suite`] or
     /// [`eba_relational::ShardedEngine::pin_suite`]: once pinned, every
-    /// published epoch carries the materialized explained/unexplained
-    /// partition, maintained incrementally per ingest and byte-identical
-    /// to what [`Explainer::unexplained_rows_with`] recomputes cold.
+    /// published epoch vector carries the materialized
+    /// explained/unexplained partition, maintained incrementally per
+    /// ingest and byte-identical to what [`explained`] and [`unexplained`]
+    /// recompute over a view of the same epoch.
     pub fn suite_pin(&self, spec: &LogSpec) -> SuitePin {
         SuitePin {
             log: spec.table,
             anchor_filters: spec.anchor_filters.clone(),
-            queries: self.suite_queries(spec),
+            queries: lower(&self.templates, spec),
             opts: EvalOptions::default(),
         }
     }
+}
 
-    /// Rows (within the spec's anchor) explained by at least one template.
-    ///
-    /// One-off convenience that evaluates each template's query against
-    /// the cold database; an auditing session asking this repeatedly
-    /// should hold a warm [`Engine`] and use
-    /// [`Explainer::explained_rows_with`] instead.
-    pub fn explained_rows(&self, db: &Database, spec: &LogSpec) -> HashSet<RowId> {
-        let mut out = HashSet::new();
-        for q in self.suite_queries(spec) {
-            let rows = q
-                .explained_rows(db, EvalOptions::default())
-                .expect("templates lower to valid queries");
-            out.extend(rows);
-        }
-        out
-    }
+fn lower<'t>(
+    templates: impl IntoIterator<Item = &'t ExplanationTemplate>,
+    spec: &LogSpec,
+) -> Vec<ChainQuery> {
+    templates
+        .into_iter()
+        .map(|t| t.path.to_chain_query(spec))
+        .collect()
+}
 
-    /// [`Explainer::explained_rows`] through a shared [`Engine`]: the
-    /// whole suite is evaluated as one fused batch
-    /// ([`Engine::eval_suite`]), and the engine's step maps and log
-    /// partitions stay warm for the next question. Results are identical
-    /// to the per-query path.
-    pub fn explained_rows_with(
-        &self,
-        db: &Database,
-        spec: &LogSpec,
-        engine: &Engine,
-    ) -> HashSet<RowId> {
-        self.explained_rowset_with(db, spec, engine)
-            .iter()
-            .collect()
-    }
+/// Rows (within the spec's anchor) explained by at least one of
+/// `templates`: the whole set is evaluated as one fused batch per part of
+/// the view ([`AuditView::eval_suite`]), and the engines' step maps and
+/// log partitions stay warm for the next question.
+pub fn explained<'t>(
+    view: &AuditView,
+    spec: &LogSpec,
+    templates: impl IntoIterator<Item = &'t ExplanationTemplate>,
+) -> RowSet {
+    view.eval_suite(&lower(templates, spec))
+}
 
-    /// [`Explainer::explained_rows_with`] in compressed [`RowSet`] form —
-    /// the shape the fused suite driver produces, and what the timeline
-    /// and portal layers consume without ever hashing a row id.
-    pub fn explained_rowset_with(&self, db: &Database, spec: &LogSpec, engine: &Engine) -> RowSet {
-        engine
-            .explained_union_rowset(db, &self.suite_queries(spec), EvalOptions::default())
-            .expect("templates lower to valid queries")
-    }
+/// Log rows passing the spec's anchor filters.
+pub fn anchors(view: &AuditView, spec: &LogSpec) -> RowSet {
+    RowSet::union_all(view.parts().iter().map(|part| {
+        let rows: Vec<RowId> = part
+            .anchor_rows(spec)
+            .map(|(rid, _)| part.to_global(rid))
+            .collect();
+        RowSet::from_sorted_vec(&rows)
+    }))
+}
 
-    /// [`Explainer::explained_rows`] against a pinned [`Epoch`]: the
-    /// session form — every question asked of the same epoch sees one
-    /// consistent log state while ingests publish new epochs behind it.
-    pub fn explained_rows_at(&self, spec: &LogSpec, epoch: &Epoch) -> HashSet<RowId> {
-        self.explained_rows_with(epoch.db(), spec, epoch.engine())
-    }
+/// Anchor rows *no* template explains — the paper's reduced set of
+/// potentially suspicious accesses: `anchors \ explained`, one compressed
+/// difference that reads out already sorted.
+pub fn unexplained(view: &AuditView, spec: &LogSpec, explained: &RowSet) -> RowSet {
+    anchors(view, spec).difference(explained)
+}
 
-    /// [`Explainer::explained_rowset_with`] against a pinned [`Epoch`].
-    pub fn explained_rowset_at(&self, spec: &LogSpec, epoch: &Epoch) -> RowSet {
-        self.explained_rowset_with(epoch.db(), spec, epoch.engine())
+/// [`explained`] by the cold per-template walk: each template's query is
+/// evaluated on its own by the reference row evaluator
+/// ([`ChainQuery::explained_rows`]) against a bare database. The **one**
+/// reference spelling the differential suites compare every view-based
+/// answer with; anything asked more than once should build a view instead.
+pub fn explained_cold<'t>(
+    db: &Database,
+    spec: &LogSpec,
+    templates: impl IntoIterator<Item = &'t ExplanationTemplate>,
+) -> RowSet {
+    let mut out = RowSet::new();
+    for q in lower(templates, spec) {
+        out.extend(
+            q.explained_rows(db, EvalOptions::default())
+                .expect("templates lower to valid queries"),
+        );
     }
-
-    /// [`Explainer::explained_rows`] against a pinned **epoch vector** —
-    /// the sharded session form. Each shard evaluates the whole suite
-    /// against its warm engine in parallel; the unions merge into
-    /// **global** row ids, identical to what [`Explainer::explained_rows`]
-    /// returns on the unsharded database.
-    pub fn explained_rows_at_shards(&self, spec: &LogSpec, shards: &EpochVec) -> HashSet<RowId> {
-        self.explained_rowset_at_shards(spec, shards)
-            .iter()
-            .collect()
-    }
-
-    /// [`Explainer::explained_rows_at_shards`] in compressed form: the
-    /// per-shard global-id bitmaps fold with the associative union.
-    pub fn explained_rowset_at_shards(&self, spec: &LogSpec, shards: &EpochVec) -> RowSet {
-        shards
-            .explained_union_rowset(&self.suite_queries(spec), EvalOptions::default())
-            .expect("templates lower to valid queries")
-    }
-
-    /// Anchor rows *no* template explains — the paper's reduced set of
-    /// potentially suspicious accesses.
-    pub fn unexplained_rows(&self, db: &Database, spec: &LogSpec) -> Vec<RowId> {
-        let explained = self.explained_rows(db, spec);
-        crate::metrics::anchor_rows(db, spec)
-            .into_iter()
-            .filter(|rid| !explained.contains(rid))
-            .collect()
-    }
-
-    /// [`Explainer::unexplained_rows`] through a shared [`Engine`]: the
-    /// anchor rows and the fused suite's explained set meet as row-set
-    /// algebra — `anchors \ explained` is one compressed difference, and
-    /// the result reads out already sorted.
-    pub fn unexplained_rows_with(
-        &self,
-        db: &Database,
-        spec: &LogSpec,
-        engine: &Engine,
-    ) -> Vec<RowId> {
-        self.unexplained_rowset_with(db, spec, engine).to_vec()
-    }
-
-    /// [`Explainer::unexplained_rows_with`] in compressed form.
-    pub fn unexplained_rowset_with(
-        &self,
-        db: &Database,
-        spec: &LogSpec,
-        engine: &Engine,
-    ) -> RowSet {
-        let anchors = RowSet::from_sorted_vec(&crate::metrics::anchor_rows(db, spec));
-        anchors.difference(&self.explained_rowset_with(db, spec, engine))
-    }
-
-    /// [`Explainer::unexplained_rows`] against a pinned [`Epoch`].
-    pub fn unexplained_rows_at(&self, spec: &LogSpec, epoch: &Epoch) -> Vec<RowId> {
-        self.unexplained_rows_with(epoch.db(), spec, epoch.engine())
-    }
-
-    /// [`Explainer::unexplained_rows`] against a pinned epoch vector:
-    /// per-shard complements returned as **global-id** [`RowSet`]s and
-    /// folded with the associative union — byte-identical to the
-    /// unsharded answer, because anchor filters evaluate per row and
-    /// shards partition the log (no re-sort needed: local ascending
-    /// order maps to ascending global ids).
-    pub fn unexplained_rows_at_shards(&self, spec: &LogSpec, shards: &EpochVec) -> Vec<RowId> {
-        let per_shard = shards.par_map_shards(|_, shard| {
-            let local = self.unexplained_rowset_with(shard.db(), spec, shard.engine());
-            let global: Vec<RowId> = local.iter().map(|r| shard.to_global(r)).collect();
-            RowSet::from_sorted_vec(&global)
-        });
-        RowSet::union_all(per_shard).to_vec()
-    }
+    out
 }
 
 /// An [`Explainer`] whose template queries were lowered and validated once.
@@ -276,6 +200,7 @@ impl PreparedExplainer<'_> {
 mod tests {
     use super::*;
     use crate::handcrafted::HandcraftedTemplates;
+    use eba_relational::{Engine, ShardKey, ShardedEngine, Value};
     use eba_synth::{Hospital, SynthConfig};
 
     fn setup() -> (Hospital, LogSpec, Explainer) {
@@ -284,6 +209,14 @@ mod tests {
         let t = HandcraftedTemplates::build(&h.db, &spec).unwrap();
         let explainer = Explainer::new(t.all().into_iter().cloned().collect());
         (h, spec, explainer)
+    }
+
+    fn sharded(h: &Hospital, spec: &LogSpec, n: usize) -> ShardedEngine {
+        let key = ShardKey {
+            table: spec.table,
+            col: spec.patient_col,
+        };
+        ShardedEngine::new(h.db.clone(), key, n)
     }
 
     #[test]
@@ -306,24 +239,24 @@ mod tests {
     #[test]
     fn explained_plus_unexplained_covers_anchor() {
         let (h, spec, explainer) = setup();
-        let explained = explainer.explained_rows(&h.db, &spec);
-        let unexplained = explainer.unexplained_rows(&h.db, &spec);
+        let engine = Engine::new(&h.db);
+        let view = AuditView::warm(&h.db, &engine);
+        let explained = explained(&view, &spec, explainer.templates());
+        let unexplained = unexplained(&view, &spec, &explained);
         assert_eq!(explained.len() + unexplained.len(), h.log_len());
-        for rid in unexplained {
-            assert!(!explained.contains(&rid));
-        }
+        assert_eq!(explained.intersect_len(&unexplained), 0);
     }
 
     #[test]
     fn float_assists_are_unexplained() {
         let (h, spec, explainer) = setup();
-        let explained = explainer.explained_rows(&h.db, &spec);
+        let explained = explained_cold(&h.db, &spec, explainer.templates());
         let mut float_explained = 0;
         let mut float_total = 0;
         for rid in 0..h.log_len() as RowId {
             if h.reason_of(rid) == eba_synth::AccessReason::FloatAssist {
                 float_total += 1;
-                if explained.contains(&rid) {
+                if explained.contains(rid) {
                     float_explained += 1;
                 }
             }
@@ -338,124 +271,70 @@ mod tests {
     }
 
     #[test]
-    fn engine_backed_suite_matches_per_query_path() {
+    fn every_view_matches_the_cold_reference() {
         let (h, spec, explainer) = setup();
-        let engine = eba_relational::Engine::new(&h.db);
-        assert_eq!(
-            explainer.explained_rows_with(&h.db, &spec, &engine),
-            explainer.explained_rows(&h.db, &spec)
-        );
-        assert_eq!(
-            explainer.unexplained_rows_with(&h.db, &spec, &engine),
-            explainer.unexplained_rows(&h.db, &spec)
-        );
-    }
-
-    #[test]
-    fn sharded_suite_matches_unsharded_oracle() {
-        let (h, spec, explainer) = setup();
-        let key = eba_relational::ShardKey {
-            table: spec.table,
-            col: spec.patient_col,
+        let cold = explained_cold(&h.db, &spec, explainer.templates());
+        let all: RowSet = (0..h.log_len() as RowId).collect();
+        let engine = Engine::new(&h.db);
+        let check = |view: &AuditView, what: &str| {
+            let got = explained(view, &spec, explainer.templates());
+            assert_eq!(got, cold, "{what}: explained");
+            assert_eq!(anchors(view, &spec), all, "{what}: anchors");
+            assert_eq!(
+                unexplained(view, &spec, &got),
+                all.difference(&cold),
+                "{what}: unexplained"
+            );
         };
+        check(&AuditView::warm(&h.db, &engine), "warm pair");
         for n in [1, 3] {
-            let sharded = eba_relational::ShardedEngine::new(h.db.clone(), key, n);
-            let shards = sharded.load();
-            assert_eq!(
-                explainer.explained_rows_at_shards(&spec, &shards),
-                explainer.explained_rows(&h.db, &spec),
-                "{n} shards"
-            );
-            assert_eq!(
-                explainer.unexplained_rows_at_shards(&spec, &shards),
-                explainer.unexplained_rows(&h.db, &spec),
-                "{n} shards"
-            );
+            let epochs = sharded(&h, &spec, n).load();
+            check(&AuditView::pinned(&epochs), &format!("{n} shards"));
         }
     }
 
     #[test]
     fn pinned_suite_maintains_the_cold_partition() {
-        // A pinned suite's maintained sets must match the cold recompute
-        // on every published epoch — including after ingests that extend
-        // the log (tail delta) and the dimension tables (full re-eval of
-        // the templates whose support grew).
+        // A pinned suite's maintained sets must match the recompute over
+        // a view of every published epoch vector — including after
+        // ingests that extend the log.
         let (h, spec, explainer) = setup();
-        let shared = eba_relational::SharedEngine::new(h.db.clone());
-        let pin_id = shared.pin_suite(explainer.suite_pin(&spec));
-
-        let check = |label: &str| {
-            let epoch = shared.load();
-            let m = epoch.maintained(pin_id).expect("pinned");
-            assert_eq!(
-                m.unexplained.to_vec(),
-                explainer.unexplained_rows_at(&spec, &epoch),
-                "{label}: unexplained"
-            );
-            assert_eq!(
-                m.explained,
-                explainer.explained_rowset_at(&spec, &epoch),
-                "{label}: explained"
-            );
-            assert_eq!(m.log_len, epoch.db().table(spec.table).len());
-        };
-        check("cold pin");
-
-        let arity = h.db.table(h.t_log).schema().arity();
-        let cols = h.log_cols;
-        for round in 0..3 {
-            let (_, report) = shared.ingest(|db| {
-                let mut row = vec![eba_relational::Value::Null; arity];
-                row[cols.lid] = eba_relational::Value::Int(3_000_000 + round);
-                row[cols.date] = eba_relational::Value::Date(0);
-                row[cols.user] = eba_relational::Value::Int(1 + round);
-                row[cols.patient] = eba_relational::Value::Int(1);
-                row[cols.day] = eba_relational::Value::Int(1);
-                row[cols.is_first] = eba_relational::Value::Int(0);
-                db.insert(h.t_log, row).unwrap();
-            });
-            assert!(report.fallback_warning().is_none());
-            check("after ingest");
-        }
-    }
-
-    #[test]
-    fn sharded_pinned_suite_maintains_the_cold_partition() {
-        let (h, spec, explainer) = setup();
-        let key = eba_relational::ShardKey {
-            table: spec.table,
-            col: spec.patient_col,
-        };
         for n in [1, 3] {
-            let sharded = eba_relational::ShardedEngine::new(h.db.clone(), key, n);
-            let pin_id = sharded.pin_suite(explainer.suite_pin(&spec));
+            let handle = sharded(&h, &spec, n);
+            let pin_id = handle.pin_suite(explainer.suite_pin(&spec));
             let check = |label: &str| {
-                let shards = sharded.load();
-                let m = shards.maintained(pin_id).expect("pinned");
+                let epochs = handle.load();
+                let view = AuditView::pinned(&epochs);
+                let m = epochs.maintained(pin_id).expect("pinned");
+                let explained = explained(&view, &spec, explainer.templates());
+                assert_eq!(m.explained, explained, "{label} ({n} shards)");
                 assert_eq!(
-                    m.unexplained.to_vec(),
-                    explainer.unexplained_rows_at_shards(&spec, &shards),
-                    "{label} ({n} shards): unexplained"
+                    m.unexplained,
+                    unexplained(&view, &spec, &explained),
+                    "{label} ({n} shards)"
                 );
+                assert_eq!(m.log_len, epochs.global_log_len());
             };
             check("cold pin");
 
             let arity = h.db.table(h.t_log).schema().arity();
             let cols = h.log_cols;
-            let (_, report) = sharded.ingest(|batch| {
-                for i in 0..4i64 {
-                    let mut row = vec![eba_relational::Value::Null; arity];
-                    row[cols.lid] = eba_relational::Value::Int(4_000_000 + i);
-                    row[cols.date] = eba_relational::Value::Date(0);
-                    row[cols.user] = eba_relational::Value::Int(1 + i);
-                    row[cols.patient] = eba_relational::Value::Int(1 + i);
-                    row[cols.day] = eba_relational::Value::Int(1);
-                    row[cols.is_first] = eba_relational::Value::Int(0);
-                    batch.insert_log(row).unwrap();
-                }
-            });
-            assert!(report.fallback_warnings().is_empty());
-            check("after ingest");
+            for round in 0..3i64 {
+                let (_, report) = handle.ingest(|batch| {
+                    for i in 0..4i64 {
+                        let mut row = vec![Value::Null; arity];
+                        row[cols.lid] = Value::Int(4_000_000 + 4 * round + i);
+                        row[cols.date] = Value::Date(0);
+                        row[cols.user] = Value::Int(1 + i);
+                        row[cols.patient] = Value::Int(1 + i + round);
+                        row[cols.day] = Value::Int(1);
+                        row[cols.is_first] = Value::Int(0);
+                        batch.insert_log(row).unwrap();
+                    }
+                });
+                assert!(report.fallback_warnings().is_empty());
+                check("after ingest");
+            }
         }
     }
 

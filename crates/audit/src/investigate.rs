@@ -154,6 +154,7 @@ pub fn looks_like_snooping(diagnoses: &[Diagnosis]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::explained_cold;
     use crate::handcrafted::HandcraftedTemplates;
     use eba_synth::{AccessReason, Hospital, SynthConfig};
 
@@ -172,8 +173,8 @@ mod tests {
     #[test]
     fn explained_accesses_diagnose_as_explained() {
         let (h, spec, explainer) = setup();
-        let explained = explainer.explained_rows(&h.db, &spec);
-        let rid = *explained.iter().next().expect("something explained");
+        let explained = explained_cold(&h.db, &spec, explainer.templates());
+        let rid = explained.iter().next().expect("something explained");
         let d = diagnose(&h.db, &spec, &explainer, rid).unwrap();
         assert!(matches!(d[0].outcome, Outcome::Explained));
         assert!(!looks_like_snooping(&d));
@@ -183,11 +184,11 @@ mod tests {
     #[test]
     fn snoops_on_treated_patients_show_wrong_user() {
         let (h, spec, explainer) = setup();
-        let explained = explainer.explained_rows(&h.db, &spec);
+        let explained = explained_cold(&h.db, &spec, explainer.templates());
         let prepared = explainer.prepared(&h.db, &spec).unwrap();
         let mut wrong_user_seen = false;
         for rid in 0..h.log_len() as u32 {
-            if h.reason_of(rid) != AccessReason::Snoop || explained.contains(&rid) {
+            if h.reason_of(rid) != AccessReason::Snoop || explained.contains(rid) {
                 continue;
             }
             let d = diagnose_prepared(&h.db, &spec, &prepared, rid);
@@ -239,9 +240,9 @@ mod tests {
         let (h, spec, explainer) = setup();
         // A float access to a patient with no events: appointment template
         // dies at hop 1.
-        let explained = explainer.explained_rows(&h.db, &spec);
+        let explained = explained_cold(&h.db, &spec, explainer.templates());
         for rid in 0..h.log_len() as u32 {
-            if h.reason_of(rid) == AccessReason::FloatAssist && !explained.contains(&rid) {
+            if h.reason_of(rid) == AccessReason::FloatAssist && !explained.contains(rid) {
                 let d = diagnose(&h.db, &spec, &explainer, rid).unwrap();
                 if let Some(dead) = d
                     .iter()

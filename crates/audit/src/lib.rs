@@ -26,13 +26,27 @@
 //!   shrink;
 //! * [`split`] — train/test anchor filters over days and first accesses.
 //!
-//! Every view comes in three forms: a one-off per-query form, a `*_with`
-//! form over a warm [`eba_relational::Engine`], and a `*_at` form over a
-//! pinned [`eba_relational::Epoch`] from a
-//! [`eba_relational::SharedEngine`] — the session form a long-running
+//! Every question is asked of one read-side [`view::AuditView`] — a warm
+//! `(&Database, &Engine)` pair or a pinned [`eba_relational::EpochVec`]
+//! from a [`eba_relational::ShardedEngine`], the form a long-running
 //! service uses so its explanations, timeline, and triage queue all
 //! describe the same frozen log state while ingests publish new epochs
-//! behind it.
+//! behind it — and each has exactly one spelling, a function of the view
+//! and a global-id [`eba_relational::RowSet`]:
+//!
+//! | Question | Function |
+//! |---|---|
+//! | which accesses does a template set explain | [`explain::explained`] |
+//! | which accesses are under audit | [`explain::anchors`] |
+//! | which are left over (`anchors \ explained`) | [`explain::unexplained`] |
+//! | precision / recall of an explained set | [`metrics::evaluate`] |
+//! | explained fraction by day | [`timeline::daily_stats`] |
+//! | who the residue points at | [`portal::misuse_summary`] |
+//! | one patient's accesses, explained | [`portal::patient_report`] |
+//!
+//! [`explain::explained_cold`] — the per-template walk on a bare database
+//! — is kept as the one differential reference the test suites compare
+//! the view-based answers with.
 
 pub mod explain;
 pub mod fake;
@@ -43,6 +57,7 @@ pub mod metrics;
 pub mod portal;
 pub mod split;
 pub mod timeline;
+pub mod view;
 
 pub use explain::{Explainer, RankedExplanation};
 pub use fake::FakeLog;
@@ -50,3 +65,4 @@ pub use groups::{collaborative_groups, install_groups, GroupsModel};
 pub use handcrafted::HandcraftedTemplates;
 pub use metrics::Confusion;
 pub use timeline::{DayBuckets, DayStats, Timeline};
+pub use view::AuditView;

@@ -5,10 +5,9 @@
 //! residue trends. A day whose unexplained share spikes is where an
 //! investigation starts.
 
-use crate::explain::Explainer;
-use crate::split;
+use crate::view::AuditView;
 use eba_core::LogSpec;
-use eba_relational::{Database, Engine, Epoch, EpochVec, RowSet};
+use eba_relational::{RowSet, Value};
 use eba_synth::LogColumns;
 
 /// One day's explanation statistics.
@@ -37,16 +36,6 @@ impl DayStats {
             1.0
         } else {
             self.explained as f64 / self.total as f64
-        }
-    }
-
-    fn empty(day: u32) -> DayStats {
-        DayStats {
-            day,
-            total: 0,
-            explained: 0,
-            first_accesses: 0,
-            first_explained: 0,
         }
     }
 }
@@ -81,83 +70,18 @@ impl Timeline {
     }
 }
 
-/// Computes per-day statistics for days `1..=days` under `explainer`.
+/// Per-day statistics for days `1..=days` of the view's log, counted
+/// against `explained` (global row ids — what [`crate::explain::explained`]
+/// returns, or a pinned suite's maintained `explained` set): one scan
+/// buckets the log, then every count is an intersection cardinality.
 pub fn daily_stats(
-    db: &Database,
+    view: &AuditView,
     spec: &LogSpec,
     cols: &LogColumns,
-    explainer: &Explainer,
     days: u32,
+    explained: &RowSet,
 ) -> Timeline {
-    // One evaluation over the whole log, then bucket by day.
-    let explained: RowSet = explainer.explained_rows(db, spec).into_iter().collect();
-    DayBuckets::build(db, spec, cols, days).timeline(&explained)
-}
-
-/// [`daily_stats`] through a shared [`Engine`]: the compliance dashboard
-/// recomputes this view repeatedly as the log grows, so the suite is
-/// evaluated as one fused batch against the warm (refreshable) engine
-/// and the day buckets intersect the compressed
-/// [`eba_relational::RowSet`] directly — no intermediate hash set.
-pub fn daily_stats_with(
-    db: &Database,
-    spec: &LogSpec,
-    cols: &LogColumns,
-    explainer: &Explainer,
-    days: u32,
-    engine: &Engine,
-) -> Timeline {
-    let explained = explainer.explained_rowset_with(db, spec, engine);
-    DayBuckets::build(db, spec, cols, days).timeline(&explained)
-}
-
-/// [`daily_stats`] against a pinned [`Epoch`]: the dashboard session's
-/// view, consistent with every other question asked of the same epoch
-/// while the log keeps ingesting behind it.
-pub fn daily_stats_at(
-    spec: &LogSpec,
-    cols: &LogColumns,
-    explainer: &Explainer,
-    days: u32,
-    epoch: &Epoch,
-) -> Timeline {
-    daily_stats_with(epoch.db(), spec, cols, explainer, days, epoch.engine())
-}
-
-/// [`daily_stats`] against a pinned **epoch vector**: each shard buckets
-/// its own slice of the log in parallel and the day buckets sum — every
-/// [`DayStats`] field is a count over disjoint row sets, so the merge is
-/// exact, overflow bucket included.
-pub fn daily_stats_at_shards(
-    spec: &LogSpec,
-    cols: &LogColumns,
-    explainer: &Explainer,
-    days: u32,
-    shards: &EpochVec,
-) -> Timeline {
-    let per_shard = shards
-        .par_map_shards(|_, shard| daily_stats_at(spec, cols, explainer, days, shard.epoch()));
-    let mut merged = Timeline {
-        days: (1..=days).map(DayStats::empty).collect(),
-        overflow: DayStats::empty(DayStats::OVERFLOW_DAY),
-    };
-    for t in per_shard {
-        for (m, s) in merged.days.iter_mut().zip(&t.days) {
-            m.add(s);
-        }
-        merged.overflow.add(&t.overflow);
-    }
-    merged
-}
-
-impl DayStats {
-    fn add(&mut self, other: &DayStats) {
-        debug_assert_eq!(self.day, other.day);
-        self.total += other.total;
-        self.explained += other.explained;
-        self.first_accesses += other.first_accesses;
-        self.first_explained += other.first_explained;
-    }
+    DayBuckets::build(view, spec, cols, days).timeline(explained)
 }
 
 /// The anchored log bucketed by day as compressed row sets: one
@@ -205,36 +129,43 @@ impl DayBucket {
 }
 
 impl DayBuckets {
-    /// Buckets the log by day: one scan, anchor filters applied row by
-    /// row. In-window accesses land in their day's bucket; clock-skewed
-    /// or day-less ones land in the overflow bucket instead of
-    /// vanishing.
-    pub fn build(db: &Database, spec: &LogSpec, cols: &LogColumns, days: u32) -> DayBuckets {
-        let log = db.table(spec.table);
-        let mut buckets = DayBuckets {
+    fn empty(days: u32) -> DayBuckets {
+        DayBuckets {
             days: (1..=days).map(DayBucket::empty).collect(),
             overflow: DayBucket::empty(DayStats::OVERFLOW_DAY),
-        };
-        for (rid, row) in log.iter() {
-            if !spec
-                .anchor_filters
-                .iter()
-                .all(|(col, op, v)| op.eval(&row[*col], v))
-            {
-                continue;
-            }
-            let b = match row[cols.day] {
-                eba_relational::Value::Int(day) if (1..=days as i64).contains(&day) => {
-                    &mut buckets.days[(day - 1) as usize]
+        }
+    }
+
+    /// Buckets the view's log by day in global row ids: one scan per
+    /// part, anchor filters applied row by row. In-window accesses land
+    /// in their day's bucket; clock-skewed or day-less ones land in the
+    /// overflow bucket instead of vanishing.
+    pub fn build(view: &AuditView, spec: &LogSpec, cols: &LogColumns, days: u32) -> DayBuckets {
+        let mut merged = DayBuckets::empty(days);
+        for part in view.parts() {
+            // Within a part global ids ascend, so every insert appends;
+            // the parts' buckets then merge container-at-a-time.
+            let mut buckets = DayBuckets::empty(days);
+            for (rid, row) in part.anchor_rows(spec) {
+                let b = match row[cols.day] {
+                    Value::Int(day) if (1..=days as i64).contains(&day) => {
+                        &mut buckets.days[(day - 1) as usize]
+                    }
+                    _ => &mut buckets.overflow,
+                };
+                let global = part.to_global(rid);
+                b.all.insert(global);
+                if row[cols.is_first] == Value::Int(1) {
+                    b.firsts.insert(global);
                 }
-                _ => &mut buckets.overflow,
-            };
-            b.all.insert(rid);
-            if row[cols.is_first] == eba_relational::Value::Int(1) {
-                b.firsts.insert(rid);
+            }
+            let pairs = merged.days.iter_mut().zip(&buckets.days);
+            for (m, b) in pairs.chain([(&mut merged.overflow, &buckets.overflow)]) {
+                m.all.union_with(&b.all);
+                m.firsts.union_with(&b.firsts);
             }
         }
-        buckets
+        merged
     }
 
     /// Derives the per-day timeline against an explained set — counts
@@ -247,22 +178,13 @@ impl DayBuckets {
     }
 }
 
-/// Convenience: per-day stats over the full log (no extra filters).
-pub fn full_timeline(
-    db: &Database,
-    spec: &LogSpec,
-    cols: &LogColumns,
-    explainer: &Explainer,
-    days: u32,
-) -> Timeline {
-    let _ = split::day_range(cols, 1, days); // shape documentation only
-    daily_stats(db, spec, cols, explainer, days)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explain::{explained, explained_cold, Explainer};
     use crate::handcrafted::HandcraftedTemplates;
+    use crate::split;
+    use eba_relational::{Engine, EpochVec, ShardKey, ShardedEngine};
     use eba_synth::{Hospital, SynthConfig};
 
     fn setup() -> (Hospital, LogSpec, Explainer) {
@@ -273,10 +195,42 @@ mod tests {
         (h, spec, explainer)
     }
 
+    /// The timeline of a warm engine over the hospital's database.
+    fn timeline_of(h: &Hospital, spec: &LogSpec, explainer: &Explainer) -> Timeline {
+        let engine = Engine::new(&h.db);
+        let view = AuditView::warm(&h.db, &engine);
+        let explained = explained(&view, spec, explainer.templates());
+        daily_stats(&view, spec, &h.log_cols, h.config.days, &explained)
+    }
+
+    /// Three skewed accesses: day 0, day beyond the window, and a NULL
+    /// day — none may vanish from the totals.
+    fn skewed_rows(h: &Hospital, first_lid: i64) -> Vec<Vec<Value>> {
+        let arity = h.db.table(h.t_log).schema().arity();
+        [
+            Value::Int(0),
+            Value::Int(h.config.days as i64 + 30),
+            Value::Null,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, day)| {
+            let mut row = vec![Value::Null; arity];
+            row[h.log_cols.lid] = Value::Int(first_lid + i as i64);
+            row[h.log_cols.date] = Value::Date(0);
+            row[h.log_cols.user] = Value::Int(1);
+            row[h.log_cols.patient] = Value::Int(1);
+            row[h.log_cols.day] = day;
+            row[h.log_cols.is_first] = Value::Int(0);
+            row
+        })
+        .collect()
+    }
+
     #[test]
     fn daily_totals_sum_to_log_size() {
         let (h, spec, explainer) = setup();
-        let timeline = daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days);
+        let timeline = timeline_of(&h, &spec, &explainer);
         assert_eq!(timeline.days.len(), h.config.days as usize);
         // A well-formed synthetic log has no clock skew.
         assert_eq!(timeline.dropped(), 0);
@@ -292,25 +246,11 @@ mod tests {
     #[test]
     fn clock_skewed_accesses_land_in_the_overflow_bucket() {
         let (mut h, spec, explainer) = setup();
-        let before = daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days);
-        // Three skewed accesses: day 0, day beyond the window, and a NULL
-        // day — none may vanish from the totals.
-        let arity = h.db.table(h.t_log).schema().arity();
-        for day in [
-            eba_relational::Value::Int(0),
-            eba_relational::Value::Int(h.config.days as i64 + 30),
-            eba_relational::Value::Null,
-        ] {
-            let mut row = vec![eba_relational::Value::Null; arity];
-            row[h.log_cols.lid] = eba_relational::Value::Int(1_000_000);
-            row[h.log_cols.date] = eba_relational::Value::Date(0);
-            row[h.log_cols.user] = eba_relational::Value::Int(1);
-            row[h.log_cols.patient] = eba_relational::Value::Int(1);
-            row[h.log_cols.day] = day;
-            row[h.log_cols.is_first] = eba_relational::Value::Int(0);
+        let before = timeline_of(&h, &spec, &explainer);
+        for row in skewed_rows(&h, 1_000_000) {
             h.db.insert(h.t_log, row).unwrap();
         }
-        let after = daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days);
+        let after = timeline_of(&h, &spec, &explainer);
         assert_eq!(after.dropped(), 3);
         assert_eq!(after.overflow.day, DayStats::OVERFLOW_DAY);
         assert_eq!(after.total(), h.log_len());
@@ -322,106 +262,42 @@ mod tests {
     }
 
     #[test]
-    fn engine_backed_timeline_matches_per_query() {
-        let (h, spec, explainer) = setup();
-        let engine = eba_relational::Engine::new(&h.db);
-        assert_eq!(
-            daily_stats_with(
-                &h.db,
-                &spec,
-                &h.log_cols,
-                &explainer,
-                h.config.days,
-                &engine
-            ),
-            daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days)
-        );
-    }
-
-    #[test]
-    fn epoch_pinned_timeline_matches_per_query() {
-        let (h, spec, explainer) = setup();
-        let shared = eba_relational::SharedEngine::new(h.db.clone());
-        let epoch = shared.load();
-        assert_eq!(
-            daily_stats_at(&spec, &h.log_cols, &explainer, h.config.days, &epoch),
-            daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days)
-        );
-    }
-
-    #[test]
-    fn clock_skewed_ingest_surfaces_through_the_epoch_pinned_path() {
-        // The overflow bucket must be visible through `daily_stats_at`
-        // (the session form a live service uses), not just the direct
-        // call: skewed rows arrive via `SharedEngine::ingest`, and the
-        // re-pinned epoch's timeline carries them in the overflow bucket
-        // while the old pin stays byte-stable.
-        let (h, spec, explainer) = setup();
-        let shared = eba_relational::SharedEngine::new(h.db.clone());
-        let pinned = shared.load();
-        let before = daily_stats_at(&spec, &h.log_cols, &explainer, h.config.days, &pinned);
-        assert_eq!(before.dropped(), 0);
-
-        let arity = h.db.table(h.t_log).schema().arity();
-        let cols = h.log_cols;
-        let days = h.config.days;
-        let (_, report) = shared.ingest(|db| {
-            for (i, day) in [
-                eba_relational::Value::Int(0),
-                eba_relational::Value::Int(days as i64 + 30),
-                eba_relational::Value::Null,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let mut row = vec![eba_relational::Value::Null; arity];
-                row[cols.lid] = eba_relational::Value::Int(2_000_000 + i as i64);
-                row[cols.date] = eba_relational::Value::Date(0);
-                row[cols.user] = eba_relational::Value::Int(1);
-                row[cols.patient] = eba_relational::Value::Int(1);
-                row[cols.day] = day;
-                row[cols.is_first] = eba_relational::Value::Int(0);
-                db.insert(h.t_log, row).unwrap();
-            }
-        });
-        assert!(report.fallback_warning().is_none());
-
-        // The old pin is untouched; the new epoch shows the skew.
-        assert_eq!(
-            daily_stats_at(&spec, &h.log_cols, &explainer, days, &pinned),
-            before
-        );
-        let fresh = shared.load();
-        let after = daily_stats_at(&spec, &h.log_cols, &explainer, days, &fresh);
-        assert_eq!(after.dropped(), 3);
-        assert_eq!(after.overflow.day, DayStats::OVERFLOW_DAY);
-        assert_eq!(after.total(), before.total() + 3);
-        for (b, a) in before.days.iter().zip(&after.days) {
-            assert_eq!(b.total, a.total, "in-window days untouched");
-        }
-        // And the epoch-pinned view equals the direct call on the same db.
-        assert_eq!(
-            after,
-            daily_stats(fresh.db(), &spec, &h.log_cols, &explainer, days)
-        );
-    }
-
-    #[test]
-    fn sharded_timeline_matches_unsharded_oracle() {
-        let (h, spec, explainer) = setup();
-        let key = eba_relational::ShardKey {
+    fn pinned_views_match_the_warm_pair_through_a_skewed_ingest() {
+        // The overflow bucket must be visible through a pinned epoch
+        // vector (the view a live service holds), not just a warm pair:
+        // skewed rows arrive via ingest, the re-pinned vector's timeline
+        // carries them in the overflow bucket, and the old pin stays
+        // byte-stable — at one shard and at several.
+        let (mut h, spec, explainer) = setup();
+        let key = ShardKey {
             table: spec.table,
             col: spec.patient_col,
         };
-        let oracle = daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days);
-        for n in [1, 3] {
-            let sharded = eba_relational::ShardedEngine::new(h.db.clone(), key, n);
-            let shards = sharded.load();
-            assert_eq!(
-                daily_stats_at_shards(&spec, &h.log_cols, &explainer, h.config.days, &shards),
-                oracle,
-                "{n} shards"
-            );
+        let (cols, days) = (h.log_cols, h.config.days);
+        let before = timeline_of(&h, &spec, &explainer);
+        let skewed = skewed_rows(&h, 2_000_000);
+        let handles = [1, 3].map(|n| ShardedEngine::new(h.db.clone(), key, n));
+        let pinned_timeline = |epochs: &EpochVec| {
+            let view = AuditView::pinned(epochs);
+            let explained = explained(&view, &spec, explainer.templates());
+            daily_stats(&view, &spec, &cols, days, &explained)
+        };
+        for row in &skewed {
+            h.db.insert(h.t_log, row.clone()).unwrap();
+        }
+        let after = timeline_of(&h, &spec, &explainer);
+        assert_eq!(after.dropped(), 3);
+        for handle in &handles {
+            let pinned = handle.load();
+            assert_eq!(pinned_timeline(&pinned), before);
+            let (_, report) = handle.ingest(|batch| {
+                for row in &skewed {
+                    batch.insert_log(row.clone()).unwrap();
+                }
+            });
+            assert!(report.fallback_warnings().is_empty());
+            assert_eq!(pinned_timeline(&pinned), before, "the old pin is untouched");
+            assert_eq!(pinned_timeline(&handle.load()), after);
         }
     }
 
@@ -431,7 +307,9 @@ mod tests {
         // empty set zeroes the explained counts, the full log explains
         // everything, and the real suite matches `daily_stats`.
         let (h, spec, explainer) = setup();
-        let buckets = DayBuckets::build(&h.db, &spec, &h.log_cols, h.config.days);
+        let engine = Engine::new(&h.db);
+        let view = AuditView::warm(&h.db, &engine);
+        let buckets = DayBuckets::build(&view, &spec, &h.log_cols, h.config.days);
 
         let none = buckets.timeline(&RowSet::new());
         assert_eq!(none.total(), h.log_len());
@@ -447,17 +325,17 @@ mod tests {
             assert_eq!(s.first_explained, s.first_accesses);
         }
 
-        let explained: RowSet = explainer.explained_rows(&h.db, &spec).into_iter().collect();
+        let explained = explained_cold(&h.db, &spec, explainer.templates());
         assert_eq!(
             buckets.timeline(&explained),
-            daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days)
+            timeline_of(&h, &spec, &explainer)
         );
     }
 
     #[test]
     fn first_accesses_sum_to_distinct_pairs() {
         let (h, spec, explainer) = setup();
-        let stats = daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days).days;
+        let stats = timeline_of(&h, &spec, &explainer).days;
         let firsts: usize = stats.iter().map(|s| s.first_accesses).sum();
         let mut pairs = std::collections::HashSet::new();
         for (_, row) in h.db.table(h.t_log).iter() {
@@ -471,7 +349,7 @@ mod tests {
         let (h, spec, explainer) = setup();
         // Restricting the spec to day 3 zeroes all other days.
         let day3 = spec.with_filters(split::day_range(&h.log_cols, 3, 3));
-        let stats = daily_stats(&h.db, &day3, &h.log_cols, &explainer, h.config.days).days;
+        let stats = timeline_of(&h, &day3, &explainer).days;
         for s in &stats {
             if s.day != 3 {
                 assert_eq!(s.total, 0);
@@ -485,7 +363,7 @@ mod tests {
     #[test]
     fn explained_rate_is_reasonably_stable_across_days() {
         let (h, spec, explainer) = setup();
-        let stats = full_timeline(&h.db, &spec, &h.log_cols, &explainer, h.config.days).days;
+        let stats = timeline_of(&h, &spec, &explainer).days;
         let rates: Vec<f64> = stats
             .iter()
             .filter(|s| s.total > 20)

@@ -11,9 +11,9 @@
 //! pre-engine behaviour) and `opt_engine: true` (shared step-map cache +
 //! parallel batches) — asserts both mine the **same template set**, and
 //! reports criterion-style medians. With `--json` the medians land in a
-//! `BENCH_mining.json`-shaped file (same schema as `audit-bench`'s
-//! `BENCH_audit.json`, see [`eba_bench::harness::write_bench_json`]) so
-//! the perf trajectory is diffable across PRs.
+//! `BENCH_mining.json`-shaped file (see
+//! [`eba_bench::harness::write_bench_json`]) so the perf trajectory is
+//! diffable across PRs.
 
 use eba_bench::harness::{print_workloads, write_bench_json, Workload};
 use eba_bench::{bench_config, scale_config};

@@ -7,12 +7,12 @@
 //! [`criterion_main!`] macros. Each benchmark takes `sample_size` timed
 //! samples (after one warm-up call) and reports the **median**.
 //!
-//! The perf-tracker binaries (`mining-bench` → `BENCH_mining.json`,
-//! `audit-bench` → `BENCH_audit.json`) share the comparative-workload
-//! machinery here: [`measure`], [`Workload`], [`geomean_speedup`],
-//! [`print_workloads`], and [`write_bench_json`], so both snapshots record
-//! `threads` and per-workload sample counts in the same shape and stay
-//! diffable across PRs.
+//! The perf-tracker binary (`mining-bench` → `BENCH_mining.json`) uses
+//! the comparative-workload machinery here: [`measure`], [`Workload`],
+//! [`geomean_speedup`], [`print_workloads`], and [`write_bench_json`], so
+//! its snapshot records `threads` and per-workload sample counts and
+//! stays diffable across PRs. (The served system is measured by
+//! `eba_benchmark`, see `BENCHMARK.json`.)
 
 use std::time::{Duration, Instant};
 
@@ -28,10 +28,6 @@ pub struct Workload {
     pub engine: Duration,
     /// Timed samples behind each median.
     pub samples: usize,
-    /// Optional qualitative finding the durations alone cannot carry
-    /// (e.g. the concurrent workload's "reader answered while the ingest
-    /// was still in flight" count); lands in the JSON snapshot.
-    pub note: Option<String>,
 }
 
 impl Workload {
@@ -47,7 +43,6 @@ impl Workload {
             baseline: measure(samples, baseline),
             engine: measure(samples, engine),
             samples,
-            note: None,
         }
     }
 
@@ -92,16 +87,13 @@ pub fn print_workloads(workloads: &[Workload]) {
             format_duration(w.engine),
             w.speedup()
         );
-        if let Some(note) = &w.note {
-            println!("    ^ {note}");
-        }
     }
     println!("geomean speedup: {:.2}x", geomean_speedup(workloads));
 }
 
-/// Writes the `BENCH_*.json` shape shared by `mining-bench` and
-/// `audit-bench`: generator, scale, thread count, and one entry per
-/// workload with both medians, the speedup, and the sample count.
+/// Writes the `BENCH_mining.json` shape: generator, scale, thread count,
+/// and one entry per workload with both medians, the speedup, and the
+/// sample count.
 pub fn write_bench_json(
     path: &str,
     generated_by: &str,
@@ -116,18 +108,13 @@ pub fn write_bench_json(
     json.push_str(&format!("  \"threads\": {threads},\n"));
     json.push_str("  \"workloads\": [\n");
     for (i, w) in workloads.iter().enumerate() {
-        let note = match &w.note {
-            Some(n) => format!(", \"note\": \"{}\"", escape_json(n)),
-            None => String::new(),
-        };
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"baseline_median_ms\": {:.3}, \"engine_median_ms\": {:.3}, \"speedup\": {:.2}, \"samples\": {}{}}}{}\n",
+            "    {{\"name\": \"{}\", \"baseline_median_ms\": {:.3}, \"engine_median_ms\": {:.3}, \"speedup\": {:.2}, \"samples\": {}}}{}\n",
             w.name,
             w.baseline.as_secs_f64() * 1e3,
             w.engine.as_secs_f64() * 1e3,
             w.speedup(),
             w.samples,
-            note,
             if i + 1 < workloads.len() { "," } else { "" }
         ));
     }
@@ -138,21 +125,6 @@ pub fn write_bench_json(
     ));
     json.push_str("}\n");
     std::fs::write(path, json)
-}
-
-/// Minimal JSON string escaping for free-text fields (quotes, backslashes
-/// and control characters) so a note can never corrupt the snapshot.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One finished measurement.
@@ -381,7 +353,6 @@ mod tests {
             baseline: Duration::from_millis(b),
             engine: Duration::from_millis(e),
             samples: 3,
-            note: None,
         };
         assert!((w(40, 10).speedup() - 4.0).abs() < 1e-9);
         // geomean(4x, 1x) = 2x.
@@ -396,21 +367,19 @@ mod tests {
             baseline: Duration::from_millis(12),
             engine: Duration::from_millis(3),
             samples: 5,
-            note: Some("readers overlapped 5/5 ingests".into()),
         };
         let dir = std::env::temp_dir().join("eba_bench_json_shape_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json");
-        write_bench_json(path.to_str().unwrap(), "audit-bench", "tiny", 4, &[w]).unwrap();
+        write_bench_json(path.to_str().unwrap(), "mining-bench", "tiny", 4, &[w]).unwrap();
         let json = std::fs::read_to_string(&path).unwrap();
         for needle in [
-            "\"generated_by\": \"audit-bench\"",
+            "\"generated_by\": \"mining-bench\"",
             "\"threads\": 4",
             "\"samples\": 5",
             "\"baseline_median_ms\": 12.000",
             "\"engine_median_ms\": 3.000",
             "\"speedup\": 4.00",
-            "\"note\": \"readers overlapped 5/5 ingests\"",
             "\"geomean_speedup\": 4.00",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");

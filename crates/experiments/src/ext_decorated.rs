@@ -14,12 +14,12 @@
 use crate::fig_mining::mining_config_for;
 use crate::figure::FigureResult;
 use crate::scenario::Scenario;
+use eba_audit::explain::anchors;
 use eba_audit::fake::{user_pool, FakeLog};
-use eba_audit::{metrics, split};
+use eba_audit::{metrics, split, AuditView};
 use eba_core::mine_one_way;
 use eba_core::mining::decorate::{refine_with, DecorationCandidate};
-use eba_relational::{ChainQuery, Engine, EvalOptions, RowId, Value};
-use std::collections::HashSet;
+use eba_relational::{ChainQuery, Engine, Value};
 
 /// Compares plain mined group templates against their depth-refined
 /// decorated variants. Expected shape: precision rises, recall gives up a
@@ -47,7 +47,7 @@ pub fn ext_decorated(s: &Scenario) -> FigureResult {
     // Refinement re-evaluates the mined set against the *training*
     // database — the scenario's warm engine already holds those step maps.
     let refined = refine_with(
-        s.epoch().db(),
+        &s.hospital.db,
         &train_spec,
         &group_templates,
         &candidate,
@@ -75,17 +75,20 @@ pub fn ext_decorated(s: &Scenario) -> FigureResult {
     let spec = s
         .spec
         .with_filters(split::days_first(&s.hospital.log_cols, 7, 7));
-    let anchors = metrics::anchor_rows(&db, &spec);
 
     // One warm engine over the combined test database serves all four
     // template-set evaluations below.
     let test_engine = Engine::new(&db);
+    let view = AuditView::warm(&db, &test_engine);
+    let first_accesses = anchors(&view, &spec);
     let eval_paths = |paths: Vec<&eba_core::Path>| -> (f64, f64) {
         let queries: Vec<ChainQuery> = paths.iter().map(|p| p.to_chain_query(&spec)).collect();
-        let rows: HashSet<RowId> = test_engine
-            .explained_union(&db, &queries, EvalOptions::default())
-            .expect("valid paths");
-        let c = metrics::confusion_from_sets(&anchors, &rows, |r| fake.is_fake(r), None);
+        let c = metrics::evaluate(
+            &first_accesses,
+            &view.eval_suite(&queries),
+            Some(&fake),
+            None,
+        );
         (c.precision(), c.recall())
     };
 

@@ -3,25 +3,18 @@
 
 use crate::figure::FigureResult;
 use crate::scenario::Scenario;
+use eba_audit::explain::anchors;
 use eba_audit::handcrafted::event_predicates;
-use eba_audit::{metrics, split};
+use eba_audit::{split, AuditView};
 use eba_core::LogSpec;
-use eba_relational::{ChainQuery, Database, Engine, EvalOptions, RowId};
-use std::collections::HashSet;
+use eba_relational::{ChainQuery, Database, EvalOptions, RowSet};
 
 /// Union of rows whose patient has any data-set-A or B event, evaluated
-/// as one batch on `engine` (a warm engine over `db`).
-pub fn rows_with_any_event_on(db: &Database, spec: &LogSpec, engine: &Engine) -> HashSet<RowId> {
+/// as one batch on `view` (a warm engine over `db`).
+pub fn rows_with_any_event(view: &AuditView, db: &Database, spec: &LogSpec) -> RowSet {
     let preds = event_predicates(db, spec).expect("schema is CareWeb-shaped");
     let queries: Vec<ChainQuery> = preds.iter().map(|(_, p)| p.to_chain_query(spec)).collect();
-    engine
-        .explained_union(db, &queries, EvalOptions::default())
-        .expect("valid predicate")
-}
-
-/// Union of rows whose patient has any data-set-A or B event.
-pub fn rows_with_any_event(s: &Scenario, spec: &LogSpec) -> HashSet<RowId> {
-    rows_with_any_event_on(s.epoch().db(), spec, s.engine())
+    view.eval_suite(&queries)
 }
 
 fn event_figure(
@@ -32,45 +25,29 @@ fn event_figure(
     include_repeat: bool,
     paper: &[(&str, f64)],
 ) -> FigureResult {
-    // The epoch's database: provably the state the scenario engine was
-    // built over (identical content to `s.hospital.db`).
-    let db = s.epoch().db();
-    let denominator = metrics::anchor_rows(db, spec).len().max(1) as f64;
+    let db = &s.hospital.db;
+    let view = s.view();
+    let denominator = anchors(&view, spec).len().max(1) as f64;
     let mut fig = FigureResult::new(id, title, &["Recall", "Paper"]);
     let preds = event_predicates(db, spec).expect("schema is CareWeb-shaped");
-    let mut all: HashSet<RowId> = HashSet::new();
+    let mut all = RowSet::new();
     let paper_of = |label: &str| paper.iter().find(|(l, _)| *l == label).map(|(_, v)| *v);
 
-    // One engine batch answers every event-predicate bar of the figure.
-    let queries: Vec<ChainQuery> = preds.iter().map(|(_, p)| p.to_chain_query(spec)).collect();
-    let per_pred = s
-        .engine()
-        .explained_rows_many(db, &queries, EvalOptions::default());
-    for ((label, _), rows) in preds.iter().zip(per_pred) {
-        let rows: HashSet<RowId> = rows.expect("valid predicate").into_iter().collect();
-        let recall = rows.len() as f64 / denominator;
-        fig.rows.push(crate::figure::FigureRow::sparse(
-            (*label).to_string(),
-            vec![Some(recall), paper_of(label)],
-        ));
-        all.extend(rows);
-    }
+    let mut labels: Vec<&str> = preds.iter().map(|(label, _)| *label).collect();
+    let mut queries: Vec<ChainQuery> = preds.iter().map(|(_, p)| p.to_chain_query(spec)).collect();
     if include_repeat {
-        let repeat: HashSet<RowId> = s
-            .handcrafted
-            .repeat_access
-            .explained_rows_with(db, spec, s.engine())
-            .expect("valid template")
-            .into_iter()
-            .collect();
+        labels.push("Repeat Access");
+        queries.push(s.handcrafted.repeat_access.path.to_chain_query(spec));
+    }
+    // One fused engine batch answers every bar of the figure.
+    let per_bar = s.engine().eval_suite(db, &queries, EvalOptions::default());
+    for (label, rows) in labels.into_iter().zip(per_bar) {
+        let rows = rows.expect("valid predicate");
         fig.rows.push(crate::figure::FigureRow::sparse(
-            "Repeat Access".to_string(),
-            vec![
-                Some(repeat.len() as f64 / denominator),
-                paper_of("Repeat Access"),
-            ],
+            label.to_string(),
+            vec![Some(rows.len() as f64 / denominator), paper_of(label)],
         ));
-        all.extend(repeat);
+        all.union_with(&rows);
     }
     fig.rows.push(crate::figure::FigureRow::sparse(
         "All".to_string(),

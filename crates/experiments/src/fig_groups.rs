@@ -1,12 +1,13 @@
 //! Figures 10–12: collaborative groups — their composition and their
 //! predictive power.
 
-use crate::fig_events::rows_with_any_event_on;
+use crate::fig_events::rows_with_any_event;
 use crate::figure::{FigureResult, FigureRow};
 use crate::scenario::Scenario;
+use eba_audit::explain::{anchors, explained};
 use eba_audit::fake::{user_pool, FakeLog};
 use eba_audit::handcrafted::{same_department, same_group, EventTable};
-use eba_audit::{metrics, split};
+use eba_audit::{metrics, split, AuditView};
 use eba_core::ExplanationTemplate;
 use eba_relational::{Engine, Value};
 use std::collections::HashMap;
@@ -100,11 +101,12 @@ pub fn fig12(s: &Scenario) -> FigureResult {
     let spec = s
         .spec
         .with_filters(split::days_first(&s.hospital.log_cols, 7, 7));
-    let anchors = metrics::anchor_rows(&db, &spec);
     // One warm engine over the combined database serves every depth's
     // template set, the department baseline, and the headline rows.
     let engine = Engine::new(&db);
-    let with_events = rows_with_any_event_on(&db, &spec, &engine);
+    let view = AuditView::warm(&db, &engine);
+    let first_accesses = anchors(&view, &spec);
+    let with_events = rows_with_any_event(&view, &db, &spec);
 
     let mut fig = FigureResult::new(
         "Figure 12",
@@ -114,10 +116,10 @@ pub fn fig12(s: &Scenario) -> FigureResult {
 
     // Depth 0: everyone in one group — an access is "explained" iff the
     // patient has any event.
-    let c0 = metrics::confusion_from_sets(
-        &anchors,
+    let c0 = metrics::evaluate(
+        &first_accesses,
         &with_events,
-        |rid| fake.is_fake(rid),
+        Some(&fake),
         Some(&with_events),
     );
     fig.push_row(
@@ -130,8 +132,12 @@ pub fn fig12(s: &Scenario) -> FigureResult {
             .iter()
             .map(|e| same_group(&db, &spec, *e, Some(depth as i64)).expect("Groups installed"))
             .collect();
-        let refs: Vec<&ExplanationTemplate> = templates.iter().collect();
-        let c = metrics::evaluate_with(&db, &spec, &refs, Some(&fake), Some(&with_events), &engine);
+        let c = metrics::evaluate(
+            &first_accesses,
+            &explained(&view, &spec, &templates),
+            Some(&fake),
+            Some(&with_events),
+        );
         fig.push_row(
             format!("Depth {depth}"),
             &[c.precision(), c.recall(), c.normalized_recall()],
@@ -142,8 +148,12 @@ pub fn fig12(s: &Scenario) -> FigureResult {
         .iter()
         .map(|e| same_department(&db, &spec, *e).expect("Users table exists"))
         .collect();
-    let refs: Vec<&ExplanationTemplate> = dept_templates.iter().collect();
-    let c = metrics::evaluate_with(&db, &spec, &refs, Some(&fake), Some(&with_events), &engine);
+    let c = metrics::evaluate(
+        &first_accesses,
+        &explained(&view, &spec, &dept_templates),
+        Some(&fake),
+        Some(&with_events),
+    );
     fig.push_row(
         "Same Dept.",
         &[c.precision(), c.recall(), c.normalized_recall()],
@@ -154,19 +164,18 @@ pub fn fig12(s: &Scenario) -> FigureResult {
     let day7_all = s
         .spec
         .with_filters(split::day_range(&s.hospital.log_cols, 7, 7));
-    let basic = s.handcrafted.all_with_repeat();
-    let base_recall = {
-        let c = metrics::evaluate_with(&db, &day7_all, &basic, Some(&fake), None, &engine);
-        c.recall()
-    };
+    let day7 = anchors(&view, &day7_all);
+    let basic = explained(&view, &day7_all, s.handcrafted.all_with_repeat());
+    let base_recall = metrics::evaluate(&day7, &basic, Some(&fake), None).recall();
     let with_groups_recall = {
-        let mut set: Vec<ExplanationTemplate> = basic.iter().map(|t| (*t).clone()).collect();
-        for e in EventTable::ALL {
-            set.push(same_group(&db, &day7_all, e, Some(1)).expect("Groups installed"));
-        }
-        set.extend(s.handcrafted.consult().into_iter().cloned());
-        let refs: Vec<&ExplanationTemplate> = set.iter().collect();
-        metrics::evaluate_with(&db, &day7_all, &refs, Some(&fake), None, &engine).recall()
+        let mut extra: Vec<ExplanationTemplate> = EventTable::ALL
+            .iter()
+            .map(|e| same_group(&db, &day7_all, *e, Some(1)).expect("Groups installed"))
+            .collect();
+        extra.extend(s.handcrafted.consult().into_iter().cloned());
+        let mut all = basic;
+        all.union_with(&explained(&view, &day7_all, &extra));
+        metrics::evaluate(&day7, &all, Some(&fake), None).recall()
     };
     fig.rows.push(FigureRow::sparse(
         "Day-7 all accesses: basic set",

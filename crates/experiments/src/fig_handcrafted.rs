@@ -2,9 +2,10 @@
 
 use crate::figure::{FigureResult, FigureRow};
 use crate::scenario::Scenario;
-use eba_audit::{metrics, split};
+use eba_audit::explain::{anchors, explained};
+use eba_audit::split;
 use eba_core::{ExplanationTemplate, LogSpec};
-use std::collections::HashSet;
+use eba_relational::RowSet;
 
 fn handcrafted_figure(
     s: &Scenario,
@@ -14,10 +15,8 @@ fn handcrafted_figure(
     include_repeat: bool,
     paper: &[(&str, f64)],
 ) -> FigureResult {
-    // The epoch's database: provably the state the scenario engine was
-    // built over (identical content to `s.hospital.db`).
-    let db = s.epoch().db();
-    let denominator = metrics::anchor_rows(db, spec).len().max(1) as f64;
+    let view = s.view();
+    let denominator = anchors(&view, spec).len().max(1) as f64;
     let mut fig = FigureResult::new(id, title, &["Recall", "Paper"]);
     let paper_of = |label: &str| paper.iter().find(|(l, _)| *l == label).map(|(_, v)| *v);
 
@@ -30,14 +29,14 @@ fn handcrafted_figure(
         entries.push(("Repeat Access", &s.handcrafted.repeat_access));
     }
 
-    let mut all: HashSet<eba_relational::RowId> = HashSet::new();
+    let mut all = RowSet::new();
     for (label, t) in &entries {
-        let rows = metrics::explained_union_with(db, spec, &[t], s.engine());
+        let rows = explained(&view, spec, [*t]);
         fig.rows.push(FigureRow::sparse(
             (*label).to_string(),
             vec![Some(rows.len() as f64 / denominator), paper_of(label)],
         ));
-        all.extend(rows);
+        all.union_with(&rows);
     }
     fig.rows.push(FigureRow::sparse(
         "All w/Dr.".to_string(),
@@ -46,14 +45,8 @@ fn handcrafted_figure(
 
     // The consult-order templates (data set B), which the paper added
     // after finding consult services unexplained.
-    let consult = metrics::explained_union_with(
-        db,
-        spec,
-        &s.handcrafted.consult().into_iter().collect::<Vec<_>>(),
-        s.engine(),
-    );
     let mut with_consult = all;
-    with_consult.extend(consult);
+    with_consult.union_with(&explained(&view, spec, s.handcrafted.consult()));
     fig.rows.push(FigureRow::sparse(
         "All + consults".to_string(),
         vec![Some(with_consult.len() as f64 / denominator), None],

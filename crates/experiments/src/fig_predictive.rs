@@ -1,15 +1,15 @@
 //! Figure 14: predictive power of the *mined* templates.
 
-use crate::fig_events::{rows_with_any_event, rows_with_any_event_on};
+use crate::fig_events::rows_with_any_event;
 use crate::fig_mining::mining_config_for;
 use crate::figure::FigureResult;
 use crate::scenario::Scenario;
+use eba_audit::explain::anchors;
 use eba_audit::fake::{user_pool, FakeLog};
-use eba_audit::{metrics, split};
+use eba_audit::{metrics, split, AuditView};
 use eba_core::mine_one_way;
 use eba_core::MinedTemplate;
-use eba_relational::{ChainQuery, Engine, EvalOptions, RowId, Value};
-use std::collections::HashSet;
+use eba_relational::{ChainQuery, Engine, RowSet, Value};
 
 /// Figure 14: templates are mined from the first accesses of days 1–6 (with
 /// group information), then tested on day-7 first accesses combined with a
@@ -43,11 +43,12 @@ pub fn fig14(s: &Scenario) -> FigureResult {
     let spec = s
         .spec
         .with_filters(split::days_first(&s.hospital.log_cols, 7, 7));
-    let anchors = metrics::anchor_rows(&db, &spec);
     // One warm engine over the combined database serves every template
     // group of the figure (and the event-coverage denominator).
     let engine = Engine::new(&db);
-    let with_events = rows_with_any_event_on(&db, &spec, &engine);
+    let view = AuditView::warm(&db, &engine);
+    let first_accesses = anchors(&view, &spec);
+    let with_events = rows_with_any_event(&view, &db, &spec);
 
     let mut fig = FigureResult::new(
         "Figure 14",
@@ -60,24 +61,17 @@ pub fn fig14(s: &Scenario) -> FigureResult {
         ls.dedup();
         ls
     };
-    let mut eval_group = |label: String, rows: HashSet<RowId>| {
-        let c = metrics::confusion_from_sets(
-            &anchors,
-            &rows,
-            |rid| fake.is_fake(rid),
-            Some(&with_events),
-        );
+    let mut eval_group = |label: String, rows: RowSet| {
+        let c = metrics::evaluate(&first_accesses, &rows, Some(&fake), Some(&with_events));
         fig.push_row(label, &[c.precision(), c.recall(), c.normalized_recall()]);
     };
 
-    let explained_union = |templates: Vec<&MinedTemplate>| -> HashSet<RowId> {
+    let explained_union = |templates: Vec<&MinedTemplate>| -> RowSet {
         let queries: Vec<ChainQuery> = templates
             .iter()
             .map(|t| t.path.to_chain_query(&spec))
             .collect();
-        engine
-            .explained_union(&db, &queries, EvalOptions::default())
-            .expect("mined templates lower to valid queries")
+        view.eval_suite(&queries)
     };
     for length in &lengths {
         eval_group(
@@ -91,11 +85,11 @@ pub fn fig14(s: &Scenario) -> FigureResult {
     );
 
     // Context: how much of the test split is even explainable.
-    let coverage = rows_with_any_event(s, &spec);
-    let real_anchor = anchors.iter().filter(|&&r| !fake.is_fake(r)).count();
-    let covered = anchors
+    let coverage = rows_with_any_event(&s.view(), &s.hospital.db, &spec);
+    let real_anchor = first_accesses.iter().filter(|&r| !fake.is_fake(r)).count();
+    let covered = first_accesses
         .iter()
-        .filter(|&&r| !fake.is_fake(r) && coverage.contains(&r))
+        .filter(|&r| !fake.is_fake(r) && coverage.contains(r))
         .count();
     fig.note(format!(
         "{} templates mined on days 1-6; {covered}/{real_anchor} day-7 first accesses reference a patient with events",

@@ -3,18 +3,15 @@
 
 use eba_audit::groups::{collaborative_groups, install_groups, GroupsModel};
 use eba_audit::handcrafted::HandcraftedTemplates;
-use eba_audit::split;
+use eba_audit::{split, AuditView};
 use eba_cluster::HierarchyConfig;
 use eba_core::LogSpec;
-use eba_relational::{Engine, Epoch, SharedEngine};
+use eba_relational::Engine;
 use eba_synth::{Hospital, SynthConfig};
-use std::sync::Arc;
 
 /// A hospital ready for experiments: groups trained on days 1–6 and
-/// installed, hand-crafted templates built, and one [`SharedEngine`]
-/// session whose pinned [`Epoch`] serves every figure that reads the
-/// unmodified database — the same writer/reader lifecycle a live service
-/// uses, so the experiments exercise the production path.
+/// installed, hand-crafted templates built, and one warm [`Engine`] over
+/// the finished database serving every figure that reads it unmodified.
 #[derive(Debug)]
 pub struct Scenario {
     /// The hospital (database already contains the `Groups` table).
@@ -25,16 +22,10 @@ pub struct Scenario {
     pub groups: GroupsModel,
     /// The hand-crafted template suite.
     pub handcrafted: HandcraftedTemplates,
-    /// The snapshot-handoff cell over a copy of `hospital.db` (Groups
-    /// included) — the scenario pays one extra database copy so the
-    /// epoch's `db`/`engine` pair is structurally consistent no matter
-    /// what later happens to `hospital.db`. Figures that pair a database
-    /// with [`Scenario::engine`] read [`Scenario::epoch`]`.db()`; figures
-    /// that clone and mutate the database build their own engine over the
-    /// combined copy instead.
-    pub session: SharedEngine,
-    /// The epoch pinned at build time — identical data to `hospital.db`.
-    epoch: Arc<Epoch>,
+    /// The warm engine over `hospital.db`, built after the groups were
+    /// installed. Figures that clone and mutate the database build their
+    /// own engine over the combined copy instead.
+    engine: Engine,
 }
 
 impl Scenario {
@@ -48,26 +39,25 @@ impl Scenario {
         install_groups(&mut hospital.db, &groups).expect("Groups table installs");
         let handcrafted =
             HandcraftedTemplates::build(&hospital.db, &spec).expect("CareWeb-shaped schema");
-        let session = SharedEngine::new(hospital.db.clone());
-        let epoch = session.load();
+        let engine = Engine::new(&hospital.db);
         Scenario {
             hospital,
             spec,
             groups,
             handcrafted,
-            session,
-            epoch,
+            engine,
         }
     }
 
-    /// The warm engine of the pinned epoch (same data as `hospital.db`).
+    /// The warm engine over `hospital.db`.
     pub fn engine(&self) -> &Engine {
-        self.epoch.engine()
+        &self.engine
     }
 
-    /// The epoch every read-only figure shares.
-    pub fn epoch(&self) -> &Epoch {
-        &self.epoch
+    /// The audit view every read-only figure shares: `hospital.db` and
+    /// the warm engine over it.
+    pub fn view(&self) -> AuditView<'_> {
+        AuditView::warm(&self.hospital.db, &self.engine)
     }
 
     /// A small scenario for tests.
@@ -102,29 +92,10 @@ mod tests {
     }
 
     #[test]
-    fn scenario_session_follows_ingests_without_disturbing_the_pinned_epoch() {
-        let s = Scenario::build(SynthConfig::tiny());
-        let log = s.spec.table;
-        let rows_before = s.epoch().db().table(log).len();
-        let (_, report) = s.session.ingest(|db| {
-            let arity = db.table(log).schema().arity();
-            let mut row = vec![eba_relational::Value::Null; arity];
-            row[s.spec.lid_col] = eba_relational::Value::Int(1_000_000);
-            db.insert(log, row).unwrap();
-        });
-        assert_eq!(report.seq, 1);
-        assert!(report.rebuilt.is_none());
-        // The build-time epoch (what the figures share) is frozen...
-        assert_eq!(s.epoch().db().table(log).len(), rows_before);
-        // ...and the new epoch sees the ingested row.
-        assert_eq!(s.session.load().db().table(log).len(), rows_before + 1);
-    }
-
-    #[test]
     fn scenario_engine_sees_the_groups_table() {
         let s = Scenario::build(SynthConfig::tiny());
-        // The shared engine was built after install_groups, so group
-        // templates evaluate through it identically to the cold path.
+        // The engine was built after install_groups, so group templates
+        // evaluate through it identically to the cold path.
         let grouped = eba_audit::handcrafted::same_group(
             &s.hospital.db,
             &s.spec,
@@ -134,7 +105,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             grouped
-                .explained_rows_with(s.epoch().db(), &s.spec, s.engine())
+                .explained_rows_with(&s.hospital.db, &s.spec, s.engine())
                 .unwrap(),
             grouped.explained_rows(&s.hospital.db, &s.spec).unwrap()
         );

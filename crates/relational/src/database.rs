@@ -56,7 +56,7 @@ pub struct Relationship {
 /// `Database` is `Send + Sync`: its lazily-populated caches (per-column
 /// hash indexes, column statistics) sit behind poison-tolerant locks, so a
 /// read-only snapshot — e.g. the one pinned inside an
-/// [`Epoch`](crate::engine::Epoch) — can serve query evaluation from many
+/// [`EpochVec`](crate::engine::EpochVec) — can serve query evaluation from many
 /// auditing sessions concurrently.
 #[derive(Debug)]
 pub struct Database {

@@ -1,8 +1,8 @@
 //! The per-shard **advance core** of the maintained explained/unexplained
 //! partition ([`Maintained`]): what one incremental refresh adds to one
-//! engine's slice of the partition. [`SharedEngine`](super::SharedEngine)
-//! runs it once per ingest; [`ShardedEngine`](super::ShardedEngine) runs
-//! it once per shard and merges the deltas in global row ids.
+//! engine's slice of the partition. [`ShardedEngine`](super::ShardedEngine)
+//! runs it once per shard per ingest and merges the deltas in global row
+//! ids.
 //!
 //! # Cost model
 //!
@@ -32,7 +32,7 @@
 //! non-final step and `(log, start_col)` — which the engine keeps, like
 //! its other row maps, from the first ingest that uses them.
 
-use super::shared::{Maintained, SuitePin};
+use super::sharded::{Maintained, SuitePin};
 use super::{with_scratch_marks, Engine, NULL_ID};
 use crate::chain::ChainQuery;
 use crate::database::{Database, TableId};
@@ -44,8 +44,8 @@ use std::collections::BTreeMap;
 
 /// What advancing one pinned suite across one ingest cost, as counts (the
 /// paper-level cost model: rows that had to be asked about). One entry
-/// per pin in [`IngestReport::advance`](super::IngestReport) and, per
-/// shard, in [`ShardRefresh::advance`](super::ShardRefresh); all zero when
+/// per pin, per shard, in
+/// [`ShardRefresh::advance`](super::ShardRefresh); all zero when
 /// the partition was recomputed cold instead (rebuild, replace, fresh
 /// pin).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -286,8 +286,8 @@ pub(super) fn absorb(
 
 #[cfg(test)]
 mod tests {
-    use super::super::shared::compute_maintained;
-    use super::super::{ShardKey, ShardedEngine, SharedEngine};
+    use super::super::sharded::compute_maintained;
+    use super::super::{EpochVec, ShardKey, ShardedEngine};
     use super::*;
     use crate::chain::{ChainStep, CmpOp, EvalOptions, Rhs, StepFilter};
     use crate::types::DataType;
@@ -468,30 +468,39 @@ mod tests {
             .collect()
     }
 
+    const KEY: ShardKey = ShardKey {
+        table: TableId(0),
+        col: PATIENT,
+    };
+
+    /// Cold recompute of `pin` over a published vector.
+    fn cold(vec: &EpochVec, pin: &SuitePin) -> Maintained {
+        compute_maintained(vec.shards(), pin, vec.global_log_len())
+    }
+
     #[test]
     fn self_join_growth_at_two_depths_matches_cold_recompute() {
         let (db, log, event) = world(60);
         let pin = suite(log, event);
-        let shared = SharedEngine::new(db.clone());
-        let id = shared.pin_suite(pin.clone());
+        let live = ShardedEngine::new(db, KEY, 1);
+        let id = live.pin_suite(pin.clone());
         let (mut delta_path, mut full_path) = (0, 0);
         for (round, (logs, events)) in schedule().into_iter().enumerate() {
-            let (_, report) = shared.ingest(|db| {
+            let (_, report) = live.ingest(|batch| {
                 for row in &logs {
-                    db.insert(log, row.clone()).unwrap();
+                    batch.insert_log(row.clone()).unwrap();
                 }
                 for row in &events {
-                    db.insert(event, row.clone()).unwrap();
+                    batch.insert_dim(event, row.clone()).unwrap();
                 }
             });
-            let epoch = shared.load();
-            let cold = compute_maintained(epoch.engine(), epoch.db(), &pin);
+            let vec = live.load();
             assert_same(
-                epoch.maintained(id).unwrap(),
-                &cold,
+                vec.maintained(id).unwrap(),
+                &cold(&vec, &pin),
                 &format!("round {round}"),
             );
-            let stats = report.advance[id];
+            let stats = report.shards[0].advance[id];
             assert_eq!(stats.tail_rows, logs.len());
             if stats.used_full_residue {
                 full_path += 1;
@@ -508,13 +517,9 @@ mod tests {
     fn sharded_self_join_growth_matches_a_cold_pin() {
         let (db, log, event) = world(60);
         let pin = suite(log, event);
-        let key = ShardKey {
-            table: log,
-            col: PATIENT,
-        };
         for n in [1usize, 4] {
             let mut oracle = db.clone();
-            let live = ShardedEngine::new(db.clone(), key, n);
+            let live = ShardedEngine::new(db.clone(), KEY, n);
             let id = live.pin_suite(pin.clone());
             for (round, (logs, events)) in schedule().into_iter().enumerate() {
                 live.ingest(|batch| {
@@ -531,7 +536,7 @@ mod tests {
                 for row in events {
                     oracle.insert(event, row).unwrap();
                 }
-                let cold = ShardedEngine::new(oracle.clone(), key, n);
+                let cold = ShardedEngine::new(oracle.clone(), KEY, n);
                 let cold_id = cold.pin_suite(pin.clone());
                 assert_same(
                     live.load().maintained(id).unwrap(),
@@ -555,22 +560,21 @@ mod tests {
             db.insert(log, access(40 + i, 77, 9)).unwrap();
         }
         let pin = suite(log, event);
-        let shared = SharedEngine::new(db);
-        let id = shared.pin_suite(pin.clone());
-        let residue = shared.load().maintained(id).unwrap().unexplained.len();
+        let live = ShardedEngine::new(db, KEY, 1);
+        let id = live.pin_suite(pin.clone());
+        let residue = live.load().maintained(id).unwrap().unexplained.len();
         assert!(residue < 50, "{residue}");
         for (patient, full) in [(7, false), (9, true)] {
-            let (_, report) = shared.ingest(|db| {
-                db.insert(log, access(500 + patient, 2, patient)).unwrap();
+            let (_, report) = live.ingest(|batch| {
+                batch.insert_log(access(500 + patient, 2, patient)).unwrap();
             });
-            let stats = report.advance[id];
+            let stats = report.shards[0].advance[id];
             assert_eq!(
                 stats.used_full_residue, full,
                 "patient {patient}: {stats:?}"
             );
-            let epoch = shared.load();
-            let cold = compute_maintained(epoch.engine(), epoch.db(), &pin);
-            assert_same(epoch.maintained(id).unwrap(), &cold, "hub");
+            let vec = live.load();
+            assert_same(vec.maintained(id).unwrap(), &cold(&vec, &pin), "hub");
         }
     }
 
@@ -581,25 +585,15 @@ mod tests {
         let run = |loners: i64| -> (AdvanceStats, Vec<AdvanceStats>) {
             let (db, log, event) = world(loners);
             let pin = suite(log, event);
-            let row = access(500, 3, 7);
-            let shared = SharedEngine::new(db.clone());
-            let id = shared.pin_suite(pin.clone());
-            let (_, report) = shared.ingest(|db| {
-                db.insert(log, row.clone()).unwrap();
-            });
-            let key = ShardKey {
-                table: log,
-                col: PATIENT,
+            let advance = |n: usize| -> Vec<AdvanceStats> {
+                let live = ShardedEngine::new(db.clone(), KEY, n);
+                let id = live.pin_suite(pin.clone());
+                let (_, report) = live.ingest(|batch| {
+                    batch.insert_log(access(500, 3, 7)).unwrap();
+                });
+                report.shards.iter().map(|s| s.advance[id]).collect()
             };
-            let sharded = ShardedEngine::new(db, key, 4);
-            let sid = sharded.pin_suite(pin);
-            let (_, sreport) = sharded.ingest(|batch| {
-                batch.insert_log(row.clone()).unwrap();
-            });
-            (
-                report.advance[id],
-                sreport.shards.iter().map(|s| s.advance[sid]).collect(),
-            )
+            (advance(1)[0], advance(4))
         };
         let (small, small_shards) = run(40);
         let (big, big_shards) = run(80);
@@ -617,8 +611,8 @@ mod tests {
             assert!(shards.iter().all(|s| !s.used_full_residue));
             shards.iter().map(|s| s.candidate_rows).sum()
         };
-        // (A shard's self-joins see only its own log rows, so the shards
-        // together may re-ask fewer rows than the single engine.)
+        // (A shard's self-joins see only its own log rows, so four shards
+        // together may re-ask fewer rows than one.)
         assert_eq!(total(&small_shards), total(&big_shards));
         assert!((1..=small.candidate_rows).contains(&total(&small_shards)));
         assert!(big_shards[0].residue_rows >= small_shards[0].residue_rows + 40);

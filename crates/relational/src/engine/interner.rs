@@ -150,7 +150,7 @@ pub struct InternedDb {
 /// A failed refresh leaves the snapshot **untouched** — shrinkage is
 /// detected in a read-only pre-pass before anything is interned — so the
 /// caller can keep serving from the old snapshot, or rebuild from scratch
-/// (what [`SharedEngine`](super::SharedEngine)'s writer does).
+/// (what [`ShardedEngine`](super::ShardedEngine)'s writer does).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RefreshError {
     /// A table has fewer rows than the snapshot recorded.
@@ -173,7 +173,7 @@ pub enum RefreshError {
     /// (an operator reload): even when every table's row count lines up,
     /// existing cells may differ, so an incremental refresh — which skips
     /// rows it has already interned — would silently keep answering from
-    /// the replaced data. [`SharedEngine::replace`](super::SharedEngine)
+    /// the replaced data. [`ShardedEngine::replace`](super::ShardedEngine)
     /// refuses the incremental path up front with this reason and
     /// rebuilds from scratch.
     Replaced,

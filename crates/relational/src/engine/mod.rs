@@ -84,13 +84,13 @@
 //!
 //! [`Engine::refresh`] takes `&mut Engine`, so a service that refreshes
 //! the engine readers are using must serialize readers against every
-//! ingest. [`SharedEngine`] removes that coupling with an epoch-style
-//! snapshot handoff: readers [`load`](SharedEngine::load) an immutable
-//! [`Epoch`] (database + engine) and evaluate against it for their whole
-//! session, while the single writer forks the current engine
-//! ([`Engine::fork`]), refreshes the fork privately, and publishes it as
-//! the next epoch — a pointer swap, never a wait for in-flight queries.
-//! See [`shared`]'s module docs for the writer/reader pattern.
+//! ingest. [`ShardedEngine`] removes that coupling with an epoch-style
+//! snapshot handoff: readers [`load`](ShardedEngine::load) an immutable
+//! [`EpochVec`] (per shard: database + engine) and evaluate against it for
+//! their whole session, while the single writer forks the current engines
+//! ([`Engine::fork`]), refreshes the forks privately, and publishes them
+//! as the next epoch vector — a pointer swap, never a wait for in-flight
+//! queries. See [`sharded`]'s module docs for the writer/reader pattern.
 //!
 //! # Panic hygiene
 //!
@@ -106,17 +106,15 @@ mod advance;
 mod interner;
 mod parallel;
 mod sharded;
-mod shared;
 mod stepmap;
 
 pub use advance::AdvanceStats;
 pub use interner::{InternedDb, InternedTable, Interner, RefreshDelta, RefreshError, NULL_ID};
 pub use parallel::{par_map, par_map_with};
 pub use sharded::{
-    shard_of, EpochVec, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine,
-    ShardedIngestReport,
+    shard_of, EpochVec, Maintained, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch,
+    ShardedEngine, ShardedIngestReport, SuitePin,
 };
-pub use shared::{Epoch, IngestReport, Maintained, SharedEngine, SuitePin};
 
 use crate::chain::{ChainQuery, EvalOptions, Rhs, StepFilter};
 use crate::database::{Database, TableId};
@@ -404,7 +402,7 @@ impl Engine {
     /// columnar memcpy plus cache-map clones — no re-interning, no map
     /// rebuilds).
     ///
-    /// This is the writer half of [`SharedEngine`]'s epoch handoff: the
+    /// This is the writer half of [`ShardedEngine`]'s epoch handoff: the
     /// published engine stays frozen for its readers while the fork is
     /// refreshed against the grown database and published as the next
     /// epoch.
@@ -491,37 +489,6 @@ impl Engine {
             .into_iter()
             .map(|set| set.map(|s| s.to_vec()))
             .collect()
-    }
-
-    /// Union of the rows explained by any of `queries` — the audit layer's
-    /// "which accesses does this template suite explain?" primitive, built
-    /// on [`Engine::eval_suite`]. Fails on the first invalid query.
-    pub fn explained_union(
-        &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-    ) -> Result<std::collections::HashSet<RowId>> {
-        Ok(self
-            .explained_union_rowset(db, queries, opts)?
-            .iter()
-            .collect())
-    }
-
-    /// [`Engine::explained_union`] in compressed form: the union of every
-    /// template's explained rows as one [`RowSet`], with no intermediate
-    /// hash set. Fails on the first invalid query.
-    pub fn explained_union_rowset(
-        &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-    ) -> Result<RowSet> {
-        let mut sets = Vec::with_capacity(queries.len());
-        for set in self.eval_suite(db, queries, opts) {
-            sets.push(set?);
-        }
-        Ok(RowSet::union_all(sets))
     }
 
     /// The fused suite driver: evaluates **all** templates against each
@@ -690,7 +657,7 @@ impl Engine {
     /// the answers, while chain steps still walk the *whole* support
     /// tables. This is the delta evaluator behind the maintained
     /// explained/unexplained materializations
-    /// ([`SharedEngine::pin_suite`]): after an append grows the log by
+    /// ([`ShardedEngine::pin_suite`]): after an append grows the log by
     /// `[lo, hi)`, evaluating just that range answers "which of the new
     /// accesses are explained?" without re-scanning history.
     ///

@@ -1,17 +1,71 @@
-//! Sharded scatter-gather engine: the log hash-partitioned into N shards,
-//! each with its own segmented storage and warm [`Engine`], published
-//! together as one atomically-swapped epoch *vector*.
+//! The epoch handle: the log hash-partitioned into N shards, each with its
+//! own segmented storage and warm [`Engine`], published together as one
+//! atomically-swapped epoch *vector* — so audit queries keep running while
+//! the log ingests.
+//!
+//! [`Engine::refresh`] takes `&mut Engine`, so a service that holds one
+//! engine must serialize every reader against every ingest. A
+//! [`ShardedEngine`] decouples the two with an epoch handoff built from
+//! `std` parts only (`Arc` + a pointer-swap `RwLock`):
+//!
+//! * **Readers** call [`ShardedEngine::load`] once per session and get an
+//!   immutable [`EpochVec`] — every shard's database plus the engine built
+//!   over it, frozen together at one sequence number. Every question the
+//!   session asks against that vector sees one consistent state of the
+//!   world, no matter how many ingests land meanwhile. `load` is a
+//!   read-lock held only for an `Arc` clone, never for a query or a
+//!   refresh.
+//! * **The writer** (serialized by an internal mutex, so any thread may
+//!   call it) runs [`ShardedEngine::ingest_with`]: clone every shard's
+//!   database, apply the batch, [`fork`](Engine::fork) every shard engine —
+//!   same snapshot, same warm `Arc`-shared caches — refresh the forks
+//!   *privately* (a refused refresh, the typed [`RefreshError`], falls back
+//!   to rebuilding that shard from scratch and is reported), run the
+//!   persist hook *before* anything is published (published ⊆ durable), and
+//!   publish the successor vector with one pointer swap. In-flight readers
+//!   are never waited on; a panic in the ingest closure discards the
+//!   private clones and leaves the published vector untouched.
+//!
+//! Shard count 1 is the unsharded engine, bit for bit: one part whose
+//! local row ids *are* the global ids.
+//!
+//! ```
+//! use eba_relational::{Database, DataType, ShardKey, ShardedEngine, Value};
+//!
+//! let mut db = Database::new();
+//! let log = db
+//!     .create_table("Log", &[("Lid", DataType::Int), ("Patient", DataType::Int)])
+//!     .unwrap();
+//! db.insert(log, vec![Value::Int(0), Value::Int(7)]).unwrap();
+//! let handle = ShardedEngine::new(db, ShardKey { table: log, col: 1 }, 2);
+//!
+//! std::thread::scope(|scope| {
+//!     // Reader session: pin one epoch vector, answer everything against it.
+//!     scope.spawn(|| {
+//!         let epochs = handle.load();
+//!         assert!(epochs.global_log_len() > 0);
+//!         // ... shard.engine().eval_suite(shard.db(), &queries, opts) ...
+//!     });
+//!     // Writer: ingest a batch and publish the successor vector.
+//!     scope.spawn(|| {
+//!         let (_, report) = handle.ingest(|batch| {
+//!             batch.insert_log(vec![Value::Int(1), Value::Int(8)]).unwrap()
+//!         });
+//!         assert_eq!(report.new_rows(), 1);
+//!     });
+//! });
+//! assert_eq!(handle.load().global_log_len(), 2);
+//! ```
 //!
 //! # Why sharding works here
 //!
 //! Explanation-based auditing is embarrassingly parallel at access-log
 //! granularity: explained/unexplained row sets, misuse metrics, and
-//! timeline day buckets all merge associatively. One [`SharedEngine`] is
-//! one writer and one monolithic snapshot; a [`ShardedEngine`] splits the
-//! log by a hash of the partition column (conventionally the patient —
-//! exactly the attribute the paper's per-patient explanations group by),
-//! runs per-shard incremental refresh, and answers suite questions by
-//! [`par_map`] across shards plus an associative merge.
+//! timeline day buckets all merge associatively. A [`ShardedEngine`]
+//! splits the log by a hash of the partition column (conventionally the
+//! patient — exactly the attribute the paper's per-patient explanations
+//! group by), runs per-shard incremental refresh, and answers suite
+//! questions by [`par_map`] across shards plus an associative merge.
 //!
 //! # What is partitioned and what is replicated
 //!
@@ -32,21 +86,21 @@
 //! [`SegVec`], so publishing a shard epoch stays `O(batch)`: the map's
 //! sealed segments are `Arc`-shared like every other column.
 //!
-//! # Publication
+//! # Costs
 //!
-//! [`ShardedEngine::ingest_with`] mirrors [`SharedEngine::ingest_with`]
-//! exactly — private clones, per-shard fork + incremental refresh with a
-//! full-rebuild fallback, a persist hook that runs *before* anything is
-//! published (published ⊆ durable), and a single pointer swap publishing
-//! the whole [`EpochVec`] under one sequence number. Readers pin the
-//! vector, so every epoch-pinned byte-stability guarantee carries over
-//! unchanged.
+//! Publishing pays one clone of each shard database and one
+//! [`Engine::fork`] per shard per ingest batch, on the writer thread.
+//! Storage is segmented ([`crate::segment`]): both operations share every
+//! sealed segment by pointer and copy only the small mutable tails, so
+//! publication is **`O(batch)`**, not `O(db)` — the storage-equivalence
+//! suite and the benchmark's `segment.copied_bytes_per_epoch` probe meter
+//! exactly this. The refresh itself is incremental too, so batch your
+//! appends: one `ingest` per arriving batch, not per row.
 
 use super::advance::{absorb, advance_shard, AdvanceStats, Residue};
 use super::parallel::par_map;
-use super::shared::{compute_maintained, Epoch, Maintained, SuitePin};
 use super::{Engine, RefreshError, RefreshStats};
-use crate::chain::{ChainQuery, EvalOptions};
+use crate::chain::{ChainQuery, CmpOp, EvalOptions};
 use crate::database::{Database, TableId};
 use crate::error::Result;
 use crate::pool::StringPool;
@@ -56,7 +110,6 @@ use crate::sync::unpoison;
 use crate::table::RowId;
 use crate::types::ColId;
 use crate::value::Value;
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, RwLock};
 
 /// The log partitioning key: which table is sharded, and the column whose
@@ -103,30 +156,79 @@ pub fn shard_of(v: &Value, pool: &StringPool, n_shards: usize) -> usize {
     (h % n_shards as u64) as usize
 }
 
-/// One shard of a published [`EpochVec`]: the shard's epoch (database +
-/// warm engine frozen at the vector's seq) plus its `local → global` row
-/// id map.
+/// A template suite registered for **incremental maintenance**: the
+/// anchor shape (which log rows are under audit) plus the explanation
+/// templates. Once pinned ([`ShardedEngine::pin_suite`]), every published
+/// epoch vector carries a [`Maintained`] materialization of the suite's
+/// explained/unexplained partition, advanced inside ingest by delta
+/// evaluation instead of recomputed by readers.
 #[derive(Debug, Clone)]
+pub struct SuitePin {
+    /// The log table the suite audits; every query must anchor on it.
+    pub log: TableId,
+    /// Anchor filters selecting the audited log rows (same shape as
+    /// [`ChainQuery::anchor_filters`]).
+    pub anchor_filters: Vec<(ColId, CmpOp, Value)>,
+    /// The explanation templates.
+    pub queries: Vec<ChainQuery>,
+    /// Evaluation options shared by the suite.
+    pub opts: EvalOptions,
+}
+
+/// The maintained explained/unexplained partition of one [`SuitePin`] at
+/// one epoch, in **global** row ids. Invariant (the stream-equivalence
+/// suite proves it differentially): at every published epoch, each set is
+/// **byte-identical to a cold recompute** over that epoch's database —
+///
+/// * `anchors`     = log rows passing the pin's anchor filters,
+/// * `explained`   = union over the pin's templates of their explained
+///   rows (exactly [`EpochVec::eval_suite`]'s union),
+/// * `unexplained` = `anchors \ explained`.
+///
+/// The maintenance argument is monotonicity: tables are append-only and
+/// chain templates are monotone, so a template's explained set only ever
+/// grows — an ingest can be absorbed by **unioning in** a delta, never by
+/// retracting. Every template can newly explain the appended log rows
+/// (one [`Engine::eval_suite_range`] over the tail covers them all); a
+/// template whose support tables grew can additionally newly explain
+/// *old* anchor rows, but any such row was by definition still
+/// unexplained, **and** its new explanation must use an appended row —
+/// so only the residue rows a backward walk from the appended rows can
+/// reach are re-asked ([`Engine::eval_suite_rows`]). The advance costs
+/// O(appended rows × join fan-out); the whole residue is re-asked only
+/// when that walk touches more values and rows than the residue holds
+/// (see [`super::advance`]).
+#[derive(Debug, Clone, Default)]
+pub struct Maintained {
+    /// Log rows matching the pin's anchor filters.
+    pub anchors: RowSet,
+    /// Rows explained by at least one of the pin's templates.
+    pub explained: RowSet,
+    /// `anchors \ explained` — the audit residue.
+    pub unexplained: RowSet,
+    /// Log rows covered (the log's length when this was advanced).
+    pub log_len: usize,
+}
+
+/// One shard of a published [`EpochVec`]: the shard's database and the
+/// warm engine over it, frozen together at the vector's seq, plus the
+/// shard's `local → global` row id map.
+#[derive(Debug)]
 pub struct ShardEpoch {
-    epoch: Arc<Epoch>,
+    db: Database,
+    engine: Engine,
     to_global: SegVec<RowId>,
 }
 
 impl ShardEpoch {
-    /// The shard's epoch — pass its `db`/`engine` pair to any audit-layer
-    /// `*_with` function, or the epoch itself to the `*_at` forms.
-    pub fn epoch(&self) -> &Arc<Epoch> {
-        &self.epoch
-    }
-
     /// The shard's database state.
     pub fn db(&self) -> &Database {
-        self.epoch.db()
+        &self.db
     }
 
     /// The warm engine over this shard's database.
     pub fn engine(&self) -> &Engine {
-        self.epoch.engine()
+        &self.engine
     }
 
     /// Local log rows in this shard.
@@ -142,8 +244,17 @@ impl ShardEpoch {
         *self.to_global.get(local as usize)
     }
 
-    /// Binary-searches for a global id in this shard's (sorted) map.
-    fn find_global(&self, global: RowId) -> Option<RowId> {
+    /// Maps a set of this shard's log rows to global ids. Local ascending
+    /// order is a subsequence of global order, so the mapped ids are
+    /// already sorted.
+    pub fn to_global_set(&self, local: &RowSet) -> RowSet {
+        let global: Vec<RowId> = local.iter().map(|r| self.to_global(r)).collect();
+        RowSet::from_sorted_vec(&global)
+    }
+
+    /// The shard-local id of global log row `global`, if this shard holds
+    /// it (a binary search of the shard's sorted map).
+    pub fn find_global(&self, global: RowId) -> Option<RowId> {
         let n = self.to_global.len();
         let (mut lo, mut hi) = (0usize, n);
         while lo < hi {
@@ -165,7 +276,9 @@ impl ShardEpoch {
 /// shards — exactly the single-epoch guarantee, vector-shaped.
 #[derive(Debug)]
 pub struct EpochVec {
-    shards: Box<[ShardEpoch]>,
+    /// `Arc`-shared so [`ShardedEngine::pin_suite`] republishes the same
+    /// shard epochs under a longer `maintained` list without copying.
+    shards: Arc<[ShardEpoch]>,
     key: ShardKey,
     seq: u64,
     global_log_len: usize,
@@ -204,7 +317,7 @@ impl EpochVec {
     /// The maintained materialization of pin `pin` (the id returned by
     /// [`ShardedEngine::pin_suite`]) in **global** row ids, if this
     /// vector carries one. Vectors published before the pin was
-    /// registered lack the entry — readers fall back to cold evaluation.
+    /// registered lack the entry.
     pub fn maintained(&self, pin: usize) -> Option<&Arc<Maintained>> {
         self.maintained.get(pin)
     }
@@ -228,47 +341,6 @@ impl EpochVec {
         par_map(&idx, |&s| f(s, &self.shards[s]))
     }
 
-    /// Global log row ids explained by `q` — scatter across shards,
-    /// gather sorted. Byte-identical to the unsharded oracle's
-    /// [`Engine::explained_rows`].
-    pub fn explained_rows(&self, q: &ChainQuery, opts: EvalOptions) -> Result<Vec<RowId>> {
-        let per_shard = self.par_map_shards(|_, shard| {
-            shard
-                .engine()
-                .explained_rows(shard.db(), q, opts)
-                .map(|rows| {
-                    rows.into_iter()
-                        .map(|r| shard.to_global(r))
-                        .collect::<Vec<RowId>>()
-                })
-        });
-        let mut out = Vec::new();
-        for rows in per_shard {
-            out.extend(rows?);
-        }
-        // Per-shard lists are already sorted (local order is a
-        // subsequence of global order); one sort merges them.
-        out.sort_unstable();
-        Ok(out)
-    }
-
-    /// Support of `q` (distinct explained log ids). Lid values can repeat
-    /// across shards, so supports do not sum: the distinct lid *value*
-    /// sets are gathered and unioned — sound because symbols align across
-    /// shard pools.
-    pub fn support(&self, q: &ChainQuery, opts: EvalOptions) -> Result<usize> {
-        let per_shard = self.par_map_shards(|_, shard| -> Result<HashSet<Value>> {
-            let rows = shard.engine().explained_rows(shard.db(), q, opts)?;
-            let log = shard.db().table(q.log);
-            Ok(rows.into_iter().map(|r| log.cell(r, q.lid_col)).collect())
-        });
-        let mut lids = HashSet::new();
-        for set in per_shard {
-            lids.extend(set?);
-        }
-        Ok(lids.len())
-    }
-
     /// Fused suite evaluation across every shard: each shard runs
     /// [`Engine::eval_suite`] (one partition walk / log scan for the
     /// whole suite) and returns its explained rows as **global-id**
@@ -282,14 +354,7 @@ impl EpochVec {
                 .engine()
                 .eval_suite(shard.db(), queries, opts)
                 .into_iter()
-                .map(|set| {
-                    set.map(|s| {
-                        // Local ascending order is a subsequence of global
-                        // order, so the mapped ids are already sorted.
-                        let global: Vec<RowId> = s.iter().map(|r| shard.to_global(r)).collect();
-                        RowSet::from_sorted_vec(&global)
-                    })
-                })
+                .map(|set| set.map(|s| shard.to_global_set(&s)))
                 .collect()
         });
         let mut columns: Vec<std::vec::IntoIter<Result<RowSet>>> =
@@ -308,59 +373,15 @@ impl EpochVec {
             })
             .collect()
     }
-
-    /// Batch [`EpochVec::explained_rows`]: one globally-sorted row set per
-    /// query, in input order. Rides [`EpochVec::eval_suite`]: each shard
-    /// evaluates the whole suite fused, and the associatively-merged
-    /// global bitmaps read out already sorted.
-    pub fn explained_rows_many(
-        &self,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-    ) -> Vec<Result<Vec<RowId>>> {
-        self.eval_suite(queries, opts)
-            .into_iter()
-            .map(|set| set.map(|s| s.to_vec()))
-            .collect()
-    }
-
-    /// Union of the global rows explained by any of `queries` — the audit
-    /// layer's suite primitive, scatter-gathered. Fails on the first
-    /// invalid query.
-    pub fn explained_union(
-        &self,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-    ) -> Result<HashSet<RowId>> {
-        Ok(self.explained_union_rowset(queries, opts)?.iter().collect())
-    }
-
-    /// [`EpochVec::explained_union`] in compressed form: one global
-    /// [`RowSet`] folded from the per-shard suite bitmaps.
-    pub fn explained_union_rowset(
-        &self,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-    ) -> Result<RowSet> {
-        let mut sets = Vec::with_capacity(queries.len());
-        for set in self.eval_suite(queries, opts) {
-            sets.push(set?);
-        }
-        Ok(RowSet::union_all(sets))
-    }
 }
 
-/// Maps a shard-local row set to global ids. Local ascending order is a
-/// subsequence of global order, so the mapped ids are already sorted.
-fn to_global_set(shard: &ShardEpoch, local: &RowSet) -> RowSet {
-    let global: Vec<RowId> = local.iter().map(|r| shard.to_global(r)).collect();
-    RowSet::from_sorted_vec(&global)
-}
-
-/// Cold global materialization of `pin`: every shard computes its local
-/// sets in parallel, then the global-id bitmaps fold with the associative
-/// union — the same scatter-gather shape as [`EpochVec::eval_suite`].
-fn compute_maintained_sharded(
+/// Cold (from-scratch) global materialization of `pin`: every shard scans
+/// its anchors and evaluates the suite in parallel, then the global-id
+/// bitmaps fold with the associative union — the same scatter-gather shape
+/// as [`EpochVec::eval_suite`]. Also the fallback whenever the incremental
+/// path is unavailable: a rebuild, a [`ShardedEngine::replace`], or a
+/// freshly registered pin.
+pub(super) fn compute_maintained(
     shards: &[ShardEpoch],
     pin: &SuitePin,
     global_log_len: usize,
@@ -368,10 +389,21 @@ fn compute_maintained_sharded(
     let idx: Vec<usize> = (0..shards.len()).collect();
     let per: Vec<(RowSet, RowSet)> = par_map(&idx, |&s| {
         let shard = &shards[s];
-        let m = compute_maintained(shard.engine(), shard.db(), pin);
+        let engine = shard.engine();
+        let log = engine.snapshot().table(pin.log);
+        let anchors: Vec<RowId> = (0..log.n_rows)
+            .filter(|&r| engine.anchor_passes_filters(&pin.anchor_filters, log, r))
+            .map(|r| shard.to_global(r as RowId))
+            .collect();
+        let explained = RowSet::union_all(
+            engine
+                .eval_suite(shard.db(), &pin.queries, pin.opts)
+                .into_iter()
+                .flatten(),
+        );
         (
-            to_global_set(shard, &m.anchors),
-            to_global_set(shard, &m.explained),
+            RowSet::from_sorted_vec(&anchors),
+            shard.to_global_set(&explained),
         )
     });
     absorb(&Maintained::default(), per, global_log_len)
@@ -384,9 +416,9 @@ fn compute_maintained_sharded(
 /// into the previous sets (see [`Maintained`] for the monotonicity
 /// argument). Each shard pays O(its appended rows × join fan-out), and
 /// re-asks its whole slice of the residue only when its backward walk
-/// touches more values and rows than the residue holds. Returns the per-shard advance counts in shard
-/// order.
-fn advance_maintained_sharded(
+/// touches more values and rows than the residue holds. Returns the
+/// per-shard advance counts in shard order.
+fn advance_maintained(
     prev_shards: &[ShardEpoch],
     shards: &[ShardEpoch],
     pin: &SuitePin,
@@ -417,8 +449,8 @@ fn advance_maintained_sharded(
             },
         );
         (
-            to_global_set(shard, &delta.anchors),
-            to_global_set(shard, &delta.explained),
+            shard.to_global_set(&delta.anchors),
+            shard.to_global_set(&delta.explained),
             delta.stats,
         )
     });
@@ -481,8 +513,11 @@ impl ShardedIngestReport {
     }
 
     /// Operator-facing warnings, one per shard that fell back to a full
-    /// rebuild (empty on the normal incremental path) — the sharded form
-    /// of [`super::IngestReport::fallback_warning`].
+    /// rebuild (empty on the normal incremental path). The fallback keeps
+    /// the service publishing, but it costs a whole re-snapshot and usually
+    /// means the ingest source replaced state instead of appending —
+    /// exactly the situation an operator wants to hear about rather than
+    /// have silently absorbed.
     pub fn fallback_warnings(&self) -> Vec<String> {
         self.shards
             .iter()
@@ -584,11 +619,9 @@ impl ShardedBatch {
     }
 }
 
-/// The sharded snapshot-handoff cell: [`SharedEngine`]'s contract — one
-/// serialized writer, wait-free readers, persist-before-publish — over an
-/// [`EpochVec`] instead of a single epoch.
-///
-/// [`SharedEngine`]: super::SharedEngine
+/// The snapshot-handoff cell: one serialized writer, wait-free readers,
+/// persist-before-publish, over an atomically-swapped [`EpochVec`]. See
+/// the module docs for the pattern.
 #[derive(Debug)]
 pub struct ShardedEngine {
     current: RwLock<Arc<EpochVec>>,
@@ -609,7 +642,7 @@ impl ShardedEngine {
     /// Panics when `n_shards` is zero.
     pub fn new(db: Database, key: ShardKey, n_shards: usize) -> ShardedEngine {
         assert!(n_shards > 0, "shard count must be positive");
-        let shards = Self::partition(&db, key, n_shards, 0);
+        let shards = Self::partition(&db, key, n_shards);
         ShardedEngine {
             current: RwLock::new(Arc::new(EpochVec {
                 shards,
@@ -625,11 +658,12 @@ impl ShardedEngine {
     }
 
     /// Registers a suite for incremental maintenance and returns its pin
-    /// id — the sharded form of
-    /// [`SharedEngine::pin_suite`](super::SharedEngine::pin_suite). The
+    /// id (an index into every later vector's maintained entries). The
     /// current vector is republished (same shard epochs, same seq) with
-    /// the pin's cold global materialization added; every later ingest
-    /// advances it by per-shard deltas merged associatively.
+    /// the pin's cold global materialization added, so a reader loading
+    /// after `pin_suite` returns already sees the maintained sets; every
+    /// later ingest advances them by per-shard deltas merged
+    /// associatively. Serialized against ingests by the writer lock.
     pub fn pin_suite(&self, pin: SuitePin) -> usize {
         let _writer = unpoison(self.writer.lock());
         let base = self.load();
@@ -639,7 +673,7 @@ impl ShardedEngine {
         pins.push(pin.clone());
         drop(pins);
         let mut maintained = base.maintained.clone();
-        maintained.push(Arc::new(compute_maintained_sharded(
+        maintained.push(Arc::new(compute_maintained(
             &base.shards,
             &pin,
             base.global_log_len,
@@ -654,7 +688,7 @@ impl ShardedEngine {
         id
     }
 
-    fn partition(db: &Database, key: ShardKey, n_shards: usize, seq: u64) -> Box<[ShardEpoch]> {
+    fn partition(db: &Database, key: ShardKey, n_shards: usize) -> Arc<[ShardEpoch]> {
         // Route every log row once, then build each shard's database and
         // engine in parallel.
         let log = db.table(key.table);
@@ -680,16 +714,18 @@ impl ShardedEngine {
             map.seal();
             let engine = Engine::new(&shard_db);
             ShardEpoch {
-                epoch: Arc::new(Epoch::assemble(shard_db, engine, seq)),
+                db: shard_db,
+                engine,
                 to_global: map,
             }
         });
-        built.into_boxed_slice()
+        built.into()
     }
 
-    /// Pins the current epoch vector. Effectively wait-free, exactly like
-    /// [`SharedEngine::load`](super::SharedEngine::load): the read lock
-    /// guards a single `Arc` clone.
+    /// Pins the current epoch vector. Effectively wait-free: the read lock
+    /// guards a single `Arc` clone, never a query or a refresh. Call once
+    /// per session (or per dashboard recomputation), not once per query —
+    /// the vector is the session's consistent view.
     pub fn load(&self) -> Arc<EpochVec> {
         unpoison(self.current.read()).clone()
     }
@@ -727,14 +763,22 @@ impl ShardedEngine {
         (out, report)
     }
 
-    /// [`ShardedEngine::ingest`] with a **persist hook**, the sharded form
-    /// of [`SharedEngine::ingest_with`](super::SharedEngine::ingest_with):
-    /// `persist` runs after every shard has been mutated and refreshed but
-    /// *before* anything is published, with the staged batch and the
-    /// would-be seq. `Err` publishes nothing and frees the seq — the
-    /// published history stays a prefix of the durable history, shard
-    /// assignment notwithstanding (the durable log is recorded in global
-    /// row order and re-partitioned deterministically on recovery).
+    /// [`ShardedEngine::ingest`] with a **persist hook**: `persist` runs
+    /// after every shard has been mutated and refreshed but *before*
+    /// anything is published, with the staged batch, `mutate`'s output and
+    /// the would-be seq. Only if it returns `Ok` is the vector published
+    /// (and the sequence counter advanced).
+    ///
+    /// This is the durable-ingest ordering contract: a service that writes
+    /// the batch to a [`DurableStore`](crate::pile::DurableStore) inside
+    /// `persist` acknowledges only states that are already on disk, so the
+    /// **published history is always a prefix of the durable history**,
+    /// shard assignment notwithstanding (the durable log is recorded in
+    /// global row order and re-partitioned deterministically on recovery).
+    /// On `Err` the private clones are dropped, nothing is published, the
+    /// seq is not consumed, and the error is returned with the writer lock
+    /// released. A panic in `mutate`, a refresh, or `persist` likewise
+    /// publishes nothing.
     pub fn ingest_with<R, E>(
         &self,
         mutate: impl FnOnce(&mut ShardedBatch) -> R,
@@ -797,7 +841,8 @@ impl ShardedEngine {
             .map(|((db, to_global), (engine, shard_report))| {
                 report.shards.push(shard_report);
                 ShardEpoch {
-                    epoch: Arc::new(Epoch::assemble(db, engine, seq)),
+                    db,
+                    engine,
                     to_global,
                 }
             })
@@ -817,17 +862,17 @@ impl ShardedEngine {
             .map(|(i, pin)| match base.maintained.get(i) {
                 Some(prev) if !rebuilt_any => {
                     let (m, stats) =
-                        advance_maintained_sharded(&base.shards, &shards, pin, prev, global_len);
+                        advance_maintained(&base.shards, &shards, pin, prev, global_len);
                     for (shard, stats) in report.shards.iter_mut().zip(stats) {
                         shard.advance[i] = stats;
                     }
                     Arc::new(m)
                 }
-                _ => Arc::new(compute_maintained_sharded(&shards, pin, global_len)),
+                _ => Arc::new(compute_maintained(&shards, pin, global_len)),
             })
             .collect();
         *unpoison(self.current.write()) = Arc::new(EpochVec {
-            shards: shards.into_boxed_slice(),
+            shards: shards.into(),
             key: self.key,
             seq,
             global_log_len: global_len,
@@ -838,15 +883,23 @@ impl ShardedEngine {
 
     /// Replaces the published state **wholesale** (an operator reload):
     /// re-partitions `db` from scratch and publishes the successor vector.
-    /// Every shard reports [`RefreshError::Replaced`], so the fallback
-    /// warnings fire exactly like the unsharded
-    /// [`SharedEngine::replace`](super::SharedEngine::replace).
+    ///
+    /// Unlike [`ShardedEngine::ingest`], this never attempts the
+    /// incremental refresh: an incremental pass only rescans rows
+    /// *appended* since the snapshot, so a replacement whose row counts
+    /// happen to line up with the published vector's would keep the
+    /// engines answering from the replaced cells. Every shard reports
+    /// [`RefreshError::Replaced`], so
+    /// [`ShardedIngestReport::fallback_warnings`] fires exactly like an
+    /// ingest-path fallback — a reload is an operator-visible event.
+    /// Readers pinned to older vectors are untouched until their next
+    /// load.
     pub fn replace(&self, db: Database) -> ShardedIngestReport {
         let mut next_seq = unpoison(self.writer.lock());
         let n = self.shard_count();
         *next_seq += 1;
         let seq = *next_seq;
-        let shards = Self::partition(&db, self.key, n, seq);
+        let shards = Self::partition(&db, self.key, n);
         // A replacement invalidates every maintained set: recompute cold.
         let pins = unpoison(self.pins.lock()).clone();
         let report = ShardedIngestReport {
@@ -862,7 +915,7 @@ impl ShardedEngine {
         let global_log_len = db.table(self.key.table).len();
         let maintained = pins
             .iter()
-            .map(|pin| Arc::new(compute_maintained_sharded(&shards, pin, global_log_len)))
+            .map(|pin| Arc::new(compute_maintained(&shards, pin, global_log_len)))
             .collect();
         *unpoison(self.current.write()) = Arc::new(EpochVec {
             shards,
@@ -918,6 +971,14 @@ mod tests {
         ShardKey { table: log, col }
     }
 
+    /// Global rows `q` explains on a pinned vector, ascending.
+    fn explained(vec: &EpochVec, q: &ChainQuery) -> Vec<RowId> {
+        vec.eval_suite(std::slice::from_ref(q), EvalOptions::default())
+            .remove(0)
+            .unwrap()
+            .to_vec()
+    }
+
     fn query(log: TableId, event: TableId) -> ChainQuery {
         ChainQuery {
             log,
@@ -953,7 +1014,6 @@ mod tests {
         let (db, log, event) = world();
         let q = query(log, event);
         let oracle = q.explained_rows(&db, EvalOptions::default()).unwrap();
-        let oracle_support = q.support(&db, EvalOptions::default()).unwrap();
         for n in [1usize, 2, 3, 4, 16] {
             let sharded = ShardedEngine::new(db.clone(), key(&db, log), n);
             let vec = sharded.load();
@@ -964,21 +1024,7 @@ mod tests {
                 20,
                 "shards partition the log"
             );
-            assert_eq!(
-                vec.explained_rows(&q, EvalOptions::default()).unwrap(),
-                oracle,
-                "{n} shards"
-            );
-            assert_eq!(
-                vec.support(&q, EvalOptions::default()).unwrap(),
-                oracle_support
-            );
-            let many = vec.explained_rows_many(std::slice::from_ref(&q), EvalOptions::default());
-            assert_eq!(many[0].as_ref().unwrap(), &oracle);
-            let union = vec
-                .explained_union(std::slice::from_ref(&q), EvalOptions::default())
-                .unwrap();
-            assert_eq!(union, oracle.iter().copied().collect());
+            assert_eq!(explained(&vec, &q), oracle, "{n} shards");
         }
     }
 
@@ -1004,20 +1050,24 @@ mod tests {
         let q = query(log, event);
         let k = key(&db, log);
         let mut oracle_db = db.clone();
-        let sharded = ShardedEngine::new(db, k, 3);
+        let sharded = ShardedEngine::new(db.clone(), k, 3);
         let pinned = sharded.load();
 
-        let ((), report) = sharded.ingest(|batch| {
+        let (last, report) = sharded.ingest(|batch| {
             batch
                 .insert_dim(event, vec![Value::Int(40), Value::Int(1)])
                 .unwrap();
-            for i in 20..26i64 {
-                let g = batch
-                    .insert_log(vec![Value::Int(i), Value::Int(1), Value::Int(i % 41)])
-                    .unwrap();
-                assert_eq!(g as i64, i, "global ids continue the oracle order");
-            }
+            (20..26i64)
+                .map(|i| {
+                    let g = batch
+                        .insert_log(vec![Value::Int(i), Value::Int(1), Value::Int(i % 41)])
+                        .unwrap();
+                    assert_eq!(g as i64, i, "global ids continue the oracle order");
+                    g
+                })
+                .last()
         });
+        assert_eq!(last, Some(25), "ingest returns the mutator's output");
         assert_eq!(report.seq, 1);
         assert_eq!(report.new_rows(), 6 + 3, "6 log rows + dim row x3 shards");
         assert!(!report.rebuilt_any());
@@ -1037,13 +1087,15 @@ mod tests {
         let new = sharded.load();
         assert_eq!(new.seq(), 1);
         assert_eq!(new.global_log_len(), 26);
-        for shard in new.shards() {
-            assert_eq!(shard.epoch().seq(), 1, "one seq across the vector");
-        }
         assert_eq!(
-            new.explained_rows(&q, EvalOptions::default()).unwrap(),
+            explained(&new, &q),
             q.explained_rows(&oracle_db, EvalOptions::default())
                 .unwrap()
+        );
+        assert_eq!(
+            explained(&pinned, &q),
+            q.explained_rows(&db, EvalOptions::default()).unwrap(),
+            "the pinned vector still answers from its frozen state"
         );
     }
 
@@ -1121,12 +1173,116 @@ mod tests {
         assert!(report.rebuilt_any());
         assert_eq!(report.fallback_warnings().len(), 4);
         assert!(report.fallback_warnings()[0].contains("replaced"));
-        let vec = sharded.load();
         assert_eq!(
-            vec.explained_rows(&q, EvalOptions::default()).unwrap(),
+            explained(&sharded.load(), &q),
             q.explained_rows(&corrected, EvalOptions::default())
                 .unwrap()
         );
+        // The hole `replace` exists to close: same shape, same row counts,
+        // different cells. An incremental refresh would pass its shrink
+        // checks and keep answering from the replaced data.
+        let mut same_counts = corrected.clone_with_empty_table(ev);
+        for (_, row) in corrected.table(ev).iter() {
+            // Every event now names actor 2.
+            same_counts.insert(ev, vec![row[0], Value::Int(2)]).unwrap();
+        }
+        let before = explained(&sharded.load(), &q);
+        let report = sharded.replace(same_counts.clone());
+        assert_eq!(report.seq, 2);
+        assert!(report
+            .shards
+            .iter()
+            .all(|s| s.rebuilt == Some(RefreshError::Replaced)));
+        let after = explained(&sharded.load(), &q);
+        assert_eq!(
+            after,
+            q.explained_rows(&same_counts, EvalOptions::default())
+                .unwrap()
+        );
+        assert_ne!(after, before, "the corrected cells change the answer");
+    }
+
+    #[test]
+    fn caches_stay_warm_across_epochs() {
+        let (db, log, event) = world();
+        let sharded = ShardedEngine::new(db.clone(), key(&db, log), 1);
+        let q = query(log, event);
+        let e0 = sharded.load();
+        let _ = explained(&e0, &q);
+        assert_eq!(e0.shards()[0].engine().cached_step_maps(), 1);
+        // Growing only the log leaves the Event step map alone — and the
+        // successor inherits it through the fork.
+        let ((), report) = sharded.ingest(|batch| {
+            batch
+                .insert_log(vec![Value::Int(99), Value::Int(2), Value::Int(9)])
+                .unwrap();
+        });
+        assert_eq!(report.shards[0].refresh.dropped_step_maps, 0);
+        assert_eq!(sharded.load().shards()[0].engine().cached_step_maps(), 1);
+    }
+
+    #[test]
+    fn refused_refresh_falls_back_to_a_rebuild_and_warns() {
+        let (db, log, event) = world();
+        let q = query(log, event);
+        let pin = SuitePin {
+            log,
+            anchor_filters: vec![],
+            queries: vec![q.clone()],
+            opts: EvalOptions::default(),
+        };
+        for n in [1usize, 3] {
+            let sharded = ShardedEngine::new(db.clone(), key(&db, log), n);
+            let id = sharded.pin_suite(pin.clone());
+            let pinned = sharded.load();
+            let pinned_before = explained(&pinned, &q);
+            // `ShardedBatch`'s API only appends, so a source that
+            // *replaces* state is staged through its private fields:
+            // shard 0's Event table shrinks to one row, which the
+            // incremental refresh must refuse.
+            let mut small = db.clone_with_empty_table(event);
+            small
+                .insert(event, vec![Value::Int(0), Value::Int(0)])
+                .unwrap();
+            let ((), report) = sharded.ingest(|batch| {
+                let mut shrunk = small.clone_with_empty_table(log);
+                for (_, row) in batch.dbs[0].table(log).iter() {
+                    shrunk.insert(log, row.to_vec()).unwrap();
+                }
+                batch.dbs[0] = shrunk;
+            });
+            assert!(report.rebuilt_any());
+            assert!(matches!(
+                report.shards[0].rebuilt,
+                Some(RefreshError::TableShrank { .. })
+            ));
+            let warnings = report.fallback_warnings();
+            assert_eq!(warnings.len(), 1, "{warnings:?}");
+            assert!(warnings[0].contains("epoch 1 shard 0"), "{warnings:?}");
+            assert!(warnings[0].contains("rebuilding"), "{warnings:?}");
+            // The published vector answers exactly like from-scratch
+            // engines over the same shard databases, maintained sets
+            // included (a rebuild recomputes them cold).
+            let vec = sharded.load();
+            assert_eq!(vec.seq(), 1);
+            for shard in vec.shards() {
+                let cold = Engine::new(shard.db());
+                assert_eq!(
+                    shard
+                        .engine()
+                        .explained_rows(shard.db(), &q, EvalOptions::default())
+                        .unwrap(),
+                    cold.explained_rows(shard.db(), &q, EvalOptions::default())
+                        .unwrap()
+                );
+            }
+            let cold = compute_maintained(vec.shards(), &pin, vec.global_log_len());
+            assert_eq!(vec.maintained(id).unwrap().explained, cold.explained);
+            assert_eq!(vec.maintained(id).unwrap().unexplained, cold.unexplained);
+            // The pre-fallback pinned vector is untouched.
+            assert_eq!(pinned.seq(), 0);
+            assert_eq!(explained(&pinned, &q), pinned_before);
+        }
     }
 
     #[test]
@@ -1141,10 +1297,12 @@ mod tests {
                 queries: vec![q.clone()],
                 opts: EvalOptions::default(),
             };
+            // Vectors published before the pin lack the entry, never lie.
+            assert!(sharded.load().maintained(0).is_none());
             let id = sharded.pin_suite(pin.clone());
             let check = |vec: &EpochVec| {
                 let m = vec.maintained(id).expect("pinned vector carries the sets");
-                let cold = compute_maintained_sharded(vec.shards(), &pin, vec.global_log_len());
+                let cold = compute_maintained(vec.shards(), &pin, vec.global_log_len());
                 assert_eq!(m.anchors, cold.anchors, "{n} shards");
                 assert_eq!(m.explained, cold.explained, "{n} shards");
                 assert_eq!(m.unexplained, cold.unexplained, "{n} shards");
@@ -1153,7 +1311,7 @@ mod tests {
                 // scatter-gather over the same vector.
                 assert_eq!(
                     m.explained,
-                    vec.explained_union_rowset(&pin.queries, pin.opts).unwrap()
+                    RowSet::union_all(vec.eval_suite(&pin.queries, pin.opts).into_iter().flatten())
                 );
             };
             check(&sharded.load());
@@ -1236,10 +1394,7 @@ mod tests {
         let lens: Vec<usize> = vec.shards().iter().map(ShardEpoch::log_len).collect();
         assert_eq!(lens.iter().sum::<usize>(), 5);
         assert_eq!(lens.iter().filter(|&&l| l == 0).count(), 3, "{lens:?}");
-        assert_eq!(
-            vec.explained_rows(&q, EvalOptions::default()).unwrap(),
-            oracle
-        );
+        assert_eq!(explained(&vec, &q), oracle);
         // An entirely empty log partitions into all-empty shards.
         let mut empty = Database::new();
         let elog = empty

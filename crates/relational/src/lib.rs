@@ -56,15 +56,16 @@
 //!    only the appended rows and dropping only the caches over tables that
 //!    grew — a long-running auditing service keeps one engine per session
 //!    instead of re-snapshotting per query.
-//! 5. **Snapshot handoff** ([`SharedEngine`]): a service answering audit
-//!    queries *while* the log ingests publishes immutable
-//!    [`Epoch`]s (database + engine, frozen together); readers pin one
-//!    epoch per session and are never blocked by a refresh, the single
-//!    writer refreshes a private fork and swaps it in atomically. The
-//!    [`Database`] itself is `Send + Sync` (poison-tolerant lazily-built
-//!    caches, [`sync::unpoison`]), so one epoch serves any number of
-//!    concurrent sessions — and a panicking query or ingest cannot poison
-//!    the service into permanent failure.
+//! 5. **Snapshot handoff** ([`ShardedEngine`], the one epoch handle): a
+//!    service answering audit queries *while* the log ingests publishes
+//!    immutable [`EpochVec`]s (per log shard: database + engine, frozen
+//!    together under one sequence number; one shard is the unsharded
+//!    engine); readers pin one vector per session and are never blocked
+//!    by a refresh, the single writer refreshes private forks and swaps
+//!    them in atomically. The [`Database`] itself is `Send + Sync`
+//!    (poison-tolerant lazily-built caches, [`sync::unpoison`]), so one
+//!    epoch serves any number of concurrent sessions — and a panicking
+//!    query or ingest cannot poison the service into permanent failure.
 //!
 //! The engine returns **byte-identical** results to [`ChainQuery`] for
 //! every query class (enforced differentially by the `engine_equivalence`
@@ -111,9 +112,8 @@ pub use chain::{
 };
 pub use database::{AttrRef, Database, RelationshipKind, TableId};
 pub use engine::{
-    shard_of, AdvanceStats, Engine, Epoch, EpochVec, IngestReport, Maintained, RefreshDelta,
-    RefreshError, RefreshStats, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine,
-    ShardedIngestReport, SharedEngine, SuitePin,
+    shard_of, AdvanceStats, Engine, EpochVec, Maintained, RefreshDelta, RefreshError, RefreshStats,
+    ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine, ShardedIngestReport, SuitePin,
 };
 pub use error::{Error, PileError, Result};
 pub use index::{HashIndex, TableIndex};

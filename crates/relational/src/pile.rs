@@ -403,10 +403,10 @@ impl DurableStore {
     /// Opens (creating if absent) the pile at `path` and its WAL,
     /// recovers every surviving batch, and returns the store positioned
     /// to append. The recovered batches are in replay order; feed them to
-    /// [`replay_into`] (or one [`SharedEngine::ingest`] each to rebuild
+    /// [`replay_into`] (or one [`ShardedEngine::ingest`] each to rebuild
     /// the epoch chain batch-for-batch).
     ///
-    /// [`SharedEngine::ingest`]: crate::SharedEngine::ingest
+    /// [`ShardedEngine::ingest`]: crate::ShardedEngine::ingest
     pub fn open(
         path: &Path,
         policy: Durability,
@@ -688,7 +688,7 @@ fn absorb_scan(report: &mut RecoveryReport, scan: &ScanReport, label: &str, is_p
 ///
 /// This is the bulk path a cold-starting service uses (insert everything,
 /// build one engine); the differential suite instead replays one
-/// [`SharedEngine::ingest`](crate::SharedEngine::ingest) per batch to
+/// [`ShardedEngine::ingest`](crate::ShardedEngine::ingest) per batch to
 /// check every intermediate epoch.
 pub fn replay_into(db: &mut Database, batches: &[Batch]) -> Result<u64, PileError> {
     let mut rows = 0u64;

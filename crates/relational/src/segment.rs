@@ -2,7 +2,7 @@
 //! publication `O(batch)` instead of `O(database)`.
 //!
 //! The auditing workload is append-only by design — the access log only
-//! grows — yet every published [`Epoch`](crate::engine::Epoch) used to pay
+//! grows — yet every published [`EpochVec`](crate::engine::EpochVec) used to pay
 //! a full copy of every column (database clone + engine fork). A
 //! [`SegVec`] removes that coupling: values accumulate in a small mutable
 //! *tail* and are *sealed* into immutable, `Arc`-shared *segments* once
@@ -22,7 +22,7 @@
 //! Publication cost claims need evidence, so both structures meter the
 //! bytes their `Clone` impls actually copy into a thread-local counter
 //! ([`copied_bytes`] / [`reset_copied_bytes`]). The storage-equivalence
-//! suite and `audit-bench` read it to show copied bytes scale with the
+//! suite and `eba_benchmark` read it to show copied bytes scale with the
 //! ingested batch, not the database. (The meter counts element slots at
 //! `size_of::<T>()` granularity — for indirect payloads such as boxed
 //! rows it measures the copied handles, which scale identically.)

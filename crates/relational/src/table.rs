@@ -33,7 +33,7 @@ struct ColIndexCache {
 /// Tables are **append-only**: the auditing workload never updates or
 /// deletes (access logs are immutable by design). Rows therefore live in
 /// a [`SegVec`]: immutable sealed segments shared via `Arc` between
-/// clones — i.e. between published [`Epoch`](crate::engine::Epoch)s —
+/// clones — i.e. between published [`EpochVec`](crate::engine::EpochVec)s —
 /// plus a small mutable tail, which is all a clone copies. That makes
 /// epoch publication `O(batch)`, not `O(table)`.
 ///

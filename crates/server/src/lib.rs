@@ -12,11 +12,12 @@
 //! * **epoch-vector pinning per session**: a connection pins an
 //!   [`EpochVec`](eba_relational::EpochVec) when it opens and every audit
 //!   question ([`EXPLAIN`](protocol::Command::Explain),
-//!   `UNEXPLAINED`, `METRICS`, `TIMELINE`, `MISUSE`) scatter-gathers
-//!   across that frozen vector of shard snapshots — byte-stable no
-//!   matter how many ingests land meanwhile, and byte-identical to one
-//!   unsharded engine's answers — until the session says `REPIN`
-//!   (`SHARDS` reports the partition layout);
+//!   `UNEXPLAINED`, `METRICS`, `TIMELINE`, `MISUSE`) answers from that
+//!   frozen vector of shard snapshots — the four suite commands from the
+//!   maintained explained/unexplained partition it carries, never by
+//!   re-evaluating the suite — byte-stable no matter how many ingests
+//!   land meanwhile, and byte-identical at every shard count, until the
+//!   session says `REPIN` (`SHARDS` reports the partition layout);
 //! * **a single-writer ingest path**: `INGEST` batches go through
 //!   [`ShardedEngine::ingest`](eba_relational::ShardedEngine::ingest) —
 //!   rows routed to their shard by the patient hash, every shard
@@ -101,8 +102,9 @@ pub struct AuditService {
     sharded: ShardedEngine,
     /// The engine-side pin id of the explanation suite: every published
     /// epoch vector carries the maintained anchors/explained/unexplained
-    /// [`eba_relational::Maintained`] partition for it, so `UNEXPLAINED`
-    /// and `METRICS` are O(delta)-maintained reads, not recomputations.
+    /// [`eba_relational::Maintained`] partition for it, so `UNEXPLAINED`,
+    /// `METRICS`, `TIMELINE` and `MISUSE` are reads of O(delta)-maintained
+    /// sets, not recomputations.
     pin_id: usize,
     /// The audit anchor (log table + lid/user/patient columns + filters).
     pub spec: LogSpec,
@@ -269,7 +271,7 @@ impl AuditService {
 
     /// The engine pin id of the service's explanation suite — the key
     /// into [`eba_relational::EpochVec::maintained`] for the partition
-    /// the `UNEXPLAINED`/`METRICS` fast paths read.
+    /// the suite commands read.
     pub fn pin_id(&self) -> usize {
         self.pin_id
     }
@@ -277,8 +279,8 @@ impl AuditService {
     /// Assembles a **durable** service: opens (creating if absent) the
     /// segment pile at `pile_path` and its WAL, replays every recovered
     /// batch into `db` *before* the initial epoch is built (one bulk
-    /// insert pass, one engine build — the cold-start path `audit-bench`
-    /// meters as `cold_start/recovery_replay`), and wires the store into
+    /// insert pass, one engine build — the cold-start path the benchmark
+    /// meters as `restart_ms` / `pile.replay_ms`), and wires the store into
     /// the ingest path so every acknowledged `INGEST` is durable under
     /// `policy`.
     ///

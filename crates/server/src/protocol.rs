@@ -54,7 +54,7 @@
 //! closes. Shedding never stalls the writer or other subscribers.
 //!
 //! `INGEST` is the single-writer path: the batch goes through
-//! [`SharedEngine::ingest`](eba_relational::SharedEngine::ingest) and the
+//! [`ShardedEngine::ingest_with`](eba_relational::ShardedEngine::ingest_with) and the
 //! reply carries the published seq plus the rebuild-fallback flag. All
 //! other commands answer from the session's pinned epoch, so a long audit
 //! sees one consistent snapshot until it chooses to `REPIN`.

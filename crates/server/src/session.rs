@@ -1,15 +1,16 @@
-//! Per-connection sessions: one pinned [`EpochVec`] per session, every
-//! audit question scatter-gathered through the `*_at_shards` forms
-//! against it. Shard count 1 degenerates to exactly the old single-epoch
-//! session (the `shard_equivalence` suite proves the answers identical),
-//! so the protocol surface is unchanged apart from the added `SHARDS`
-//! report.
+//! Per-connection sessions: one pinned [`EpochVec`] per session. The four
+//! suite commands (`UNEXPLAINED`, `METRICS`, `TIMELINE`, `MISUSE`) read
+//! the pinned vector's maintained partition
+//! ([`EpochVec::maintained`]) and hand its row sets to the audit layer's
+//! one function per question — a session never evaluates a suite. Shard
+//! count 1 is exactly the single-engine session (the `shard_equivalence`
+//! suite proves the answers identical).
 
 use crate::protocol::{Command, IngestRow, ProtocolError, Response};
 use crate::push::{Event, SubscriptionKind};
 use crate::AuditService;
-use eba_audit::{metrics, portal, timeline};
-use eba_relational::{EpochVec, RowId, Value};
+use eba_audit::{metrics, portal, timeline, AuditView};
+use eba_relational::{EpochVec, Maintained, RowId, Value};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
@@ -65,11 +66,13 @@ impl Session {
             )),
             Command::Shards => self.shards(),
             Command::Explain { lid } => self.explain(lid),
-            Command::Unexplained { limit, after } => self.unexplained(limit, after),
-            Command::Metrics => self.metrics(),
+            Command::Unexplained { limit, after } => {
+                self.with_maintained(|m| self.unexplained(m, limit, after))
+            }
+            Command::Metrics => self.with_maintained(|m| self.metrics(m)),
             Command::Subscribe { kind } => self.subscribe(kind),
-            Command::Timeline => self.timeline(),
-            Command::Misuse { user } => self.misuse(user),
+            Command::Timeline => self.with_maintained(|m| self.timeline(m)),
+            Command::Misuse { user } => self.with_maintained(|m| self.misuse(m, user)),
             Command::Ingest { count } => {
                 debug_assert_eq!(rows.len(), count);
                 self.ingest(&rows)
@@ -87,11 +90,24 @@ impl Session {
         }
     }
 
-    /// Resolves a pinned **global** log row id to its shard and row.
-    fn locate(&self, global: RowId) -> (usize, RowId) {
-        self.epochs
-            .locate(global)
-            .expect("global id came from this epoch vector")
+    /// The audit view of the pinned epoch vector.
+    fn view(&self) -> AuditView<'_> {
+        AuditView::pinned(&self.epochs)
+    }
+
+    /// Answers a suite command from the pinned vector's maintained
+    /// partition. The service pins its suite before the first session can
+    /// open, so every vector a session can hold carries it; a missing
+    /// entry is a broken invariant, reported as a typed error.
+    fn with_maintained(&self, answer: impl FnOnce(&Maintained) -> Response) -> Response {
+        match self.epochs.maintained(self.service.pin_id()) {
+            Some(m) => answer(m),
+            None => ProtocolError::Internal(format!(
+                "epoch {} carries no maintained partition",
+                self.epochs.seq()
+            ))
+            .into(),
+        }
     }
 
     fn shards(&self) -> Response {
@@ -141,87 +157,53 @@ impl Session {
 
     /// `UNEXPLAINED [limit [AFTER <rid>]]`.
     ///
-    /// The serving path reads the epoch's **maintained** partition: the
-    /// page is `RowSet` rank + ordered iteration from the cursor — cost
-    /// O(limit), not O(unexplained) — where it used to materialize the
-    /// entire sorted unexplained vector before truncating (the PR 10
-    /// listing-path bugfix). A truncated page ends with the `more …`
-    /// marker plus a `next UNEXPLAINED <limit> AFTER <rid>` cursor line,
-    /// so the residue is actually fetchable. Epoch vectors published
-    /// before the suite was pinned (none, in a served process) fall back
-    /// to cold evaluation with byte-identical output.
-    fn unexplained(&self, limit: Option<usize>, after: Option<u32>) -> Response {
-        let svc = &self.service;
-        match self.epochs.maintained(svc.pin_id()) {
-            Some(m) => {
-                let total = m.unexplained.len();
-                // Rows at or below the cursor are skipped by rank, never
-                // by iteration.
-                let skipped = match after {
-                    None => 0,
-                    Some(u32::MAX) => total,
-                    Some(rid) => m.unexplained.rank(rid + 1),
-                };
-                let remaining = total - skipped;
-                let shown = limit.unwrap_or(remaining).min(remaining);
-                let mut resp = self.unexplained_head(total, m.anchors.len());
-                let mut last = None;
-                let page: Vec<RowId> = match after {
-                    None => m.unexplained.iter().take(shown).collect(),
-                    Some(u32::MAX) => Vec::new(),
-                    Some(rid) => m.unexplained.iter_from(rid + 1).take(shown).collect(),
-                };
-                for global in page {
-                    resp.push(self.render_log_row(global));
-                    last = Some(global);
-                }
-                self.push_page_tail(&mut resp, remaining, shown, limit, last);
-                resp
-            }
-            None => {
-                let unexplained = svc
-                    .explainer
-                    .unexplained_rows_at_shards(&svc.spec, &self.epochs);
-                let anchor_total = metrics::anchor_rows_at_shards(&self.epochs, &svc.spec).len();
-                let total = unexplained.len();
-                let skipped = match after {
-                    None => 0,
-                    Some(rid) => unexplained.partition_point(|&g| g <= rid),
-                };
-                let remaining = total - skipped;
-                let shown = limit.unwrap_or(remaining).min(remaining);
-                let mut resp = self.unexplained_head(total, anchor_total);
-                let mut last = None;
-                for &global in unexplained[skipped..].iter().take(shown) {
-                    resp.push(self.render_log_row(global));
-                    last = Some(global);
-                }
-                self.push_page_tail(&mut resp, remaining, shown, limit, last);
-                resp
-            }
-        }
-    }
-
-    fn unexplained_head(&self, total: usize, anchor_total: usize) -> Response {
-        Response::ok(format!(
+    /// The page is `RowSet` rank + ordered iteration from the cursor over
+    /// the maintained residue — cost O(limit), not O(unexplained). A
+    /// truncated page ends with the `more …` marker plus a
+    /// `next UNEXPLAINED <limit> AFTER <rid>` cursor line, so the residue
+    /// is actually fetchable.
+    fn unexplained(&self, m: &Maintained, limit: Option<usize>, after: Option<u32>) -> Response {
+        let total = m.unexplained.len();
+        // Rows at or below the cursor are skipped by rank, never by
+        // iteration.
+        let skipped = match after {
+            None => 0,
+            Some(u32::MAX) => total,
+            Some(rid) => m.unexplained.rank(rid + 1),
+        };
+        let remaining = total - skipped;
+        let shown = limit.unwrap_or(remaining).min(remaining);
+        let mut resp = Response::ok(format!(
             "unexplained {} of {} epoch {}",
             total,
-            anchor_total,
+            m.anchors.len(),
             self.epochs.seq()
-        ))
+        ));
+        let mut last = None;
+        let page: Vec<RowId> = match after {
+            None => m.unexplained.iter().take(shown).collect(),
+            Some(u32::MAX) => Vec::new(),
+            Some(rid) => m.unexplained.iter_from(rid + 1).take(shown).collect(),
+        };
+        let view = self.view();
+        for global in page {
+            resp.push(self.render_log_row(&view, global));
+            last = Some(global);
+        }
+        self.push_page_tail(&mut resp, remaining, shown, limit, last);
+        resp
     }
 
     /// Renders one pinned global log row as a listing line.
-    fn render_log_row(&self, global: RowId) -> String {
+    fn render_log_row(&self, view: &AuditView, global: RowId) -> String {
         let svc = &self.service;
-        let (shard, rid) = self.locate(global);
-        let db = self.epochs.shards()[shard].db();
-        let row = db.table(svc.spec.table).row(rid);
+        let (part, row) = view.log_row(svc.spec.table, global);
+        let pool = part.db().pool();
         format!(
             "lid {} user {} patient {}",
-            row[svc.cols.lid].display(db.pool()),
-            row[svc.cols.user].display(db.pool()),
-            row[svc.cols.patient].display(db.pool())
+            row[svc.cols.lid].display(pool),
+            row[svc.cols.user].display(pool),
+            row[svc.cols.patient].display(pool)
         )
     }
 
@@ -245,19 +227,10 @@ impl Session {
         }
     }
 
-    /// `METRICS` — an O(1) read of the maintained partition (counts via
-    /// [`eba_relational::Maintained`]'s sets; the intersection is
-    /// allocation-free), with cold scatter-gather as the pre-pin fallback.
-    fn metrics(&self) -> Response {
-        let svc = &self.service;
-        let c = match self.epochs.maintained(svc.pin_id()) {
-            Some(m) => metrics::confusion_from_maintained(m),
-            None => {
-                let suite: Vec<&eba_core::ExplanationTemplate> =
-                    svc.explainer.templates().iter().collect();
-                metrics::evaluate_at_shards(&svc.spec, &suite, None, None, &self.epochs)
-            }
-        };
+    /// `METRICS` — set cardinalities of the maintained partition (no
+    /// fake log on a live service: every anchor row is real).
+    fn metrics(&self, m: &Maintained) -> Response {
+        let c = metrics::evaluate(&m.anchors, &m.explained, None, None);
         let mut resp = Response::ok(format!("metrics epoch {}", self.epochs.seq()));
         resp.push(format!("anchor_total {}", c.real_total));
         resp.push(format!("explained {}", c.real_explained));
@@ -292,15 +265,9 @@ impl Session {
         self.subscription.take()
     }
 
-    fn timeline(&self) -> Response {
+    fn timeline(&self, m: &Maintained) -> Response {
         let svc = &self.service;
-        let t = timeline::daily_stats_at_shards(
-            &svc.spec,
-            &svc.cols,
-            &svc.explainer,
-            svc.days,
-            &self.epochs,
-        );
+        let t = timeline::daily_stats(&self.view(), &svc.spec, &svc.cols, svc.days, &m.explained);
         let mut resp = Response::ok(format!(
             "timeline epoch {} days {} dropped {}",
             self.epochs.seq(),
@@ -321,9 +288,9 @@ impl Session {
         resp
     }
 
-    fn misuse(&self, user: Option<i64>) -> Response {
+    fn misuse(&self, m: &Maintained, user: Option<i64>) -> Response {
         let svc = &self.service;
-        let queue = portal::misuse_summary_at_shards(&svc.spec, &svc.explainer, &self.epochs);
+        let queue = portal::misuse_summary(&self.view(), &svc.spec, &m.unexplained);
         let pool = self.epochs.shards()[0].db().pool();
         match user {
             Some(user) => {

@@ -10,10 +10,12 @@
 //! data points at a *different* user" (the snooping signature).
 //!
 //! The office runs *while* the hospital works, so the whole dashboard
-//! sits on a [`SharedEngine`]: every view below is computed against one
-//! pinned epoch (a frozen database + warm engine), and each overnight
-//! batch is published with `session.ingest(..)` — the refresh-on-ingest
-//! loop at the end never blocks a dashboard that is mid-recomputation.
+//! sits on a [`ShardedEngine`] with its suite pinned — the production
+//! path `eba-serve` uses: every view below reads one pinned epoch vector
+//! and the explained/unexplained partition it carries (maintained inside
+//! ingest, never re-evaluated here), and each overnight batch is
+//! published with `session.ingest(..)` — the refresh-on-ingest loop at
+//! the end never blocks a dashboard that is mid-recomputation.
 //! Clock-skewed accesses (a workstation stamping day 0) land in the
 //! timeline's explicit overflow bucket instead of silently inflating the
 //! compliance rate.
@@ -23,12 +25,12 @@
 use eba::audit::groups::{collaborative_groups, install_groups};
 use eba::audit::handcrafted::{same_group, EventTable, HandcraftedTemplates};
 use eba::audit::investigate::{diagnose, looks_like_snooping};
-use eba::audit::portal::misuse_summary_at;
-use eba::audit::timeline::{daily_stats_at, Timeline};
-use eba::audit::{split, Explainer};
+use eba::audit::portal::misuse_summary;
+use eba::audit::timeline::{daily_stats, Timeline};
+use eba::audit::{split, AuditView, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::LogSpec;
-use eba::relational::{Epoch, SharedEngine, Value};
+use eba::relational::{ShardKey, ShardedEngine, Value};
 use eba::synth::{Hospital, SynthConfig};
 
 fn print_timeline(timeline: &Timeline) {
@@ -75,30 +77,39 @@ fn main() {
     }
     let explainer = Explainer::new(templates);
 
-    // The long-running office session: the database moves into a
-    // snapshot-handoff cell; every view below pins one epoch, the ingest
-    // loop at the end publishes new ones.
-    let session = SharedEngine::new(hospital.db.clone());
-    let epoch = session.load();
+    // The long-running office session: the database moves into the
+    // snapshot-handoff cell (one shard — its row ids are the log's own)
+    // with the suite pinned; every view below pins one epoch vector, the
+    // ingest loop at the end publishes new ones.
+    let key = ShardKey {
+        table: spec.table,
+        col: spec.patient_col,
+    };
+    let session = ShardedEngine::new(hospital.db.clone(), key, 1);
+    let pin = session.pin_suite(explainer.suite_pin(&spec));
+    let epochs = session.load();
+    let view = AuditView::pinned(&epochs);
+    let partition = epochs.maintained(pin).expect("the suite is pinned");
+    let db = epochs.shards()[0].db();
 
     // ---- 1. the timeline -----------------------------------------------
-    println!("== Daily explanation timeline (epoch {}) ==", epoch.seq());
-    let timeline = daily_stats_at(
+    println!("== Daily explanation timeline (epoch {}) ==", epochs.seq());
+    let timeline = daily_stats(
+        &view,
         &spec,
         &hospital.log_cols,
-        &explainer,
         hospital.config.days,
-        &epoch,
+        &partition.explained,
     );
     print_timeline(&timeline);
 
     // ---- 2. the triage queue -------------------------------------------
     println!("\n== Triage queue (top unexplained users) ==");
-    let queue = misuse_summary_at(&spec, &explainer, &epoch);
+    let queue = misuse_summary(&view, &spec, &partition.unexplained);
     for s in queue.iter().take(5) {
         println!(
             "user {:<6} {:>4} unexplained accesses across {:>4} patients",
-            s.user.display(epoch.db().pool()).to_string(),
+            s.user.display(db.pool()).to_string(),
             s.unexplained,
             s.distinct_patients
         );
@@ -106,11 +117,11 @@ fn main() {
 
     // ---- 3. investigation: classify the unexplained ---------------------
     println!("\n== Investigation of unexplained accesses ==");
-    let unexplained = explainer.unexplained_rows_at(&spec, &epoch);
+    let unexplained = &partition.unexplained;
     let mut snoop_like = 0usize;
     let mut data_gap = 0usize;
-    for &rid in &unexplained {
-        let d = diagnose(epoch.db(), &spec, &explainer, rid).expect("valid templates");
+    for rid in unexplained.iter() {
+        let d = diagnose(db, &spec, &explainer, rid).expect("valid templates");
         if looks_like_snooping(&d) {
             snoop_like += 1;
         } else {
@@ -125,17 +136,17 @@ fn main() {
     );
 
     // Show one concrete investigation, from the same frozen epoch.
-    if let Some(&rid) = unexplained.iter().find(|&&rid| {
-        let d = diagnose(epoch.db(), &spec, &explainer, rid).expect("valid");
+    if let Some(rid) = unexplained.iter().find(|&rid| {
+        let d = diagnose(db, &spec, &explainer, rid).expect("valid");
         looks_like_snooping(&d)
     }) {
-        let row = epoch.db().table(hospital.t_log).row(rid);
+        let row = db.table(hospital.t_log).row(rid);
         println!(
             "\nexample: user {} accessed patient {}'s record — closest template verdicts:",
-            row[hospital.log_cols.user].display(epoch.db().pool()),
-            row[hospital.log_cols.patient].display(epoch.db().pool()),
+            row[hospital.log_cols.user].display(db.pool()),
+            row[hospital.log_cols.patient].display(db.pool()),
         );
-        for d in diagnose(epoch.db(), &spec, &explainer, rid)
+        for d in diagnose(db, &spec, &explainer, rid)
             .expect("valid")
             .iter()
             .take(3)
@@ -155,51 +166,70 @@ fn main() {
     let patients: Vec<Value> = (0..hospital.world.n_patients())
         .map(|p| hospital.patient_value(p))
         .collect();
+    // The night's feed: the hospital's own copy of the log keeps growing
+    // and each batch of new rows is handed to the session.
+    let mut feed = hospital.db.clone();
     for round in 0..2u64 {
         let skewed = if round == 1 { 7 } else { 0 };
-        let (_, report) = session.ingest(|db| {
-            eba::audit::fake::FakeLog::inject(
-                db,
-                hospital.t_log,
-                &hospital.log_cols,
-                &users,
-                &patients,
-                150,
-                hospital.config.days,
-                0xD45_u64 + round,
-            );
-            // The skewed workstation: same accesses, impossible day stamp.
-            let arity = db.table(hospital.t_log).schema().arity();
-            for i in 0..skewed {
-                let mut row = vec![Value::Null; arity];
-                row[hospital.log_cols.lid] = Value::Int(900_000 + i);
-                row[hospital.log_cols.date] = Value::Date(0);
-                row[hospital.log_cols.user] = users[i as usize % users.len()];
-                row[hospital.log_cols.patient] = patients[i as usize % patients.len()];
-                row[hospital.log_cols.day] = Value::Int(0);
-                row[hospital.log_cols.is_first] = Value::Int(0);
-                db.insert(hospital.t_log, row).unwrap();
+        let before = feed.table(hospital.t_log).len();
+        eba::audit::fake::FakeLog::inject(
+            &mut feed,
+            hospital.t_log,
+            &hospital.log_cols,
+            &users,
+            &patients,
+            150,
+            hospital.config.days,
+            0xD45_u64 + round,
+        );
+        // The skewed workstation: same accesses, impossible day stamp.
+        let arity = feed.table(hospital.t_log).schema().arity();
+        for i in 0..skewed {
+            let mut row = vec![Value::Null; arity];
+            row[hospital.log_cols.lid] = Value::Int(900_000 + i);
+            row[hospital.log_cols.date] = Value::Date(0);
+            row[hospital.log_cols.user] = users[i as usize % users.len()];
+            row[hospital.log_cols.patient] = patients[i as usize % patients.len()];
+            row[hospital.log_cols.day] = Value::Int(0);
+            row[hospital.log_cols.is_first] = Value::Int(0);
+            feed.insert(hospital.t_log, row).unwrap();
+        }
+        let log = feed.table(hospital.t_log);
+        let (_, report) = session.ingest(|batch| {
+            for rid in before..log.len() {
+                // Strings are interned through the batch so every shard
+                // pool stays aligned with the feed's.
+                let row: Vec<Value> = log
+                    .row(rid as u32)
+                    .iter()
+                    .map(|v| match v {
+                        Value::Str(s) => batch.str_value(feed.pool().resolve(*s)),
+                        other => *other,
+                    })
+                    .collect();
+                batch.insert_log(row).unwrap();
             }
         });
         // A refused incremental refresh (rebuild fallback) is an
         // operational event the office must hear about, not a flag to
         // silently absorb.
-        if let Some(warning) = report.fallback_warning() {
+        for warning in report.fallback_warnings() {
             eprintln!("!! {warning}");
         }
-        let epoch: std::sync::Arc<Epoch> = session.load();
-        let timeline = daily_stats_at(
+        let epochs = session.load();
+        let partition = epochs.maintained(pin).expect("the suite is pinned");
+        let timeline = daily_stats(
+            &AuditView::pinned(&epochs),
             &spec,
             &hospital.log_cols,
-            &explainer,
             hospital.config.days,
-            &epoch,
+            &partition.explained,
         );
         println!(
             "\nepoch {}: +{} rows ingested ({} step maps kept warm across the handoff)",
             report.seq,
-            report.refresh.delta.new_rows,
-            epoch.engine().cached_step_maps(),
+            report.new_rows(),
+            epochs.shards()[0].engine().cached_step_maps(),
         );
         print_timeline(&timeline);
     }

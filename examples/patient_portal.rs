@@ -14,9 +14,10 @@
 use eba::audit::groups::{collaborative_groups, install_groups};
 use eba::audit::handcrafted::{same_group, EventTable, HandcraftedTemplates};
 use eba::audit::portal::patient_report;
-use eba::audit::{split, Explainer};
+use eba::audit::{split, AuditView, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::LogSpec;
+use eba::relational::Engine;
 use eba::synth::{Hospital, SynthConfig};
 
 fn main() {
@@ -46,8 +47,10 @@ fn main() {
         .max_by_key(|(_, rows)| rows.len())
         .expect("log not empty");
 
-    let report = patient_report(&hospital.db, &spec, &hospital.log_cols, &explainer, patient)
-        .expect("report");
+    let engine = Engine::new(&hospital.db);
+    let view = AuditView::warm(&hospital.db, &engine);
+    let report =
+        patient_report(&view, &spec, &hospital.log_cols, &explainer, patient).expect("report");
     println!(
         "Access report for patient {} ({} accesses)\n",
         patient.display(hospital.db.pool()),

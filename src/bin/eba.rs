@@ -19,18 +19,19 @@
 //! as a long-running TCP service (the `eba-serve` line protocol — see
 //! `crates/server`); `client` drives one such command from a script.
 
+use eba::audit::explain::{explained, unexplained};
 use eba::audit::groups::{collaborative_groups, install_groups};
 use eba::audit::handcrafted::{same_group, EventTable, HandcraftedTemplates};
 use eba::audit::investigate::{diagnose, looks_like_snooping};
-use eba::audit::portal::patient_report;
-use eba::audit::Explainer;
+use eba::audit::portal::{misuse_summary, patient_report};
+use eba::audit::{AuditView, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::describe::auto_description;
 use eba::core::{
     mine_bridge, mine_one_way, mine_two_way, ExplanationTemplate, LogSpec, MiningConfig,
     MiningResult,
 };
-use eba::relational::{csv, Database, Value};
+use eba::relational::{csv, Database, Engine, Value};
 use eba::synth::{
     create_careweb_tables, declare_careweb_relationships, Hospital, LogColumns, SynthConfig,
 };
@@ -347,8 +348,9 @@ fn cmd_report(opts: &Options) -> CliResult {
         usage("--patient is required");
     }
     let explainer = build_explainer(&loaded, with_groups)?;
+    let engine = Engine::new(&loaded.db);
     let report = patient_report(
-        &loaded.db,
+        &AuditView::warm(&loaded.db, &engine),
         &loaded.spec,
         &loaded.cols,
         &explainer,
@@ -572,15 +574,14 @@ fn cmd_investigate(opts: &Options) -> CliResult {
         add_groups(&mut loaded)?;
     }
     let explainer = build_explainer(&loaded, with_groups)?;
-    // The session engine: the loaded database moves into a snapshot-
-    // handoff cell and the whole investigation pins one epoch — a live
-    // deployment tailing the log would `session.ingest(...)` concurrently
-    // and this session would neither block it nor see a torn view.
+    // One warm engine, one suite evaluation: the residue it leaves
+    // feeds the headline, the diagnosis loop and the triage queue.
     let spec = loaded.spec;
-    let session = eba::relational::SharedEngine::new(loaded.db);
-    let epoch = session.load();
-    let db = epoch.db();
-    let unexplained = explainer.unexplained_rows_at(&spec, &epoch);
+    let db = &loaded.db;
+    let engine = Engine::new(db);
+    let view = AuditView::warm(db, &engine);
+    let explained = explained(&view, &spec, explainer.templates());
+    let unexplained = unexplained(&view, &spec, &explained);
     let total = db.table(spec.table).len();
     println!(
         "{} of {} accesses unexplained ({:.1}%)",
@@ -589,7 +590,7 @@ fn cmd_investigate(opts: &Options) -> CliResult {
         100.0 * unexplained.len() as f64 / total.max(1) as f64
     );
     let mut snoop_like = 0usize;
-    for &rid in &unexplained {
+    for rid in unexplained.iter() {
         if looks_like_snooping(&diagnose(db, &spec, &explainer, rid)?) {
             snoop_like += 1;
         }
@@ -601,7 +602,7 @@ fn cmd_investigate(opts: &Options) -> CliResult {
     );
     let top: usize = opts.parsed("top", 10);
     println!("\ntop users by unexplained accesses:");
-    let queue = eba::audit::portal::misuse_summary_at(&spec, &explainer, &epoch);
+    let queue = misuse_summary(&view, &spec, &unexplained);
     for s in queue.iter().take(top) {
         println!(
             "  user {:<8} {:>5} unexplained across {:>5} patients",

@@ -13,9 +13,10 @@
 //! * [`cluster`] — modularity-based collaborative-group inference (§4)
 //! * [`synth`] — synthetic CareWeb-like hospital data generator (§5.2)
 //! * [`core`] — explanation templates and mining algorithms (§2–3)
-//! * [`audit`] — user-centric auditing, misuse triage and evaluation (§5)
+//! * [`audit`] — user-centric auditing, misuse triage and evaluation
+//!   (§5): one read-side `AuditView`, one function per audit question
 //! * [`server`] — `eba-serve`: the concurrent audit service (line protocol
-//!   over TCP, epoch-pinned sessions on a `SharedEngine`)
+//!   over TCP, epoch-pinned sessions on the `ShardedEngine` epoch handle)
 //! * [`experiments`] — per-figure/table reproduction of the evaluation
 //!
 //! ## Quickstart

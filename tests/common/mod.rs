@@ -8,12 +8,16 @@
 
 pub mod chaos;
 
+use eba::audit::explain::{anchors, explained, unexplained};
 use eba::audit::handcrafted::HandcraftedTemplates;
-use eba::audit::Explainer;
+use eba::audit::{metrics, portal, timeline, AuditView, Explainer};
 use eba::core::LogSpec;
-use eba::relational::{ChainQuery, StringPool, Table, Value};
+use eba::relational::{
+    ChainQuery, Database, Engine, EpochVec, EvalOptions, ShardKey, ShardedBatch, ShardedEngine,
+    ShardedIngestReport, StringPool, Table, TableId, Value,
+};
 use eba::synth::{Hospital, SynthConfig};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -80,6 +84,20 @@ impl AuditWorld {
         }
     }
 
+    /// The partition key every suite shards by — the spec's patient
+    /// column, exactly what the serving layer uses.
+    pub fn key(&self) -> ShardKey {
+        ShardKey {
+            table: self.spec.table,
+            col: self.spec.patient_col,
+        }
+    }
+
+    /// The unsharded oracle over the world's base data.
+    pub fn oracle(&self) -> Oracle {
+        Oracle::new(self.hospital.db.clone(), self.spec.table)
+    }
+
     /// The suite lowered to chain queries, in template order.
     pub fn suite(&self) -> Vec<ChainQuery> {
         self.explainer
@@ -91,7 +109,7 @@ impl AuditWorld {
 
     /// Appends one batch of fake accesses to `db` (the writer's ingest
     /// payload; deterministic per `seed`).
-    pub fn inject_batch(&self, db: &mut eba::relational::Database, count: usize, seed: u64) {
+    pub fn inject_batch(&self, db: &mut Database, count: usize, seed: u64) {
         eba::audit::fake::FakeLog::inject(
             db,
             self.hospital.t_log,
@@ -103,6 +121,211 @@ impl AuditWorld {
             seed,
         );
     }
+}
+
+/// The unsharded **oracle** of the differential suites: a plain
+/// [`Database`] the test mutates, counted in epochs, with a cold
+/// [`Engine::new`] built per epoch it is asked about. It shares no
+/// `fork`/`refresh`/advance code with the [`ShardedEngine`] under test —
+/// every answer it gives comes from a from-scratch snapshot.
+pub struct Oracle {
+    pub db: Database,
+    /// Epochs published so far (0 = the base data).
+    pub seq: u64,
+    log: TableId,
+}
+
+impl Oracle {
+    pub fn new(db: Database, log: TableId) -> Oracle {
+        Oracle { db, seq: 0, log }
+    }
+
+    /// Applies `mutate` as one epoch and returns the log rows it
+    /// appended, ready for [`ingest_rows`] to feed the subject.
+    pub fn ingest(&mut self, mutate: impl FnOnce(&mut Database)) -> Vec<Vec<Value>> {
+        let before = self.log_len();
+        mutate(&mut self.db);
+        self.seq += 1;
+        let log = self.db.table(self.log);
+        (before..log.len())
+            .map(|r| log.row(r as u32).to_vec())
+            .collect()
+    }
+
+    pub fn log_len(&self) -> usize {
+        self.db.table(self.log).len()
+    }
+
+    /// A cold engine over the oracle's current state.
+    pub fn engine(&self) -> Engine {
+        Engine::new(&self.db)
+    }
+}
+
+/// Stages log `rows` (valid against `source`) into an in-flight batch,
+/// strings re-interned through the batch so shard pools stay aligned.
+/// Returns the rows as inserted (what a persist hook records).
+pub fn stage_rows(
+    batch: &mut ShardedBatch,
+    source: &Database,
+    rows: &[Vec<Value>],
+) -> Vec<Vec<Value>> {
+    rows.iter()
+        .map(|row| {
+            let mapped: Vec<Value> = row
+                .iter()
+                .map(|v| match v {
+                    Value::Str(s) => batch.str_value(source.pool().resolve(*s)),
+                    other => *other,
+                })
+                .collect();
+            batch.insert_log(mapped.clone()).expect("valid log row");
+            mapped
+        })
+        .collect()
+}
+
+/// Ingests log `rows` (valid against `source`) into `sharded` as one
+/// epoch.
+pub fn ingest_rows(
+    sharded: &ShardedEngine,
+    source: &Database,
+    rows: &[Vec<Value>],
+) -> ShardedIngestReport {
+    sharded
+        .ingest(|batch| {
+            stage_rows(batch, source, rows);
+        })
+        .1
+}
+
+// ------------------------------------------------ differential transcripts
+//
+// Every differential suite renders the full audit answer — per-query
+// support and explained global row ids, the unexplained list, the
+// recall/precision confusion counts, the day-bucketed timeline, the
+// misuse triage queue, and per-patient portal reports — to one string,
+// and compares the subject's string with the oracle's.
+
+/// Patients whose portal reports the transcript includes (first, middle,
+/// last of the pool — enough to cross shard boundaries at any count).
+pub fn report_patients(world: &AuditWorld) -> Vec<Value> {
+    let p = &world.patients;
+    vec![p[0], p[p.len() / 2], p[p.len() - 1]]
+}
+
+/// Renders the audit transcript of one view. The oracle and the
+/// scatter-gather path share this rendering *and* the audit layer's one
+/// function per question; what differs is everything underneath — a cold
+/// engine over one flat database versus forked, incrementally refreshed
+/// shard engines behind local→global maps — plus the per-query rows,
+/// which the caller supplies (the oracle's come from the cold
+/// per-template walk, not from any engine).
+fn render(
+    world: &AuditWorld,
+    log_len: usize,
+    per_query: Vec<(usize, Vec<u32>)>,
+    view: &AuditView,
+) -> String {
+    let spec = &world.spec;
+    let cols = &world.hospital.log_cols;
+    let mut out = format!("log {log_len}\n");
+    for (i, (support, rows)) in per_query.iter().enumerate() {
+        out.push_str(&format!("q{i} support {support} rows {rows:?}\n"));
+    }
+    let explained = explained(view, spec, world.explainer.templates());
+    let residue = unexplained(view, spec, &explained);
+    out.push_str(&format!("unexplained {:?}\n", residue.to_vec()));
+    let confusion = metrics::evaluate(&anchors(view, spec), &explained, None, None);
+    out.push_str(&format!(
+        "confusion real {}/{} fake {}/{} with_events {}\n",
+        confusion.real_explained,
+        confusion.real_total,
+        confusion.fake_explained,
+        confusion.fake_total,
+        confusion.real_with_events
+    ));
+    let t = timeline::daily_stats(view, spec, cols, world.hospital.config.days, &explained);
+    for s in &t.days {
+        out.push_str(&format!(
+            "day {} {} {} {} {}\n",
+            s.day, s.total, s.explained, s.first_accesses, s.first_explained
+        ));
+    }
+    out.push_str(&format!(
+        "overflow {} {} {} {} dropped {}\n",
+        t.overflow.total,
+        t.overflow.explained,
+        t.overflow.first_accesses,
+        t.overflow.first_explained,
+        t.dropped()
+    ));
+    for s in portal::misuse_summary(view, spec, &residue) {
+        out.push_str(&format!(
+            "suspect {:?} {} {}\n",
+            s.user, s.unexplained, s.distinct_patients
+        ));
+    }
+    for p in report_patients(world) {
+        out.push_str(&format!("report {p:?}\n"));
+        let report = portal::patient_report(view, spec, cols, &world.explainer, p)
+            .expect("report evaluates");
+        for e in report {
+            out.push_str(&format!(
+                "  {} {:?} {:?} {:?} {}\n",
+                e.row,
+                e.lid,
+                e.date,
+                e.user,
+                e.display_text()
+            ));
+        }
+    }
+    out
+}
+
+/// The oracle's full audit transcript at its current epoch: per-query answers from
+/// the reference row evaluator on the bare database, everything else
+/// from a cold engine built for this call.
+pub fn oracle_transcript(world: &AuditWorld, oracle: &Oracle) -> String {
+    let per_query = world
+        .suite()
+        .iter()
+        .map(|q| {
+            (
+                q.support(&oracle.db, EvalOptions::default())
+                    .expect("suite evaluates"),
+                q.explained_rows(&oracle.db, EvalOptions::default())
+                    .expect("suite evaluates"),
+            )
+        })
+        .collect();
+    let engine = oracle.engine();
+    render(
+        world,
+        oracle.log_len(),
+        per_query,
+        &AuditView::warm(&oracle.db, &engine),
+    )
+}
+
+/// The scatter-gather transcript at one epoch vector. Row ids are global,
+/// so a correct implementation renders byte-identically to the oracle.
+pub fn sharded_transcript(world: &AuditWorld, epochs: &EpochVec) -> String {
+    let view = AuditView::pinned(epochs);
+    let per_query = world
+        .suite()
+        .iter()
+        .map(|q| {
+            let rows = view.eval_suite(std::slice::from_ref(q)).to_vec();
+            let lids: HashSet<Value> = rows
+                .iter()
+                .map(|&r| view.log_row(q.log, r).1[q.lid_col])
+                .collect();
+            (lids.len(), rows)
+        })
+        .collect();
+    render(world, epochs.global_log_len(), per_query, &view)
 }
 
 /// Observations of published epochs, keyed by sequence number: whoever

@@ -1,11 +1,13 @@
 //! Full-pipeline integration tests: synthesize → cluster → install groups →
 //! mine → explain → audit, checking the paper's qualitative claims hold.
 
+use eba::audit::explain::{anchors, explained, explained_cold, unexplained};
 use eba::audit::groups::{collaborative_groups, install_groups};
 use eba::audit::handcrafted::{same_group, EventTable, HandcraftedTemplates};
-use eba::audit::{metrics, split, Explainer};
+use eba::audit::{metrics, split, AuditView, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::{mine_one_way, ExplanationTemplate, LogSpec, MiningConfig};
+use eba::relational::Engine;
 use eba::synth::{AccessReason, Hospital, SynthConfig};
 
 fn pipeline(config: SynthConfig) -> (Hospital, LogSpec, Explainer) {
@@ -27,7 +29,7 @@ fn pipeline(config: SynthConfig) -> (Hospital, LogSpec, Explainer) {
 #[test]
 fn most_accesses_are_explained() {
     let (hospital, spec, explainer) = pipeline(SynthConfig::small());
-    let explained = explainer.explained_rows(&hospital.db, &spec);
+    let explained = explained_cold(&hospital.db, &spec, explainer.templates());
     let frac = explained.len() as f64 / hospital.log_len() as f64;
     // The paper's headline is >94% on complete data; our synthetic world
     // has a deliberate unexplainable residue (floats + truncation).
@@ -37,13 +39,13 @@ fn most_accesses_are_explained() {
 #[test]
 fn explainability_matches_ground_truth_labels() {
     let (hospital, spec, explainer) = pipeline(SynthConfig::small());
-    let explained = explainer.explained_rows(&hospital.db, &spec);
+    let explained = explained_cold(&hospital.db, &spec, explainer.templates());
     let mut by_reason: std::collections::HashMap<AccessReason, (usize, usize)> =
         std::collections::HashMap::new();
     for rid in 0..hospital.log_len() as u32 {
         let entry = by_reason.entry(hospital.reason_of(rid)).or_default();
         entry.1 += 1;
-        if explained.contains(&rid) {
+        if explained.contains(rid) {
             entry.0 += 1;
         }
     }
@@ -76,14 +78,17 @@ fn snoops_surface_as_unexplained() {
         ..SynthConfig::small()
     };
     let (hospital, spec, explainer) = pipeline(config);
-    let unexplained: std::collections::HashSet<u32> = explainer
-        .unexplained_rows(&hospital.db, &spec)
-        .into_iter()
-        .collect();
+    let engine = Engine::new(&hospital.db);
+    let view = AuditView::warm(&hospital.db, &engine);
+    let unexplained = unexplained(
+        &view,
+        &spec,
+        &explained(&view, &spec, explainer.templates()),
+    );
     let snoops: Vec<u32> = (0..hospital.log_len() as u32)
         .filter(|&r| hospital.reason_of(r) == AccessReason::Snoop)
         .collect();
-    let caught = snoops.iter().filter(|r| unexplained.contains(r)).count();
+    let caught = snoops.iter().filter(|&&r| unexplained.contains(r)).count();
     // Most snoops are flagged; a few coincide with legitimate relationships
     // (exactly the residual risk the paper acknowledges).
     assert!(
@@ -142,8 +147,14 @@ fn mined_templates_include_supported_handcrafted_ones() {
 fn evaluation_metrics_are_consistent() {
     let (hospital, spec, explainer) = pipeline(SynthConfig::tiny());
     let day7 = spec.with_filters(split::days_first(&hospital.log_cols, 7, 7));
-    let refs: Vec<&ExplanationTemplate> = explainer.templates().iter().collect();
-    let c = metrics::evaluate(&hospital.db, &day7, &refs, None, None);
+    let engine = Engine::new(&hospital.db);
+    let view = AuditView::warm(&hospital.db, &engine);
+    let c = metrics::evaluate(
+        &anchors(&view, &day7),
+        &explained(&view, &day7, explainer.templates()),
+        None,
+        None,
+    );
     assert_eq!(c.fake_total, 0);
     assert!(c.real_explained <= c.real_total);
     assert!((0.0..=1.0).contains(&c.recall()));
@@ -155,7 +166,7 @@ fn determinism_across_identical_runs() {
     let a = pipeline(SynthConfig::tiny());
     let b = pipeline(SynthConfig::tiny());
     assert_eq!(a.0.log_len(), b.0.log_len());
-    let ra = a.2.explained_rows(&a.0.db, &a.1);
-    let rb = b.2.explained_rows(&b.0.db, &b.1);
+    let ra = explained_cold(&a.0.db, &a.1, a.2.templates());
+    let rb = explained_cold(&b.0.db, &b.1, b.2.templates());
     assert_eq!(ra, rb);
 }

@@ -6,19 +6,20 @@
 //! databases, and mining must produce the same template set with the
 //! engine on and off.
 //!
-//! The same guarantee covers the engine-backed **audit layer**
-//! ([`Explainer::explained_rows_with`] and friends) and survives
+//! The same guarantee covers the engine-backed **audit layer** (every
+//! question asked of an [`AuditView`]) and survives
 //! **incremental appends**: a warm engine brought up to date with
 //! [`Engine::refresh`] must keep matching both the per-query path and a
 //! freshly-built engine as the database grows.
 
+use eba::audit::explain::{anchors, explained, explained_cold, unexplained};
 use eba::audit::handcrafted::{same_group, EventTable, HandcraftedTemplates};
-use eba::audit::{metrics, portal, timeline, Explainer};
+use eba::audit::{AuditView, Explainer};
 use eba::core::mining::{mine_one_way, mine_two_way, refine, DecorationCandidate};
 use eba::core::{LogSpec, MiningConfig};
 use eba::relational::{
-    ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RefreshError,
-    SharedEngine, TableId, Value,
+    ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RefreshError, RowSet,
+    ShardedEngine, TableId, Value,
 };
 use eba::synth::{Hospital, SynthConfig};
 use proptest::prelude::*;
@@ -138,46 +139,23 @@ fn engine_backed_audit_layer_matches_per_query_path() {
         let h = Hospital::generate(config);
         let spec = LogSpec::conventional(&h.db).unwrap();
         let t = HandcraftedTemplates::build(&h.db, &spec).unwrap();
-        let explainer = Explainer::new(t.all().into_iter().cloned().collect());
         let engine = Engine::new(&h.db);
-        assert_eq!(
-            explainer.explained_rows_with(&h.db, &spec, &engine),
-            explainer.explained_rows(&h.db, &spec),
-            "seed {seed}: explained sets"
-        );
-        assert_eq!(
-            explainer.unexplained_rows_with(&h.db, &spec, &engine),
-            explainer.unexplained_rows(&h.db, &spec),
-            "seed {seed}: unexplained sets"
-        );
-        let suite = t.all();
-        assert_eq!(
-            metrics::explained_union_with(&h.db, &spec, &suite, &engine),
-            metrics::explained_union(&h.db, &spec, &suite),
-            "seed {seed}: metrics union"
-        );
-        assert_eq!(
-            metrics::evaluate_with(&h.db, &spec, &suite, None, None, &engine),
-            metrics::evaluate(&h.db, &spec, &suite, None, None),
-            "seed {seed}: confusion"
-        );
-        assert_eq!(
-            timeline::daily_stats_with(
-                &h.db,
-                &spec,
-                &h.log_cols,
-                &explainer,
-                h.config.days,
-                &engine
-            ),
-            timeline::daily_stats(&h.db, &spec, &h.log_cols, &explainer, h.config.days),
-            "seed {seed}: timeline"
-        );
-        assert_eq!(
-            portal::misuse_summary_with(&h.db, &spec, &explainer, &engine),
-            portal::misuse_summary(&h.db, &spec, &explainer),
-            "seed {seed}: misuse summary"
-        );
+        let view = AuditView::warm(&h.db, &engine);
+        // Every report of the audit layer is a function of the view and
+        // the explained set, so the warm path matches the per-query path
+        // as soon as the sets do — for the whole suite and for subsets.
+        let all: RowSet = (0..h.log_len() as u32).collect();
+        assert_eq!(anchors(&view, &spec), all, "seed {seed}: anchors");
+        for (what, templates) in [("suite", t.all()), ("repeat", t.all_with_repeat())] {
+            let cold = explained_cold(&h.db, &spec, templates.iter().copied());
+            let warm = explained(&view, &spec, templates);
+            assert_eq!(warm, cold, "seed {seed}: {what} explained sets");
+            assert_eq!(
+                unexplained(&view, &spec, &warm),
+                all.difference(&cold),
+                "seed {seed}: {what} unexplained sets"
+            );
+        }
     }
 }
 
@@ -189,7 +167,11 @@ fn engine_backed_audit_survives_incremental_appends() {
     let explainer = Explainer::new(t.all().into_iter().cloned().collect());
     let mut engine = Engine::new(&h.db);
     // Warm every cache the suite uses before the appends.
-    let _ = explainer.explained_rows_with(&h.db, &spec, &engine);
+    let _ = explained(
+        &AuditView::warm(&h.db, &engine),
+        &spec,
+        explainer.templates(),
+    );
 
     let users = eba::audit::fake::user_pool(&h.db);
     let patients: Vec<Value> = (0..h.world.n_patients())
@@ -223,21 +205,27 @@ fn engine_backed_audit_survives_incremental_appends() {
 
         // The refreshed warm engine, a fresh engine, and the per-query
         // path must agree exactly.
-        let per_query = explainer.explained_rows(&h.db, &spec);
+        let per_query = explained_cold(&h.db, &spec, explainer.templates());
+        let refreshed = AuditView::warm(&h.db, &engine);
         assert_eq!(
-            explainer.explained_rows_with(&h.db, &spec, &engine),
+            explained(&refreshed, &spec, explainer.templates()),
             per_query,
             "round {round}: refreshed engine vs per-query"
         );
         let fresh = Engine::new(&h.db);
         assert_eq!(
-            explainer.explained_rows_with(&h.db, &spec, &fresh),
+            explained(
+                &AuditView::warm(&h.db, &fresh),
+                &spec,
+                explainer.templates()
+            ),
             per_query,
             "round {round}: fresh engine vs per-query"
         );
+        let all: RowSet = (0..h.log_len() as u32).collect();
         assert_eq!(
-            explainer.unexplained_rows_with(&h.db, &spec, &engine),
-            explainer.unexplained_rows(&h.db, &spec),
+            unexplained(&refreshed, &spec, &per_query),
+            all.difference(&per_query),
             "round {round}: unexplained"
         );
         // And every individual query class still matches.
@@ -591,115 +579,113 @@ proptest! {
 
 // ------------------------------------------------ concurrent snapshot handoff
 
-/// The tentpole guarantee: N reader threads query a [`SharedEngine`] while
-/// the writer appends + publishes. Every answer a reader observes must be
-/// exactly the answer of *some published epoch* — enforced by (a) epochs
-/// being internally consistent (engine result == row-evaluator result over
-/// the epoch's own frozen database), (b) sequence numbers moving only
-/// forward per reader, and (c) all observers agreeing on each epoch's
-/// contents (same seq ⇒ same log length).
+/// The handoff guarantee: N reader threads query a [`ShardedEngine`] (at
+/// `EBA_TEST_SHARDS`) while the writer appends + publishes. Every answer
+/// a reader observes must be exactly the answer of *some published
+/// epoch* — enforced by (a) epochs being internally consistent (every
+/// shard engine's result == row-evaluator result over the shard's own
+/// frozen database), (b) sequence numbers moving only forward per reader,
+/// and (c) all observers agreeing on each epoch's contents (same seq ⇒
+/// same log length).
 #[test]
 fn shared_engine_readers_always_observe_a_published_epoch() {
     let world = common::AuditWorld::tiny(SynthConfig::tiny().seed);
     let spec = &world.spec;
     let suite = world.suite();
-    // Seal the seed data so the initial epoch already owns sealed
-    // (Arc-shared) row segments — the segment-sharing assertions below
-    // then cover real sharing, not empty prefixes.
-    let shared = SharedEngine::new({
-        let mut db = world.hospital.db.clone();
-        db.seal();
-        db
-    });
+    let opts = EvalOptions::default();
+    // `ShardedEngine::new` seals the partitioned seed data, so the
+    // initial vector already owns sealed (Arc-shared) row segments — the
+    // segment-sharing assertions below cover real sharing, not empty
+    // prefixes.
+    let shared = ShardedEngine::new(
+        world.hospital.db.clone(),
+        world.key(),
+        common::test_shards(),
+    );
     let rounds = 4u64;
     let epochs = common::EpochLog::new();
     // Pin down the initial epoch before any thread runs: under a loaded
     // scheduler the writer can publish seq 1 before a reader's first
     // load, and seq 0 would otherwise go unobserved.
-    epochs.observe(0, shared.load().db().table(spec.table).len());
-    // A pinned session: its epoch must answer byte-identically for the
-    // whole run even though every newer epoch shares its sealed
+    epochs.observe(0, shared.load().global_log_len());
+    // A pinned session: its vector must answer byte-identically for the
+    // whole run even though every newer vector shares its sealed
     // segments (catches in-place mutation of a shared chunk).
     let pinned = shared.load();
-    let pinned_answers: Vec<Vec<eba::relational::RowId>> = suite
-        .iter()
-        .map(|q| {
-            pinned
-                .engine()
-                .explained_rows(pinned.db(), q, EvalOptions::default())
-                .unwrap()
-        })
-        .collect();
+    let answer = |vec: &eba::relational::EpochVec, q: &ChainQuery| {
+        vec.eval_suite(std::slice::from_ref(q), opts)
+            .remove(0)
+            .unwrap()
+    };
+    let pinned_answers: Vec<RowSet> = suite.iter().map(|q| answer(&pinned, q)).collect();
     assert!(
-        !pinned
-            .db()
-            .table(spec.table)
-            .sealed_row_segments()
-            .is_empty(),
+        pinned
+            .shards()
+            .iter()
+            .any(|s| !s.db().table(spec.table).sealed_row_segments().is_empty()),
         "sealed seed data spans at least one segment"
     );
+
+    // The writer's payload: the canonical batches of an unsharded oracle.
+    let mut oracle = world.oracle();
+    let batches: Vec<_> = (0..rounds)
+        .map(|round| oracle.ingest(|db| world.inject_batch(db, 25, 0xF00 + round)))
+        .collect();
 
     common::readers_vs_writer(
         3,
         |_, done| {
             let mut last_seq = 0u64;
             common::reader_loop(done, |checked| {
-                let epoch = shared.load();
-                assert!(epoch.seq() >= last_seq, "epoch went backwards");
-                last_seq = epoch.seq();
-                epochs.observe(epoch.seq(), epoch.db().table(spec.table).len());
-                // The answer must be the published epoch's answer: the
-                // engine agrees with the reference row evaluator over
-                // the epoch's own frozen database, for the whole suite.
+                let vec = shared.load();
+                assert!(vec.seq() >= last_seq, "epoch went backwards");
+                last_seq = vec.seq();
+                epochs.observe(vec.seq(), vec.global_log_len());
                 let q = &suite[checked % suite.len()];
-                assert_eq!(
-                    epoch
-                        .engine()
-                        .explained_rows(epoch.db(), q, EvalOptions::default())
-                        .unwrap(),
-                    q.explained_rows(epoch.db(), EvalOptions::default())
-                        .unwrap(),
-                    "epoch {} inconsistent",
-                    epoch.seq()
-                );
-                // Segmented storage: the current epoch shares the pinned
-                // epoch's sealed log segments by pointer...
-                common::assert_sealed_segments_shared(
-                    pinned.db().table(spec.table),
-                    epoch.db().table(spec.table),
-                    "pinned epoch vs current",
-                );
+                for (shard, old) in vec.shards().iter().zip(pinned.shards()) {
+                    // The answer must be the published epoch's answer:
+                    // the engine agrees with the reference row evaluator
+                    // over the shard's own frozen database.
+                    assert_eq!(
+                        shard.engine().explained_rows(shard.db(), q, opts).unwrap(),
+                        q.explained_rows(shard.db(), opts).unwrap(),
+                        "epoch {} inconsistent",
+                        vec.seq()
+                    );
+                    // Segmented storage: the current epoch shares the
+                    // pinned epoch's sealed log segments by pointer...
+                    common::assert_sealed_segments_shared(
+                        old.db().table(spec.table),
+                        shard.db().table(spec.table),
+                        "pinned epoch vs current",
+                    );
+                }
                 // ...and the pinned epoch's answers stay byte-stable.
                 assert_eq!(
-                    pinned
-                        .engine()
-                        .explained_rows(pinned.db(), q, EvalOptions::default())
-                        .unwrap(),
+                    answer(&pinned, q),
                     pinned_answers[checked % suite.len()],
                     "pinned epoch answer drifted under concurrent ingests"
                 );
             });
         },
         || {
-            for round in 0..rounds {
-                let (_, report) = shared.ingest(|db| {
-                    world.inject_batch(db, 25, 0xF00 + round);
-                });
-                assert_eq!(report.seq, round + 1);
-                assert!(report.rebuilt.is_none());
-                epochs.observe(report.seq, shared.load().db().table(spec.table).len());
+            for (round, rows) in batches.iter().enumerate() {
+                let report = common::ingest_rows(&shared, &oracle.db, rows);
+                assert_eq!(report.seq, round as u64 + 1);
+                assert!(!report.rebuilt_any());
+                epochs.observe(report.seq, shared.load().global_log_len());
             }
         },
     );
 
     // Every published epoch was observed with a strictly growing log.
     epochs.assert_log_grew_each_epoch(rounds);
-    // And the final epoch matches the per-query path on its own database.
+    // And the final epoch matches the per-query path on the oracle.
     let last = shared.load();
     assert_eq!(last.seq(), rounds);
     assert_eq!(
-        world.explainer.explained_rows_at(spec, &last),
-        world.explainer.explained_rows(last.db(), spec)
+        explained(&AuditView::pinned(&last), spec, world.explainer.templates()),
+        explained_cold(&oracle.db, spec, world.explainer.templates())
     );
 }
 

@@ -2,14 +2,16 @@
 //! segment pile.
 //!
 //! Every test drives the same deterministic ingest workload twice — once
-//! through a purely in-memory [`SharedEngine`] (the oracle) and once
-//! through an engine whose persist hook appends to a [`DurableStore`] —
+//! into a purely in-memory oracle (`common::Oracle`: a plain database and
+//! a cold engine per epoch) and once through a [`ShardedEngine`] (at
+//! `EBA_TEST_SHARDS`) whose persist hook appends to a [`DurableStore`] —
 //! then "crashes" (tears the store's media mid-write with [`FaultAfter`],
 //! or just drops the store), "restarts" (re-opens the surviving bytes),
 //! replays the recovered batches one publication at a time, and asserts
-//! **byte-identical** audit answers (`explained_rows`, `support`, and the
-//! recall/precision confusion counts) for every surviving epoch against
-//! the oracle's transcript of the same epoch.
+//! **byte-identical** audit answers (the full `tests/common` transcript:
+//! per-query rows and support, residue, confusion counts, timeline,
+//! triage queue, portal reports) for every surviving epoch against the
+//! oracle's transcript of the same epoch.
 //!
 //! The contract under test, for every torn byte budget:
 //!
@@ -27,12 +29,11 @@
 
 mod common;
 
-use common::AuditWorld;
-use eba::audit::metrics;
+use common::{ingest_rows, oracle_transcript, sharded_transcript, stage_rows, AuditWorld};
 use eba::relational::pile::{default_checkpoint_rows, plain_batch, replay_into};
 use eba::relational::{
-    Batch, Durability, DurableStore, Epoch, EvalOptions, FaultAfter, Media, PileError, PlainValue,
-    SharedEngine, SharedMem, Value,
+    Batch, Durability, DurableStore, FaultAfter, Media, PileError, PlainValue, ShardedEngine,
+    SharedMem,
 };
 use std::path::PathBuf;
 
@@ -44,53 +45,13 @@ const CHECKPOINT_ROWS: usize = 4;
 
 // ---------------------------------------------------------------- harness
 
-/// The full audit answer for one epoch, rendered to text: per suite query
-/// the support count and the exact explained row ids, plus the confusion
-/// counts behind recall/precision. Two epochs answer identically iff
-/// their transcripts are byte-identical.
-fn transcript(world: &AuditWorld, epoch: &Epoch) -> String {
-    let mut out = String::new();
-    for (i, q) in world.suite().iter().enumerate() {
-        let rows = epoch
-            .engine()
-            .explained_rows(epoch.db(), q, EvalOptions::default())
-            .expect("suite query evaluates");
-        let support = epoch
-            .engine()
-            .support(epoch.db(), q, EvalOptions::default())
-            .expect("suite query evaluates");
-        out.push_str(&format!("q{i} support {support} rows {rows:?}\n"));
-    }
-    let templates: Vec<_> = world.explainer.templates().iter().collect();
-    let c = metrics::evaluate_at(&world.spec, &templates, None, None, epoch);
-    out.push_str(&format!(
-        "confusion real {}/{} fake {}/{} with_events {}\n",
-        c.real_explained, c.real_total, c.fake_explained, c.fake_total, c.real_with_events
-    ));
-    out
-}
-
-/// [`transcript`] over a sharded service's pinned epoch **vector** — the
-/// scatter-gather answers must render byte-identically to the
-/// single-epoch transcript of the same logical database.
-fn transcript_shards(world: &AuditWorld, epochs: &eba::relational::EpochVec) -> String {
-    let mut out = String::new();
-    for (i, q) in world.suite().iter().enumerate() {
-        let rows = epochs
-            .explained_rows(q, EvalOptions::default())
-            .expect("suite query evaluates");
-        let support = epochs
-            .support(q, EvalOptions::default())
-            .expect("suite query evaluates");
-        out.push_str(&format!("q{i} support {support} rows {rows:?}\n"));
-    }
-    let templates: Vec<_> = world.explainer.templates().iter().collect();
-    let c = metrics::evaluate_at_shards(&world.spec, &templates, None, None, epochs);
-    out.push_str(&format!(
-        "confusion real {}/{} fake {}/{} with_events {}\n",
-        c.real_explained, c.real_total, c.fake_explained, c.fake_total, c.real_with_events
-    ));
-    out
+/// The engine under test: the one epoch handle, at the CI shard count.
+fn subject(world: &AuditWorld) -> ShardedEngine {
+    ShardedEngine::new(
+        world.hospital.db.clone(),
+        world.key(),
+        common::test_shards(),
+    )
 }
 
 /// Seed for batch `b` — shared by the oracle and the durable run so both
@@ -99,15 +60,15 @@ fn batch_seed(b: usize) -> u64 {
     0xFA11 + b as u64
 }
 
-/// The oracle: ingest every batch through a volatile engine and record
-/// the transcript after each publication. `out[k]` is the answer after
-/// `k` batches (`out[0]` is the base epoch).
+/// The oracle: apply every batch to a plain database and record the
+/// transcript after each. `out[k]` is the answer after `k` batches
+/// (`out[0]` is the base epoch).
 fn oracle_transcripts(world: &AuditWorld) -> Vec<String> {
-    let shared = SharedEngine::new(world.hospital.db.clone());
-    let mut out = vec![transcript(world, &shared.load())];
+    let mut oracle = world.oracle();
+    let mut out = vec![oracle_transcript(world, &oracle)];
     for b in 0..BATCHES {
-        shared.ingest(|db| world.inject_batch(db, BATCH_ROWS, batch_seed(b)));
-        out.push(transcript(world, &shared.load()));
+        oracle.ingest(|db| world.inject_batch(db, BATCH_ROWS, batch_seed(b)));
+        out.push(oracle_transcript(world, &oracle));
     }
     out
 }
@@ -129,27 +90,30 @@ fn durable_run(
         return 0; // the tear hit the file headers — nothing was ever acked
     };
     assert!(recovered.is_empty(), "the sweep starts from empty media");
-    let shared = SharedEngine::new(world.hospital.db.clone());
+    let live = subject(world);
+    // The canonical rows of each batch, generated exactly as the oracle's.
+    let mut feed = world.oracle();
     let mut acked = 0;
     for b in 0..BATCHES {
-        let result = shared.ingest_with(
-            |db| {
-                let first = db.table(world.spec.table).len() as u64;
-                world.inject_batch(db, BATCH_ROWS, batch_seed(b));
-                first
+        let rows = feed.ingest(|db| world.inject_batch(db, BATCH_ROWS, batch_seed(b)));
+        let result = live.ingest_with(
+            |batch| {
+                let first = batch.global_log_len() as u64;
+                (first, stage_rows(batch, &feed.db, &rows))
             },
-            |db, &first, seq| {
-                let table = db.table(world.spec.table);
-                let rows: Vec<Vec<Value>> = (first..table.len() as u64)
-                    .map(|r| table.row(r as u32).to_vec())
-                    .collect();
-                let name = table.schema().name.clone();
-                store.append(plain_batch(db, seq, &name, first, &rows))
+            |batch, (first, staged), seq| {
+                let db = batch.db(0);
+                let name = &db.table(world.spec.table).schema().name;
+                store.append(plain_batch(db, seq, name, *first, staged))
             },
         );
         match result {
             Ok(_) => acked += 1,
-            Err(_) => break, // crash: the engine published nothing for this batch
+            Err(_) => {
+                // Crash: the engine published nothing for this batch.
+                assert_eq!(live.seq(), acked as u64);
+                break;
+            }
         }
     }
     acked
@@ -173,13 +137,15 @@ fn recover_and_replay(
     )
     .expect("recovery tolerates torn tails; it must not fail");
     assert_eq!(report.batches(), batches.len(), "{}", report.summary());
-    let shared = SharedEngine::new(world.hospital.db.clone());
-    let mut transcripts = vec![transcript(world, &shared.load())];
+    let live = subject(world);
+    let mut replayed = world.oracle();
+    let mut transcripts = vec![sharded_transcript(world, &live.load())];
     for batch in &batches {
-        shared.ingest(|db| {
-            replay_into(db, std::slice::from_ref(batch)).expect("recovered batches replay")
+        let rows = replayed.ingest(|db| {
+            replay_into(db, std::slice::from_ref(batch)).expect("recovered batches replay");
         });
-        transcripts.push(transcript(world, &shared.load()));
+        ingest_rows(&live, &replayed.db, &rows);
+        transcripts.push(sharded_transcript(world, &live.load()));
     }
     (transcripts, batches.len())
 }
@@ -510,9 +476,9 @@ fn durable_service_restart_matches_a_never_restarted_oracle() {
     let survivor = AuditService::from_hospital_durable(h, &path, Durability::Strict).unwrap();
     assert_eq!(survivor.recovery_report().unwrap().batches(), 4);
 
-    let oracle_answers = transcript_shards(&world, &oracle.sharded().load());
+    let oracle_answers = sharded_transcript(&world, &oracle.sharded().load());
     assert_eq!(
-        transcript_shards(&world, &survivor.sharded().load()),
+        sharded_transcript(&world, &survivor.sharded().load()),
         oracle_answers,
         "a service restarted after every batch answers exactly like one that never died"
     );
@@ -542,7 +508,7 @@ fn durable_service_restart_matches_a_never_restarted_oracle() {
         );
         assert_eq!(resharded.shard_count(), n);
         assert_eq!(
-            transcript_shards(&world, &resharded.sharded().load()),
+            sharded_transcript(&world, &resharded.sharded().load()),
             oracle_answers,
             "reopening at {n} shards changed the recovered answers"
         );

@@ -15,7 +15,8 @@
 mod common;
 
 use common::AuditWorld;
-use eba::audit::{metrics, portal, timeline};
+use eba::audit::explain::{anchors, explained, explained_cold, unexplained};
+use eba::audit::{metrics, portal, timeline, AuditView};
 use eba::relational::{
     ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RowId, RowSet, ShardKey,
     ShardedEngine, TableId, Value,
@@ -49,6 +50,7 @@ fn fused_suite_matches_the_per_template_path_on_the_hospital() {
             let reference = per_template_reference(&engine, db, &suite, opts);
             let fused = engine.eval_suite(db, &suite, opts);
             assert_eq!(fused.len(), suite.len());
+            let mut sets = Vec::new();
             for (i, (set, expect)) in fused.into_iter().zip(&reference).enumerate() {
                 let set = set.expect("valid query");
                 assert_eq!(
@@ -61,27 +63,76 @@ fn fused_suite_matches_the_per_template_path_on_the_hospital() {
                 for &r in expect {
                     assert!(set.contains(r));
                 }
+                sets.push(set);
             }
-            // The fused union equals the set-union of the references.
+            // The associative fold of the fused sets equals the
+            // set-union of the references.
             let union: BTreeSet<RowId> = reference.iter().flatten().copied().collect();
             let union_vec: Vec<RowId> = union.into_iter().collect();
             assert_eq!(
-                engine
-                    .explained_union_rowset(db, &suite, opts)
-                    .expect("valid suite")
-                    .to_vec(),
+                RowSet::union_all(sets).to_vec(),
                 union_vec,
                 "seed {seed} (dedup={dedup}): fused union diverged"
             );
-            let mut via_hashset: Vec<RowId> = engine
-                .explained_union(db, &suite, opts)
-                .expect("valid")
-                .into_iter()
-                .collect();
-            via_hashset.sort_unstable();
-            assert_eq!(via_hashset, union_vec);
         }
     }
+}
+
+/// The decorated-template class: the anchor-dependent repeat-access
+/// template plus seven "repeat access since day D" variants (one extra
+/// constant decoration each) form one *family* — same anchor start
+/// column, same first hop — so the fused driver reads each anchor row's
+/// candidate set once and tests it against every member's decorations.
+/// The fused sets must equal the per-template path slot for slot, for a
+/// family of one (nothing to share) and of eight.
+#[test]
+fn fused_policy_family_matches_the_per_template_path() {
+    use eba::relational::{Rhs, StepFilter};
+    let world = AuditWorld::tiny(17);
+    let db = &world.hospital.db;
+    let spec = &world.spec;
+    let base = eba::audit::HandcraftedTemplates::build(db, spec)
+        .unwrap()
+        .repeat_access
+        .path;
+    let days = world.hospital.config.days as i64;
+    let mut family = vec![base.to_chain_query(spec)];
+    for i in 1..8i64 {
+        let filter = StepFilter {
+            col: world.hospital.log_cols.date,
+            op: CmpOp::Ge,
+            rhs: Rhs::Const(Value::Date(i * days / 8 * 24 * 60)),
+        };
+        let path = base.decorated(1, filter).expect("alias 1 exists");
+        family.push(path.to_chain_query(spec));
+    }
+    assert!(family.iter().all(ChainQuery::is_anchor_dependent));
+    let engine = Engine::new(db);
+    let opts = EvalOptions::default();
+    for k in [1usize, 8] {
+        let suite = &family[..k];
+        let fused: Vec<Vec<RowId>> = engine
+            .eval_suite(db, suite, opts)
+            .into_iter()
+            .map(|s| s.expect("valid suite").to_vec())
+            .collect();
+        assert_eq!(
+            fused,
+            per_template_reference(&engine, db, suite, opts),
+            "family of {k}: engine per-template path"
+        );
+        for (q, rows) in suite.iter().zip(&fused) {
+            assert_eq!(rows, &q.explained_rows(db, opts).unwrap(), "family of {k}");
+        }
+    }
+    // The decorations bite: a later "since" day explains no more rows.
+    let sizes: Vec<usize> = engine
+        .eval_suite(db, &family, opts)
+        .into_iter()
+        .map(|s| s.unwrap().len())
+        .collect();
+    assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
+    assert!(sizes[0] > sizes[7], "{sizes:?}");
 }
 
 #[test]
@@ -92,19 +143,16 @@ fn empty_template_set_is_an_empty_fused_pass() {
     let none: Vec<ChainQuery> = Vec::new();
     let opts = EvalOptions::default();
     assert!(engine.eval_suite(db, &none, opts).is_empty());
-    let union = engine.explained_union_rowset(db, &none, opts).unwrap();
-    assert!(union.is_empty());
-    assert_eq!(union.to_vec(), Vec::<RowId>::new());
-    // An explainer with no templates explains nothing and leaves every
-    // anchor row unexplained — through the warm fused path too.
-    let empty = eba::audit::Explainer::new(Vec::new());
-    assert!(empty
-        .explained_rows_with(db, &world.spec, &engine)
-        .is_empty());
-    assert_eq!(
-        empty.unexplained_rows_with(db, &world.spec, &engine),
-        metrics::anchor_rows(db, &world.spec)
-    );
+    // An empty template set explains nothing and leaves every anchor row
+    // unexplained — through a warm view too.
+    let all: RowSet = (0..world.hospital.log_len() as RowId).collect();
+    let check = |view: &AuditView, what: &str| {
+        let union = explained(view, &world.spec, []);
+        assert!(union.is_empty(), "{what}");
+        assert_eq!(union.to_vec(), Vec::<RowId>::new());
+        assert_eq!(unexplained(view, &world.spec, &union), all, "{what}");
+    };
+    check(&AuditView::warm(db, &engine), "warm pair");
     // And the sharded fused path agrees at both CI shard counts.
     let key = ShardKey {
         table: world.spec.table,
@@ -113,36 +161,30 @@ fn empty_template_set_is_an_empty_fused_pass() {
     for n in [1usize, 4] {
         let shards = ShardedEngine::new(world.hospital.db.clone(), key, n).load();
         assert!(shards.eval_suite(&none, opts).is_empty());
-        assert!(shards
-            .explained_union_rowset(&none, opts)
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            empty.unexplained_rows_at_shards(&world.spec, &shards),
-            metrics::anchor_rows(db, &world.spec),
-            "{n} shards"
-        );
+        check(&AuditView::pinned(&shards), &format!("{n} shards"));
     }
 }
 
 /// Renders the audit surface to one transcript string — per-query rows,
-/// union, unexplained, confusion, timeline — so the fused/warm path and
-/// the cold per-query path are compared byte for byte.
+/// union, unexplained, confusion, timeline, triage queue — so the
+/// fused/warm path and the cold per-query path are compared byte for
+/// byte. `explained` is the caller's suite union; every report below it
+/// is the audit layer's one function of `(view, row set)`.
 fn audit_transcript(
     world: &AuditWorld,
     per_query: &[Vec<RowId>],
-    explained_union: &[RowId],
-    unexplained: &[RowId],
-    confusion: &metrics::Confusion,
-    t: &timeline::Timeline,
-    misuse: &[portal::SuspectSummary],
+    explained: &RowSet,
+    view: &AuditView,
 ) -> String {
+    let spec = &world.spec;
     let mut out = String::new();
     for (i, rows) in per_query.iter().enumerate() {
         out.push_str(&format!("q{i} rows {rows:?}\n"));
     }
-    out.push_str(&format!("union {explained_union:?}\n"));
-    out.push_str(&format!("unexplained {unexplained:?}\n"));
+    out.push_str(&format!("union {:?}\n", explained.to_vec()));
+    let residue = unexplained(view, spec, explained);
+    out.push_str(&format!("unexplained {:?}\n", residue.to_vec()));
+    let confusion = metrics::evaluate(&anchors(view, spec), explained, None, None);
     out.push_str(&format!(
         "confusion real {}/{} fake {}/{} with_events {}\n",
         confusion.real_explained,
@@ -151,6 +193,13 @@ fn audit_transcript(
         confusion.fake_total,
         confusion.real_with_events
     ));
+    let t = timeline::daily_stats(
+        view,
+        spec,
+        &world.hospital.log_cols,
+        world.hospital.config.days,
+        explained,
+    );
     for s in &t.days {
         out.push_str(&format!(
             "day {} {} {} {} {}\n",
@@ -165,99 +214,57 @@ fn audit_transcript(
         t.overflow.first_explained,
         t.dropped()
     ));
-    for s in misuse {
+    for s in portal::misuse_summary(view, spec, &residue) {
         out.push_str(&format!(
             "suspect {:?} {} {}\n",
             s.user, s.unexplained, s.distinct_patients
         ));
     }
-    let _ = world;
     out
 }
 
-/// The cold per-query transcript: no engine anywhere on the path.
+/// The cold per-query transcript: the suite union comes from the
+/// reference row evaluator on the bare database, so no engine evaluates
+/// anything on the path (the view's engine is never asked).
 fn cold_transcript(world: &AuditWorld) -> String {
     let db = &world.hospital.db;
-    let spec = &world.spec;
     let per_query: Vec<Vec<RowId>> = world
         .suite()
         .iter()
         .map(|q| q.explained_rows(db, EvalOptions::default()).unwrap())
         .collect();
-    let templates: Vec<_> = world.explainer.templates().iter().collect();
-    let mut union: Vec<RowId> = metrics::explained_union(db, spec, &templates)
-        .into_iter()
-        .collect();
-    union.sort_unstable();
+    let engine = Engine::new(db);
     audit_transcript(
         world,
         &per_query,
-        &union,
-        &world.explainer.unexplained_rows(db, spec),
-        &metrics::evaluate(db, spec, &templates, None, None),
-        &timeline::daily_stats(
-            db,
-            spec,
-            &world.hospital.log_cols,
-            &world.explainer,
-            world.hospital.config.days,
-        ),
-        &portal::misuse_summary(db, spec, &world.explainer),
+        &explained_cold(db, &world.spec, world.explainer.templates()),
+        &AuditView::warm(db, &engine),
     )
 }
 
 /// The warm fused transcript over an engine.
 fn fused_transcript(world: &AuditWorld, engine: &Engine) -> String {
     let db = &world.hospital.db;
-    let spec = &world.spec;
     let per_query: Vec<Vec<RowId>> = engine
         .eval_suite(db, &world.suite(), EvalOptions::default())
         .into_iter()
         .map(|s| s.unwrap().to_vec())
         .collect();
-    let templates: Vec<_> = world.explainer.templates().iter().collect();
-    audit_transcript(
-        world,
-        &per_query,
-        &metrics::explained_union_rowset_with(db, spec, &templates, engine).to_vec(),
-        &world.explainer.unexplained_rows_with(db, spec, engine),
-        &metrics::evaluate_with(db, spec, &templates, None, None, engine),
-        &timeline::daily_stats_with(
-            db,
-            spec,
-            &world.hospital.log_cols,
-            &world.explainer,
-            world.hospital.config.days,
-            engine,
-        ),
-        &portal::misuse_summary_with(db, spec, &world.explainer, engine),
-    )
+    let view = AuditView::warm(db, engine);
+    let union = explained(&view, &world.spec, world.explainer.templates());
+    audit_transcript(world, &per_query, &union, &view)
 }
 
 /// The sharded fused transcript over an epoch vector.
 fn sharded_fused_transcript(world: &AuditWorld, shards: &eba::relational::EpochVec) -> String {
-    let spec = &world.spec;
     let per_query: Vec<Vec<RowId>> = shards
         .eval_suite(&world.suite(), EvalOptions::default())
         .into_iter()
         .map(|s| s.unwrap().to_vec())
         .collect();
-    let templates: Vec<_> = world.explainer.templates().iter().collect();
-    audit_transcript(
-        world,
-        &per_query,
-        &metrics::explained_union_rowset_at_shards(spec, &templates, shards).to_vec(),
-        &world.explainer.unexplained_rows_at_shards(spec, shards),
-        &metrics::evaluate_at_shards(spec, &templates, None, None, shards),
-        &timeline::daily_stats_at_shards(
-            spec,
-            &world.hospital.log_cols,
-            &world.explainer,
-            world.hospital.config.days,
-            shards,
-        ),
-        &portal::misuse_summary_at_shards(spec, &world.explainer, shards),
-    )
+    let view = AuditView::pinned(shards);
+    let union = explained(&view, &world.spec, world.explainer.templates());
+    audit_transcript(world, &per_query, &union, &view)
 }
 
 #[test]
@@ -476,7 +483,7 @@ proptest! {
                 .into_iter()
                 .collect();
             prop_assert_eq!(
-                engine.explained_union_rowset(&db, &queries, opts).unwrap().to_vec(),
+                RowSet::union_all(sets.iter().cloned()).to_vec(),
                 union_ref.clone(),
                 "union (dedup={})", dedup
             );
@@ -521,7 +528,7 @@ proptest! {
             .into_iter()
             .map(|s| s.unwrap().to_vec())
             .collect();
-        let union = engine.explained_union_rowset(&db, &queries, opts).unwrap().to_vec();
+        let union = AuditView::warm(&db, &engine).eval_suite(&queries);
         let key = ShardKey { table: log, col: 2 };
         for n in [1usize, 4] {
             let shards = ShardedEngine::new(db.clone(), key, n).load();
@@ -532,8 +539,8 @@ proptest! {
                 .collect();
             prop_assert_eq!(&got, &expect, "{} shards", n);
             prop_assert_eq!(
-                shards.explained_union_rowset(&queries, opts).unwrap().to_vec(),
-                union.clone(),
+                &AuditView::pinned(&shards).eval_suite(&queries),
+                &union,
                 "{} shards union", n
             );
             prop_assert!(shards.eval_suite(&[], opts).is_empty(), "{} shards empty suite", n);

@@ -8,8 +8,9 @@
 //! * **epoch pinning**: a session's `METRICS`/`TIMELINE`/`UNEXPLAINED`/
 //!   `EXPLAIN` answers are *byte-identical* before and after a
 //!   concurrent `INGEST` publishes a new epoch, until the session says
-//!   `REPIN` — and every answer matches the library-level `*_at` result
-//!   for the pinned epoch's seq;
+//!   `REPIN` — and every answer (read by the server from the maintained
+//!   partition) matches a library-level recompute over a view of the
+//!   pinned epoch vector;
 //! * concurrent sessions vs an ingesting writer always observe published
 //!   epochs (the same invariant `tests/engine_equivalence.rs` checks at
 //!   the library layer, via the shared `tests/common` harness);
@@ -18,7 +19,8 @@
 //! * clock-skewed ingests surface in `TIMELINE`'s overflow bucket;
 //! * shutdown is clean with sessions still in flight.
 
-use eba::audit::{metrics, timeline};
+use eba::audit::explain::{anchors, explained, unexplained};
+use eba::audit::{metrics, timeline, AuditView};
 use eba::relational::Value;
 use eba::server::{AuditService, Client, IngestRow, Server};
 use proptest::prelude::*;
@@ -28,7 +30,7 @@ use std::sync::OnceLock;
 mod common;
 
 /// Spawns a server over a fresh tiny world, returning both so tests can
-/// compare wire answers against library-level `*_at` answers.
+/// compare wire answers against library-level answers.
 fn spawn_world_server(seed: u64) -> (common::AuditWorld, Server) {
     let world = common::AuditWorld::tiny(seed);
     // Seal the seed data: the served epoch then owns sealed (Arc-shared)
@@ -300,13 +302,12 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
     };
     let before = ask_all(&mut session);
 
-    // Wire answers == library `*_at_shards` answers for the pinned epoch
-    // vector (at EBA_TEST_SHARDS=1 this is exactly the old single-epoch
-    // `*_at` comparison — the scatter-gather layer proves the rest).
+    // Wire answers (reads of the maintained partition) == the library's
+    // recompute over a view of the pinned epoch vector.
     let assert_matches_library = |rendered: &[String], epochs: &eba::relational::EpochVec| {
-        let suite: Vec<&eba::core::ExplanationTemplate> =
-            world.explainer.templates().iter().collect();
-        let c = metrics::evaluate_at_shards(spec, &suite, None, None, epochs);
+        let view = AuditView::pinned(epochs);
+        let explained = explained(&view, spec, world.explainer.templates());
+        let c = metrics::evaluate(&anchors(&view, spec), &explained, None, None);
         let m = &rendered[0];
         assert!(
             m.contains(&format!("\nanchor_total {}", c.real_total)),
@@ -318,7 +319,7 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
         );
         assert!(m.contains(&format!("\nrecall {:.6}", c.recall())), "{m}");
 
-        let t = timeline::daily_stats_at_shards(spec, cols, &world.explainer, days, epochs);
+        let t = timeline::daily_stats(&view, spec, cols, days, &explained);
         let tl = &rendered[1];
         for s in &t.days {
             assert!(
@@ -340,7 +341,7 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
             "{tl}"
         );
 
-        let unexplained = world.explainer.unexplained_rows_at_shards(spec, epochs);
+        let unexplained = unexplained(&view, spec, &explained);
         let u = &rendered[2];
         assert!(
             u.contains(&format!("OK unexplained {} of ", unexplained.len())),
@@ -349,15 +350,14 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
         // Every unexplained row appears, in ascending global row order
         // (resolved through the shard that owns it).
         let mut at = 0usize;
-        for &global in &unexplained {
-            let (s, rid) = epochs.locate(global).expect("listed row exists");
-            let db = epochs.shards()[s].db();
-            let row = db.table(spec.table).row(rid);
+        for global in unexplained.iter() {
+            let (part, row) = view.log_row(spec.table, global);
+            let pool = part.db().pool();
             let needle = format!(
                 "\nlid {} user {} patient {}",
-                row[cols.lid].display(db.pool()),
-                row[cols.user].display(db.pool()),
-                row[cols.patient].display(db.pool())
+                row[cols.lid].display(pool),
+                row[cols.user].display(pool),
+                row[cols.patient].display(pool)
             );
             let pos = u[at..].find(&needle).unwrap_or_else(|| {
                 panic!("unexplained row {global} missing or out of order: {needle}")
@@ -535,21 +535,21 @@ fn concurrent_socket_sessions_always_observe_published_epochs() {
     );
     let last = server.service().sharded().load();
     let m = c.send("METRICS").unwrap();
+    let view = AuditView::pinned(&last);
+    let explained = explained(&view, &world.spec, world.explainer.templates());
     assert_eq!(
         m.body_field("unexplained")
             .unwrap()
             .parse::<usize>()
             .unwrap(),
-        world
-            .explainer
-            .unexplained_rows_at_shards(&world.spec, &last)
-            .len()
+        unexplained(&view, &world.spec, &explained).len()
     );
 }
 
 /// Satellite: clock-skewed ingests (day 0, day beyond the window, no day
 /// at all) must surface in the server's `TIMELINE` overflow bucket — and
-/// the wire numbers must equal the epoch-pinned `daily_stats_at` view.
+/// the wire numbers must equal `daily_stats` recomputed over the pinned
+/// epoch vector.
 #[test]
 fn timeline_overflow_is_served_over_the_wire() {
     let (world, server) = spawn_world_server(43);
@@ -592,15 +592,16 @@ fn timeline_overflow_is_served_over_the_wire() {
         "the head line surfaces the dropped count"
     );
 
-    // The wire response equals the library's epoch-pinned view, line by
-    // line (this is the daily_stats_at path, not the direct call).
+    // The wire response equals the library's recompute over the pinned
+    // vector, line by line.
     let epochs = server.service().sharded().load();
-    let t = timeline::daily_stats_at_shards(
+    let view = AuditView::pinned(&epochs);
+    let t = timeline::daily_stats(
+        &view,
         &world.spec,
         &world.hospital.log_cols,
-        &world.explainer,
         days,
-        &epochs,
+        &explained(&view, &world.spec, world.explainer.templates()),
     );
     assert_eq!(t.dropped(), 3);
     let mut expected: Vec<String> = t

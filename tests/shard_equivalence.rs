@@ -1,6 +1,7 @@
 //! The sharding proof: a differential suite pitting [`ShardedEngine`]
-//! at shard counts {1, 2, 4} against the unsharded [`SharedEngine`]
-//! oracle, **byte for byte** across the whole audit surface.
+//! at shard counts {1, 2, 4} against an unsharded oracle — a plain
+//! `Database` the test mutates plus a cold `Engine::new` per epoch
+//! (`common::Oracle`) — **byte for byte** across the whole audit surface.
 //!
 //! Every test renders the full audit answer — per-query support and
 //! explained global row ids, the unexplained list, the recall/precision
@@ -20,234 +21,19 @@
 
 mod common;
 
-use common::AuditWorld;
-use eba::audit::{metrics, portal, timeline};
-use eba::relational::{
-    Database, Epoch, EpochVec, EvalOptions, ShardKey, ShardedEngine, SharedEngine, Value,
-};
+use common::{ingest_rows, oracle_transcript, sharded_transcript, AuditWorld};
+use eba::relational::{EpochVec, ShardedEngine, Value};
 use proptest::prelude::*;
-
-/// The partition key every test shards by — the spec's patient column,
-/// exactly what the serving layer uses.
-fn key(world: &AuditWorld) -> ShardKey {
-    ShardKey {
-        table: world.spec.table,
-        col: world.spec.patient_col,
-    }
-}
-
-/// One patient's portal report: `(global row, lid, date, user, text)`
-/// tuples, as rendered into the differential transcripts below.
-type PatientReport = Vec<(u32, Value, Value, Value, String)>;
-
-/// Patients whose portal reports the transcript includes (first, middle,
-/// last of the pool — enough to cross shard boundaries at any count).
-fn report_patients(world: &AuditWorld) -> Vec<Value> {
-    let p = &world.patients;
-    vec![p[0], p[p.len() / 2], p[p.len() - 1]]
-}
-
-/// Renders one shard-agnostic audit transcript from closures producing
-/// each view, so the oracle and the scatter-gather path share the exact
-/// same rendering (any divergence is then in the *answers*).
-#[allow(clippy::too_many_arguments)]
-fn render(
-    world: &AuditWorld,
-    seq: u64,
-    log_len: usize,
-    per_query: Vec<(usize, Vec<u32>)>,
-    unexplained: Vec<u32>,
-    confusion: &eba::audit::metrics::Confusion,
-    t: &eba::audit::timeline::Timeline,
-    misuse: &[portal::SuspectSummary],
-    reports: &[PatientReport],
-) -> String {
-    let mut out = format!("epoch {seq} log {log_len}\n");
-    for (i, (support, rows)) in per_query.iter().enumerate() {
-        out.push_str(&format!("q{i} support {support} rows {rows:?}\n"));
-    }
-    out.push_str(&format!("unexplained {unexplained:?}\n"));
-    out.push_str(&format!(
-        "confusion real {}/{} fake {}/{} with_events {}\n",
-        confusion.real_explained,
-        confusion.real_total,
-        confusion.fake_explained,
-        confusion.fake_total,
-        confusion.real_with_events
-    ));
-    for s in &t.days {
-        out.push_str(&format!(
-            "day {} {} {} {} {}\n",
-            s.day, s.total, s.explained, s.first_accesses, s.first_explained
-        ));
-    }
-    out.push_str(&format!(
-        "overflow {} {} {} {} dropped {}\n",
-        t.overflow.total,
-        t.overflow.explained,
-        t.overflow.first_accesses,
-        t.overflow.first_explained,
-        t.dropped()
-    ));
-    for s in misuse {
-        out.push_str(&format!(
-            "suspect {:?} {} {}\n",
-            s.user, s.unexplained, s.distinct_patients
-        ));
-    }
-    for (p, entries) in report_patients(world).iter().zip(reports) {
-        out.push_str(&format!("report {p:?}\n"));
-        for (row, lid, date, user, text) in entries {
-            out.push_str(&format!("  {row} {lid:?} {date:?} {user:?} {text}\n"));
-        }
-    }
-    out
-}
-
-/// The oracle's transcript at one epoch.
-fn oracle_transcript(world: &AuditWorld, epoch: &Epoch) -> String {
-    let spec = &world.spec;
-    let per_query = world
-        .suite()
-        .iter()
-        .map(|q| {
-            (
-                epoch
-                    .engine()
-                    .support(epoch.db(), q, EvalOptions::default())
-                    .expect("suite evaluates"),
-                epoch
-                    .engine()
-                    .explained_rows(epoch.db(), q, EvalOptions::default())
-                    .expect("suite evaluates"),
-            )
-        })
-        .collect();
-    let unexplained = world.explainer.unexplained_rows_at(spec, epoch);
-    let templates: Vec<_> = world.explainer.templates().iter().collect();
-    let confusion = metrics::evaluate_at(spec, &templates, None, None, epoch);
-    let t = timeline::daily_stats_at(
-        spec,
-        &world.hospital.log_cols,
-        &world.explainer,
-        world.hospital.config.days,
-        epoch,
-    );
-    let misuse = portal::misuse_summary_at(spec, &world.explainer, epoch);
-    let reports: Vec<PatientReport> = report_patients(world)
-        .iter()
-        .map(|&p| {
-            portal::patient_report(
-                epoch.db(),
-                spec,
-                &world.hospital.log_cols,
-                &world.explainer,
-                p,
-            )
-            .expect("report evaluates")
-            .into_iter()
-            .map(|e| (e.row, e.lid, e.date, e.user, e.display_text().to_string()))
-            .collect()
-        })
-        .collect();
-    render(
-        world,
-        epoch.seq(),
-        epoch.db().table(spec.table).len(),
-        per_query,
-        unexplained,
-        &confusion,
-        &t,
-        &misuse,
-        &reports,
-    )
-}
-
-/// The scatter-gather transcript at one epoch vector. Row ids are global,
-/// so a correct implementation renders byte-identically to the oracle.
-fn sharded_transcript(world: &AuditWorld, epochs: &EpochVec) -> String {
-    let spec = &world.spec;
-    let per_query = world
-        .suite()
-        .iter()
-        .map(|q| {
-            (
-                epochs
-                    .support(q, EvalOptions::default())
-                    .expect("suite evaluates"),
-                epochs
-                    .explained_rows(q, EvalOptions::default())
-                    .expect("suite evaluates"),
-            )
-        })
-        .collect();
-    let unexplained = world.explainer.unexplained_rows_at_shards(spec, epochs);
-    let templates: Vec<_> = world.explainer.templates().iter().collect();
-    let confusion = metrics::evaluate_at_shards(spec, &templates, None, None, epochs);
-    let t = timeline::daily_stats_at_shards(
-        spec,
-        &world.hospital.log_cols,
-        &world.explainer,
-        world.hospital.config.days,
-        epochs,
-    );
-    let misuse = portal::misuse_summary_at_shards(spec, &world.explainer, epochs);
-    let reports: Vec<PatientReport> = report_patients(world)
-        .iter()
-        .map(|&p| {
-            portal::patient_report_at_shards(
-                spec,
-                &world.hospital.log_cols,
-                &world.explainer,
-                p,
-                epochs,
-            )
-            .expect("report evaluates")
-            .into_iter()
-            .map(|e| (e.row, e.lid, e.date, e.user, e.display_text().to_string()))
-            .collect()
-        })
-        .collect();
-    render(
-        world,
-        epochs.seq(),
-        epochs.global_log_len(),
-        per_query,
-        unexplained,
-        &confusion,
-        &t,
-        &misuse,
-        &reports,
-    )
-}
-
-/// Ingests `rows` (already valid against the oracle's database, strings
-/// re-interned through the batch so shard pools stay aligned) into the
-/// sharded engine.
-fn ingest_rows(sharded: &ShardedEngine, source: &Database, rows: &[Vec<Value>]) {
-    sharded.ingest(|batch| {
-        for row in rows {
-            let mapped: Vec<Value> = row
-                .iter()
-                .map(|v| match v {
-                    Value::Str(s) => batch.str_value(source.pool().resolve(*s)),
-                    other => *other,
-                })
-                .collect();
-            batch.insert_log(mapped).expect("valid log row");
-        }
-    });
-}
 
 /// Drives the oracle and one sharded engine through the same batch
 /// sequence, comparing transcripts at every epoch and re-checking every
 /// pinned vector at the end (the mid-ingest pinning guarantee).
 fn run_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)]) {
-    let oracle = SharedEngine::new(world.hospital.db.clone());
-    let sharded = ShardedEngine::new(world.hospital.db.clone(), key(world), n_shards);
+    let mut oracle = world.oracle();
+    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n_shards);
 
     let mut pinned: Vec<(std::sync::Arc<EpochVec>, String)> = Vec::new();
-    let expect = oracle_transcript(world, &oracle.load());
+    let expect = oracle_transcript(world, &oracle);
     assert_eq!(
         sharded_transcript(world, &sharded.load()),
         expect,
@@ -258,19 +44,13 @@ fn run_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)
     for (b, &(count, seed)) in batches.iter().enumerate() {
         // The oracle ingests the canonical batch; the sharded engine gets
         // the exact same rows, routed by hash.
-        let before = oracle.load().db().table(world.spec.table).len();
-        oracle.ingest(|db| world.inject_batch(db, count, seed));
-        let epoch = oracle.load();
-        let log = epoch.db().table(world.spec.table);
-        let rows: Vec<Vec<Value>> = (before..log.len())
-            .map(|r| log.row(r as u32).to_vec())
-            .collect();
-        ingest_rows(&sharded, epoch.db(), &rows);
+        let rows = oracle.ingest(|db| world.inject_batch(db, count, seed));
+        ingest_rows(&sharded, &oracle.db, &rows);
 
         let vec = sharded.load();
-        assert_eq!(vec.seq(), epoch.seq(), "batch {b}");
-        assert_eq!(vec.global_log_len(), log.len(), "batch {b}");
-        let expect = oracle_transcript(world, &epoch);
+        assert_eq!(vec.seq(), oracle.seq, "batch {b}");
+        assert_eq!(vec.global_log_len(), oracle.log_len(), "batch {b}");
+        let expect = oracle_transcript(world, &oracle);
         assert_eq!(
             sharded_transcript(world, &vec),
             expect,
@@ -313,7 +93,7 @@ proptest! {
 fn one_shard_is_the_single_engine() {
     let world = AuditWorld::tiny(43);
     run_differential(&world, 1, &[(12, 7), (0, 8), (5, 9)]);
-    let sharded = ShardedEngine::new(world.hospital.db.clone(), key(&world), 1);
+    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
     let vec = sharded.load();
     assert_eq!(vec.shard_count(), 1);
     assert_eq!(vec.shards()[0].log_len(), vec.global_log_len());
@@ -328,8 +108,8 @@ fn one_shard_is_the_single_engine() {
 #[test]
 fn all_new_rows_in_one_shard_still_match_the_oracle() {
     let world = AuditWorld::tiny(47);
-    let oracle = SharedEngine::new(world.hospital.db.clone());
-    let sharded = ShardedEngine::new(world.hospital.db.clone(), key(&world), 4);
+    let mut oracle = world.oracle();
+    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), 4);
     let patient = world.patients[0];
     let shard_counts_before: Vec<usize> = sharded
         .load()
@@ -343,8 +123,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
     };
 
     for round in 0..3u64 {
-        let before = oracle.load().db().table(world.spec.table).len();
-        oracle.ingest(|db| {
+        let rows = oracle.ingest(|db| {
             // Hand-rolled skewed batch: distinct lids, one patient.
             let cols = &world.hospital.log_cols;
             let arity = db.table(world.spec.table).schema().arity();
@@ -357,12 +136,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
                 db.insert(world.spec.table, row).expect("valid row");
             }
         });
-        let epoch = oracle.load();
-        let log = epoch.db().table(world.spec.table);
-        let rows: Vec<Vec<Value>> = (before..log.len())
-            .map(|r| log.row(r as u32).to_vec())
-            .collect();
-        ingest_rows(&sharded, epoch.db(), &rows);
+        ingest_rows(&sharded, &oracle.db, &rows);
 
         let vec = sharded.load();
         // All 30-so-far new rows landed on the patient's shard; every
@@ -378,7 +152,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
         }
         assert_eq!(
             sharded_transcript(&world, &vec),
-            oracle_transcript(&world, &epoch),
+            oracle_transcript(&world, &oracle),
             "skewed round {round} diverged"
         );
     }
@@ -395,32 +169,26 @@ fn empty_shards_answer_like_the_oracle() {
     // count; found much earlier in practice).
     let mut chosen = None;
     for n in 2..=128usize {
-        let sharded = ShardedEngine::new(world.hospital.db.clone(), key(&world), n);
+        let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n);
         if sharded.load().shards().iter().any(|s| s.log_len() == 0) {
             chosen = Some((n, sharded));
             break;
         }
     }
     let (n, sharded) = chosen.expect("some shard count yields an empty shard");
-    let oracle = SharedEngine::new(world.hospital.db.clone());
+    let mut oracle = world.oracle();
     assert_eq!(
         sharded_transcript(&world, &sharded.load()),
-        oracle_transcript(&world, &oracle.load()),
+        oracle_transcript(&world, &oracle),
         "{n} shards (with an empty shard) diverged at the base epoch"
     );
 
     // Ingest through the empty-shard layout and re-verify.
-    let before = oracle.load().db().table(world.spec.table).len();
-    oracle.ingest(|db| world.inject_batch(db, 20, 0xE0));
-    let epoch = oracle.load();
-    let log = epoch.db().table(world.spec.table);
-    let rows: Vec<Vec<Value>> = (before..log.len())
-        .map(|r| log.row(r as u32).to_vec())
-        .collect();
-    ingest_rows(&sharded, epoch.db(), &rows);
+    let rows = oracle.ingest(|db| world.inject_batch(db, 20, 0xE0));
+    ingest_rows(&sharded, &oracle.db, &rows);
     assert_eq!(
         sharded_transcript(&world, &sharded.load()),
-        oracle_transcript(&world, &epoch),
+        oracle_transcript(&world, &oracle),
         "{n} shards (with an empty shard) diverged after ingest"
     );
 }
@@ -433,29 +201,20 @@ fn empty_shards_answer_like_the_oracle() {
 fn pinned_vectors_are_byte_stable_under_concurrent_ingest() {
     let world = AuditWorld::tiny(59);
     let n_shards = common::test_shards().max(2);
-    let sharded = ShardedEngine::new(world.hospital.db.clone(), key(&world), n_shards);
-    let oracle = SharedEngine::new(world.hospital.db.clone());
+    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n_shards);
+    let mut oracle = world.oracle();
     let rounds = 4u64;
     let per_batch = 15usize;
     let base_len = world.hospital.log_len();
 
     // Pre-compute each epoch's oracle transcript so readers can check
     // whatever seq they observe without racing the oracle itself.
-    let mut oracle_by_seq = vec![oracle_transcript(&world, &oracle.load())];
+    let mut oracle_by_seq = vec![oracle_transcript(&world, &oracle)];
     let mut batches: Vec<Vec<Vec<Value>>> = Vec::new();
     for round in 0..rounds {
-        let before = oracle.load().db().table(world.spec.table).len();
-        oracle.ingest(|db| world.inject_batch(db, per_batch, 0xC0 + round));
-        let epoch = oracle.load();
-        let log = epoch.db().table(world.spec.table);
-        batches.push(
-            (before..log.len())
-                .map(|r| log.row(r as u32).to_vec())
-                .collect(),
-        );
-        oracle_by_seq.push(oracle_transcript(&world, &epoch));
+        batches.push(oracle.ingest(|db| world.inject_batch(db, per_batch, 0xC0 + round)));
+        oracle_by_seq.push(oracle_transcript(&world, &oracle));
     }
-    let source = oracle.load();
 
     common::readers_vs_writer(
         3,
@@ -493,7 +252,7 @@ fn pinned_vectors_are_byte_stable_under_concurrent_ingest() {
         },
         || {
             for rows in &batches {
-                ingest_rows(&sharded, source.db(), rows);
+                ingest_rows(&sharded, &oracle.db, rows);
             }
         },
     );

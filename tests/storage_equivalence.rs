@@ -27,8 +27,8 @@
 
 use eba::relational::segment::{copied_bytes, reset_copied_bytes};
 use eba::relational::{
-    ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RefreshError, Rhs,
-    SharedEngine, StepFilter, TableId, Value,
+    ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EpochVec, EvalOptions, RefreshError,
+    Rhs, ShardKey, ShardedBatch, ShardedEngine, StepFilter, TableId, Value,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -376,9 +376,10 @@ proptest! {
     }
 
     /// Satellite: a refused refresh (`TableShrank` / `CatalogShrank`)
-    /// leaves a **segmented** engine answering byte-identically, and the
-    /// `SharedEngine` full-rebuild fallback publishes answers
-    /// byte-identical to a from-scratch engine.
+    /// leaves a **segmented** engine answering byte-identically. (What
+    /// the epoch handle does next — rebuild the shard from scratch, warn,
+    /// leave pinned vectors alone — is the `sharded.rs` unit test
+    /// `refused_refresh_falls_back_to_a_rebuild_and_warns`.)
     #[test]
     fn refused_refresh_and_rebuild_fallback_on_segmented_storage(
         rows in prop::collection::vec((0..6i64, 0..8i64, 0u8..5, 0..9i64), 1..20),
@@ -439,28 +440,6 @@ proptest! {
         let err = engine.refresh(&seg.db).unwrap_err();
         prop_assert!(matches!(err, RefreshError::CatalogShrank { .. }), "{err:?}");
         prop_assert_eq!(&answers(&engine, &wider), &before, "CatalogShrank left damage");
-
-        // SharedEngine rebuild fallback: a mutator that *replaces* state
-        // (shrinking the log) refuses the incremental path; the published
-        // epoch must answer byte-identically to a from-scratch engine
-        // over the same database, and the warning must fire.
-        let shared = SharedEngine::new(seg.db.clone());
-        let pinned = shared.load();
-        let pinned_before = answers(pinned.engine(), pinned.db());
-        let replacement = shorter.clone();
-        let (_, report) = shared.ingest(move |db| *db = replacement);
-        prop_assert!(report.rebuilt.is_some(), "replacement must refuse the incremental path");
-        let warning = report.fallback_warning().expect("fallback warns");
-        prop_assert!(warning.contains("rebuilding"), "{warning}");
-        let epoch = shared.load();
-        let fresh = Engine::new(epoch.db());
-        prop_assert_eq!(
-            answers(epoch.engine(), epoch.db()),
-            answers(&fresh, epoch.db()),
-            "rebuilt epoch diverges from a from-scratch engine"
-        );
-        // The pinned pre-fallback epoch is untouched.
-        prop_assert_eq!(answers(pinned.engine(), pinned.db()), pinned_before);
     }
 }
 
@@ -496,141 +475,130 @@ fn populated_world() -> World {
     w
 }
 
+/// The epoch handle over the populated world, partitioned by patient at
+/// the CI shard count.
+fn handle(w: &World) -> ShardedEngine {
+    let key = ShardKey {
+        table: w.log,
+        col: 2,
+    };
+    ShardedEngine::new(w.db.clone(), key, common::test_shards())
+}
+
+/// Global explained rows of every query class on a pinned vector.
+fn answers(vec: &EpochVec, queries: &[(&'static str, ChainQuery)]) -> Vec<Vec<u32>> {
+    queries
+        .iter()
+        .map(|(_, q)| {
+            vec.eval_suite(std::slice::from_ref(q), EvalOptions::default())
+                .remove(0)
+                .unwrap()
+                .to_vec()
+        })
+        .collect()
+}
+
+fn append_log_rows(batch: &mut ShardedBatch, first_lid: i64, count: i64) {
+    for lid in first_lid..first_lid + count {
+        batch
+            .insert_log(vec![
+                Value::Int(lid),
+                Value::Int(lid % 5),
+                Value::Int(lid % 7),
+                Value::Null,
+                Value::Date(lid % 9),
+            ])
+            .unwrap();
+    }
+}
+
 #[test]
 fn sealed_segments_are_pointer_shared_across_epochs() {
     let w = populated_world();
     let queries = query_classes(&w);
     let opts = EvalOptions::default();
-    let shared = SharedEngine::new(w.db.clone());
+    let shared = handle(&w);
 
-    // Warm the epoch's caches, then pin it and record its answers.
+    // Warm the vector's caches, then pin it and record its answers.
     let pinned = shared.load();
-    let pinned_answers: Vec<Vec<u32>> = queries
-        .iter()
-        .map(|(_, q)| {
-            pinned
-                .engine()
-                .explained_rows(pinned.db(), q, opts)
-                .unwrap()
-        })
-        .collect();
+    let pinned_answers = answers(&pinned, &queries);
     assert!(
-        !pinned.db().table(w.log).sealed_row_segments().is_empty(),
+        pinned
+            .shards()
+            .iter()
+            .any(|s| !s.db().table(w.log).sealed_row_segments().is_empty()),
         "the populated world spans sealed segments"
     );
 
     let mut prev = shared.load();
     for round in 0..6i64 {
-        shared.ingest(|db| {
-            for i in 0..5 {
-                let lid = 1000 + round * 5 + i;
-                db.insert(
-                    w.log,
-                    vec![
-                        Value::Int(lid),
-                        Value::Int(lid % 5),
-                        Value::Int(lid % 7),
-                        Value::Null,
-                        Value::Date(lid % 9),
-                    ],
-                )
-                .unwrap();
-            }
-        });
+        shared.ingest(|batch| append_log_rows(batch, 1000 + round * 5, 5));
         let next = shared.load();
-        for tid in [w.log, w.event, w.team] {
-            // Database row segments: every sealed segment of the prior
-            // epoch is present by pointer in the successor.
-            common::assert_sealed_segments_shared(
-                prev.db().table(tid),
-                next.db().table(tid),
-                &format!("round {round}, table {}", prev.db().table(tid).name()),
-            );
-            // Engine snapshot columns likewise.
-            let a = prev.engine().snapshot().table(tid);
-            let b = next.engine().snapshot().table(tid);
-            for (c, (ca, cb)) in a.cols.iter().zip(&b.cols).enumerate() {
-                for (i, (sa, sb)) in ca
-                    .sealed_segments()
-                    .iter()
-                    .zip(cb.sealed_segments())
-                    .enumerate()
-                {
-                    assert!(
-                        Arc::ptr_eq(sa, sb),
-                        "round {round}: snapshot col {c} segment {i} copied, not shared"
-                    );
+        for (old, new) in prev.shards().iter().zip(next.shards()) {
+            for tid in [w.log, w.event, w.team] {
+                // Database row segments: every sealed segment of the
+                // prior epoch is present by pointer in the successor.
+                common::assert_sealed_segments_shared(
+                    old.db().table(tid),
+                    new.db().table(tid),
+                    &format!("round {round}, table {}", old.db().table(tid).name()),
+                );
+                // Engine snapshot columns likewise.
+                let a = old.engine().snapshot().table(tid);
+                let b = new.engine().snapshot().table(tid);
+                for (c, (ca, cb)) in a.cols.iter().zip(&b.cols).enumerate() {
+                    for (i, (sa, sb)) in ca
+                        .sealed_segments()
+                        .iter()
+                        .zip(cb.sealed_segments())
+                        .enumerate()
+                    {
+                        assert!(
+                            Arc::ptr_eq(sa, sb),
+                            "round {round}: snapshot col {c} segment {i} copied, not shared"
+                        );
+                    }
                 }
             }
         }
         prev = next;
     }
 
-    // The pinned epoch answered from segments now shared with six newer
+    // The pinned vector answered from segments now shared with six newer
     // epochs — its answers must be byte-identical to what it said before
     // any of them existed (catches in-place mutation of a shared chunk).
-    for ((name, q), before) in queries.iter().zip(&pinned_answers) {
-        assert_eq!(
-            &pinned
-                .engine()
-                .explained_rows(pinned.db(), q, opts)
-                .unwrap(),
-            before,
-            "pinned epoch answer drifted: {name}"
-        );
-    }
-    // And the latest epoch matches a flat oracle of everything ingested.
-    let latest = shared.load();
-    let fresh = Engine::new(latest.db());
-    for (name, q) in &queries {
-        assert_eq!(
-            latest
-                .engine()
-                .explained_rows(latest.db(), q, opts)
-                .unwrap(),
-            fresh.explained_rows(latest.db(), q, opts).unwrap(),
-            "latest epoch diverges from a fresh engine: {name}"
-        );
+    assert_eq!(
+        answers(&pinned, &queries),
+        pinned_answers,
+        "pinned epoch answers drifted"
+    );
+    // And the latest epoch matches fresh engines over everything ingested.
+    for shard in shared.load().shards() {
+        let fresh = Engine::new(shard.db());
+        for (name, q) in &queries {
+            assert_eq!(
+                shard.engine().explained_rows(shard.db(), q, opts).unwrap(),
+                fresh.explained_rows(shard.db(), q, opts).unwrap(),
+                "latest epoch diverges from a fresh engine: {name}"
+            );
+        }
     }
 }
 
 #[test]
 fn publication_copies_scale_with_the_batch_not_the_database() {
     let w = populated_world();
-    let shared = SharedEngine::new(w.db.clone());
+    let shared = handle(&w);
     // Warm the caches the way a live auditor would.
-    let opts = EvalOptions::default();
-    for (_, q) in query_classes(&w) {
-        let epoch = shared.load();
-        let _ = epoch.engine().explained_rows(epoch.db(), &q, opts).unwrap();
-    }
-
-    let batch = |round: i64| {
-        move |db: &mut Database| {
-            for i in 0..8i64 {
-                let lid = 10_000 + round * 8 + i;
-                db.insert(
-                    w.log,
-                    vec![
-                        Value::Int(lid),
-                        Value::Int(lid % 5),
-                        Value::Int(lid % 7),
-                        Value::Null,
-                        Value::Date(lid % 9),
-                    ],
-                )
-                .unwrap();
-            }
-        }
-    };
+    answers(&shared.load(), &query_classes(&w));
 
     // Publication cost of one batch on the small database (median of a
     // few rounds, so tail-fill phase doesn't skew a single reading).
-    let cost_of = |shared: &SharedEngine, round: &mut i64, rounds: i64| -> u64 {
+    let cost_of = |round: &mut i64, rounds: i64| -> u64 {
         let mut costs = Vec::new();
         for _ in 0..rounds {
             reset_copied_bytes();
-            shared.ingest(batch(*round));
+            shared.ingest(|batch| append_log_rows(batch, 10_000 + *round * 8, 8));
             costs.push(copied_bytes());
             *round += 1;
         }
@@ -638,20 +606,20 @@ fn publication_copies_scale_with_the_batch_not_the_database() {
         costs[costs.len() / 2]
     };
     let mut round = 0i64;
-    let small_cost = cost_of(&shared, &mut round, 5);
+    let small_cost = cost_of(&mut round, 5);
 
     // Grow the database ~10x, then measure the same batch again.
-    let before_rows = shared.load().db().table(w.log).len();
+    let before_rows = shared.load().global_log_len();
     for _ in 0..110 {
-        shared.ingest(batch(round));
+        shared.ingest(|batch| append_log_rows(batch, 10_000 + round * 8, 8));
         round += 1;
     }
-    let grown_rows = shared.load().db().table(w.log).len();
+    let grown_rows = shared.load().global_log_len();
     assert!(
         grown_rows >= before_rows * 10,
         "{before_rows} -> {grown_rows}"
     );
-    let large_cost = cost_of(&shared, &mut round, 5);
+    let large_cost = cost_of(&mut round, 5);
 
     // O(batch): the 10x database publishes the same batch for (nearly)
     // the same copied bytes. Allow 3x slack for tail-fill phase noise.
@@ -662,13 +630,15 @@ fn publication_copies_scale_with_the_batch_not_the_database() {
 
     // >=5x below what flat storage would copy per epoch: every Value
     // cell (database clone) plus every interned u32 cell (engine fork).
-    let epoch = shared.load();
     let mut flat_bytes = 0u64;
-    for tid in [w.log, w.event, w.team] {
-        let t = epoch.db().table(tid);
-        flat_bytes += (t.len() * t.schema().arity()) as u64 * std::mem::size_of::<Value>() as u64;
-        let it = epoch.engine().snapshot().table(tid);
-        flat_bytes += (it.n_rows * it.cols.len()) as u64 * 4;
+    for shard in shared.load().shards() {
+        for tid in [w.log, w.event, w.team] {
+            let t = shard.db().table(tid);
+            flat_bytes +=
+                (t.len() * t.schema().arity()) as u64 * std::mem::size_of::<Value>() as u64;
+            let it = shard.engine().snapshot().table(tid);
+            flat_bytes += (it.n_rows * it.cols.len()) as u64 * 4;
+        }
     }
     assert!(
         large_cost * 5 <= flat_bytes,

@@ -24,23 +24,12 @@
 //!   fans out around them.
 
 use eba::audit::metrics;
-use eba::relational::{
-    Database, Maintained, ShardKey, ShardedEngine, SharedEngine, TableId, Value,
-};
+use eba::relational::{Database, Maintained, ShardedEngine, TableId, Value};
 use eba::server::{AuditService, Client, IngestRow, Server, EVENT_QUEUE_CAP};
 use proptest::prelude::*;
 
 mod common;
 use common::AuditWorld;
-
-/// The partition key the serving layer shards by: the log's patient
-/// column.
-fn key(world: &AuditWorld) -> ShardKey {
-    ShardKey {
-        table: world.spec.table,
-        col: world.spec.patient_col,
-    }
-}
 
 /// Renders one maintained partition in the serving layer's answer
 /// shapes: the `UNEXPLAINED` head + full listing, and the `METRICS`
@@ -56,7 +45,7 @@ fn render_maintained(m: &Maintained, seq: u64) -> String {
     for rid in m.unexplained.iter() {
         out.push_str(&format!("row {rid}\n"));
     }
-    let c = metrics::confusion_from_maintained(m);
+    let c = metrics::evaluate(&m.anchors, &m.explained, None, None);
     out.push_str(&format!(
         "metrics anchor_total {} explained {} unexplained {} log {}\n",
         c.real_total,
@@ -76,7 +65,7 @@ fn cold_maintained(
     world: &AuditWorld,
     n_shards: usize,
 ) -> std::sync::Arc<Maintained> {
-    let cold = ShardedEngine::new(db.clone(), key(world), n_shards);
+    let cold = ShardedEngine::new(db.clone(), world.key(), n_shards);
     let pin = cold.pin_suite(world.explainer.suite_pin(&world.spec));
     let vec = cold.load();
     vec.maintained(pin)
@@ -201,16 +190,16 @@ fn support_rows(
 /// candidate subset of the residue in some shard (the delta path, as
 /// opposed to nothing to re-ask or the whole residue).
 fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publication]) -> usize {
-    let oracle = SharedEngine::new(world.hospital.db.clone());
-    let live = ShardedEngine::new(world.hospital.db.clone(), key(world), n_shards);
+    let mut oracle = world.oracle();
+    let live = ShardedEngine::new(world.hospital.db.clone(), world.key(), n_shards);
     let pin = live.pin_suite(world.explainer.suite_pin(&world.spec));
 
-    let check = |tag: &str, explains: &[u32]| {
+    let check = |tag: &str, explains: &[u32], oracle_db: &Database| {
         let vec = live.load();
         let m = vec
             .maintained(pin)
             .expect("every publish carries the maintained partition");
-        let cold = cold_maintained(oracle.load().db(), world, n_shards);
+        let cold = cold_maintained(oracle_db, world, n_shards);
         assert_eq!(
             render_maintained(m, vec.seq()),
             render_maintained(&cold, vec.seq()),
@@ -230,43 +219,29 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publ
         cold
     };
 
-    let mut residue = check("the base epoch", &[]);
+    let mut residue = check("the base epoch", &[], &oracle.db);
     let mut unmapped = Vec::new();
     let mut on_delta_path = 0;
     for (b, publication) in schedule.iter().enumerate() {
         let (count, seed) = publication.log;
-        let base = oracle.load();
-        let before = base.db().table(world.spec.table).len();
         let support = support_rows(
             world,
-            base.db(),
+            &oracle.db,
             &residue,
             &publication.support,
             &mut unmapped,
         );
-        oracle.ingest(|db| {
+        let appended = oracle.ingest(|db| {
             world.inject_batch(db, count, seed);
             for (table, row) in &support.rows {
                 db.insert(*table, row.clone()).expect("valid support row");
             }
         });
-        let epoch = oracle.load();
-        let log = epoch.db().table(world.spec.table);
         // Log rows re-intern their strings through the batch so shard
         // pools stay aligned — same idiom as the serving path; support
         // rows carry ints and dates only.
         let ((), report) = live.ingest(|batch| {
-            for r in before..log.len() {
-                let mapped: Vec<Value> = log
-                    .row(r as u32)
-                    .iter()
-                    .map(|v| match v {
-                        Value::Str(s) => batch.str_value(epoch.db().pool().resolve(*s)),
-                        other => *other,
-                    })
-                    .collect();
-                batch.insert_log(mapped).expect("valid log row");
-            }
+            common::stage_rows(batch, &oracle.db, &appended);
             for (table, row) in &support.rows {
                 batch
                     .insert_dim(*table, row.clone())
@@ -280,6 +255,7 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publ
         residue = check(
             &format!("publication {b} ({publication:?})"),
             &support.explains,
+            &oracle.db,
         );
     }
     on_delta_path
