@@ -173,6 +173,21 @@ mod tests {
         (h, spec, model, engine)
     }
 
+    /// `t`'s explained rows through the engine's fused driver.
+    fn engine_rows(
+        engine: &eba_relational::Engine,
+        h: &Hospital,
+        spec: &LogSpec,
+        t: &eba_core::ExplanationTemplate,
+    ) -> Vec<eba_relational::RowId> {
+        let q = t.path.to_chain_query(spec);
+        engine
+            .eval_suite(&h.db, &[q], Default::default())
+            .remove(0)
+            .unwrap()
+            .to_vec()
+    }
+
     #[test]
     fn groups_table_is_installed_with_metadata() {
         let (h, _, model, _) = hospital_with_groups();
@@ -227,15 +242,10 @@ mod tests {
         let group_tmpl = same_group(&h.db, &spec, EventTable::Appointments, None).unwrap();
         // The refreshed engine evaluates templates that traverse the
         // post-construction Groups table, identically to the cold path.
-        let narrow: std::collections::HashSet<_> = t
-            .appt_with_dr
-            .explained_rows_with(&h.db, &spec, &engine)
-            .unwrap()
+        let narrow: std::collections::HashSet<_> = engine_rows(&engine, &h, &spec, &t.appt_with_dr)
             .into_iter()
             .collect();
-        let wide = group_tmpl
-            .explained_rows_with(&h.db, &spec, &engine)
-            .unwrap();
+        let wide = engine_rows(&engine, &h, &spec, &group_tmpl);
         assert_eq!(wide, group_tmpl.explained_rows(&h.db, &spec).unwrap());
         // The group template explains accesses the direct template cannot —
         // specifically some nurse (CareTeam) accesses.
@@ -262,14 +272,8 @@ mod tests {
         let any = same_group(&h.db, &spec, EventTable::Appointments, None).unwrap();
         let deepest = (model.hierarchy.depth_count() - 1) as i64;
         let deep = same_group(&h.db, &spec, EventTable::Appointments, Some(deepest)).unwrap();
-        let any_n = any
-            .explained_rows_with(&h.db, &spec, &engine)
-            .unwrap()
-            .len();
-        let deep_n = deep
-            .explained_rows_with(&h.db, &spec, &engine)
-            .unwrap()
-            .len();
+        let any_n = engine_rows(&engine, &h, &spec, &any).len();
+        let deep_n = engine_rows(&engine, &h, &spec, &deep).len();
         assert!(deep_n <= any_n, "deeper groups explain fewer accesses");
         assert_eq!(deep_n, deep.explained_rows(&h.db, &spec).unwrap().len());
     }

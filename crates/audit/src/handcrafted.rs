@@ -362,11 +362,14 @@ mod tests {
         // (the repeat-access template is anchor-dependent and exercises
         // the per-row fallback).
         let engine = eba_relational::Engine::new(&h.db);
-        for tmpl in t.all() {
-            assert_eq!(
-                tmpl.support_with(&h.db, &spec, &engine).unwrap(),
-                tmpl.support(&h.db, &spec).unwrap()
-            );
+        let suite: Vec<_> = t
+            .all()
+            .iter()
+            .map(|t| t.path.to_chain_query(&spec))
+            .collect();
+        let supports = engine.support_many(&h.db, &suite, Default::default());
+        for (tmpl, support) in t.all().iter().zip(supports) {
+            assert_eq!(support.unwrap(), tmpl.support(&h.db, &spec).unwrap());
         }
     }
 

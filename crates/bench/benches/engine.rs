@@ -51,7 +51,8 @@ fn engine_benches(c: &mut Criterion) {
     group.bench_function("support_len2_appt_engine", |b| {
         b.iter(|| {
             engine
-                .support(db, &short, EvalOptions::default())
+                .support_many(db, std::slice::from_ref(&short), EvalOptions::default())
+                .remove(0)
                 .expect("valid")
         })
     });
@@ -61,7 +62,8 @@ fn engine_benches(c: &mut Criterion) {
     group.bench_function("support_len4_group_engine", |b| {
         b.iter(|| {
             engine
-                .support(db, &long, EvalOptions::default())
+                .support_many(db, std::slice::from_ref(&long), EvalOptions::default())
+                .remove(0)
                 .expect("valid")
         })
     });

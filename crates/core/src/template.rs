@@ -4,7 +4,7 @@ use crate::describe;
 use crate::log_spec::LogSpec;
 use crate::path::Path;
 use crate::sql;
-use eba_relational::{Database, Engine, EvalOptions, Instance, Result, RowId};
+use eba_relational::{Database, EvalOptions, Instance, Result, RowId};
 
 /// A closed path packaged for use: optional name, optional
 /// administrator-provided description string, and cached evaluation entry
@@ -62,28 +62,11 @@ impl ExplanationTemplate {
             .explained_rows(db, EvalOptions::default())
     }
 
-    /// [`ExplanationTemplate::explained_rows`] through a warm [`Engine`]
-    /// over `db` — identical rows, but step maps and log partitions are
-    /// shared with every other query the engine has served.
-    pub fn explained_rows_with(
-        &self,
-        db: &Database,
-        spec: &LogSpec,
-        engine: &Engine,
-    ) -> Result<Vec<RowId>> {
-        engine.explained_rows(db, &self.path.to_chain_query(spec), EvalOptions::default())
-    }
-
     /// Support: distinct log ids explained.
     pub fn support(&self, db: &Database, spec: &LogSpec) -> Result<usize> {
         self.path
             .to_chain_query(spec)
             .support(db, EvalOptions::default())
-    }
-
-    /// [`ExplanationTemplate::support`] through a warm [`Engine`] over `db`.
-    pub fn support_with(&self, db: &Database, spec: &LogSpec, engine: &Engine) -> Result<usize> {
-        engine.support(db, &self.path.to_chain_query(spec), EvalOptions::default())
     }
 
     /// Explanation instances for one log record (up to `limit` witnesses).

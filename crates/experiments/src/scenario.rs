@@ -103,10 +103,14 @@ mod tests {
             Some(1),
         )
         .unwrap();
+        let q = grouped.path.to_chain_query(&s.spec);
+        let via_engine = s
+            .engine()
+            .eval_suite(&s.hospital.db, &[q], Default::default())
+            .remove(0)
+            .unwrap();
         assert_eq!(
-            grouped
-                .explained_rows_with(&s.hospital.db, &s.spec, s.engine())
-                .unwrap(),
+            via_engine.to_vec(),
             grouped.explained_rows(&s.hospital.db, &s.spec).unwrap()
         );
     }

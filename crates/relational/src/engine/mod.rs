@@ -14,17 +14,20 @@
 //! 2. **Step-map cache** ([`stepmap`]): each distinct step — keyed on
 //!    `(table, enter_col, exit_col, const-filters, dedup)` — is built once
 //!    per [`Engine`] and shared by every query that uses it.
-//! 3. **Batch parallelism** ([`parallel`]): [`Engine::support_many`] and
-//!    [`Engine::explained_rows_many`] evaluate a whole batch — a mining
-//!    frontier, or an auditor's entire template suite — against one cache,
-//!    fanned out over scoped threads.
+//! 3. **One fused driver** ([`parallel`]): [`Engine::eval_suite`]
+//!    evaluates a whole batch — a mining frontier, or an auditor's entire
+//!    template suite — against one cache, paying each shared log
+//!    partition or log scan once and fanning out over scoped threads.
+//!    [`Engine::eval_suite_range`] and [`Engine::eval_suite_rows`] are
+//!    the same driver over a row range or a row list, and
+//!    [`Engine::support_many`] is its answer plus a distinct-lid count.
 //!
 //! Results are **identical** to the row evaluator's — the same
 //! `explained_rows` and `support` for every query class (the
 //! `engine_equivalence` integration test enforces this differentially).
 //! Queries whose decorations reference the anchor log row have no shareable
 //! *step* maps (the decoration must be re-evaluated per log row), so the
-//! engine routes them to its own per-row path over shared
+//! driver routes them to a per-row scan over shared
 //! `(table, enter_col) → rows` **row maps** ([`stepmap::RowMap`]) —
 //! filter-free identity, one map per entered column, bitset frontiers —
 //! which keeps even the decorated part of an audit suite off the live
@@ -301,6 +304,30 @@ fn plan_families(templates: &[PerRowTemplate]) -> Vec<FamilyPlan> {
     families
 }
 
+/// The anchor rows a fused evaluation answers for: the whole log, a row
+/// range `[lo, hi)`, or an ascending row list.
+#[derive(Clone, Copy)]
+enum Anchors<'a> {
+    All,
+    Range(usize, usize),
+    Rows(&'a [u32]),
+}
+
+impl Anchors<'_> {
+    /// The anchor rows below `n_rows`, as positions `[lo, hi)` into the
+    /// log (`All`, `Range`) or into the row list (`Rows`).
+    fn span(self, n_rows: usize) -> (usize, usize) {
+        match self {
+            Anchors::All => (0, n_rows),
+            Anchors::Range(lo, hi) => {
+                let hi = hi.min(n_rows);
+                (lo.min(hi), hi)
+            }
+            Anchors::Rows(rows) => (0, rows.partition_point(|&r| (r as usize) < n_rows)),
+        }
+    }
+}
+
 /// Splits `[0, n)` into at most `parts` contiguous near-even ranges
 /// (none empty).
 fn split_ranges(n: usize, parts: usize) -> Vec<(usize, usize)> {
@@ -415,91 +442,32 @@ impl Engine {
         }
     }
 
-    /// Log row ids explained by `q`, identical to
-    /// [`ChainQuery::explained_rows`].
+    /// Support of every query (distinct explained log ids), identical to
+    /// [`ChainQuery::support`] per query, in input order; invalid queries
+    /// report their error in place.
     ///
-    /// `db` is used for validation only; evaluation runs on the snapshot
-    /// (anchor-dependent decorated queries take the per-row path over the
-    /// shared row maps, everything else the grouped set-based path).
-    pub fn explained_rows(
-        &self,
-        db: &Database,
-        q: &ChainQuery,
-        opts: EvalOptions,
-    ) -> Result<Vec<RowId>> {
-        q.validate(db)?;
-        if q.is_anchor_dependent() {
-            return Ok(self.explained_anchor_dep(q, &self.rowmaps_for(q)));
-        }
-        let maps = self.maps_for(q, opts);
-        Ok(self.explained_grouped(q, &maps))
-    }
-
-    /// Support of `q` (distinct explained log ids), identical to
-    /// [`ChainQuery::support`].
-    pub fn support(&self, db: &Database, q: &ChainQuery, opts: EvalOptions) -> Result<usize> {
-        q.validate(db)?;
-        if q.is_anchor_dependent() {
-            let rows = self.explained_anchor_dep(q, &self.rowmaps_for(q));
-            return Ok(self.distinct_lids(q, &rows));
-        }
-        let maps = self.maps_for(q, opts);
-        Ok(self.support_grouped(q, &maps))
-    }
-
-    /// Batch support evaluation: one result per query, in input order.
-    ///
-    /// Builds every missing step map first (in parallel), then evaluates
-    /// the whole batch in parallel against the shared cache. This is the
-    /// API mining rounds call once per candidate frontier.
+    /// This is [`Engine::eval_suite`] plus a distinct-lid count over each
+    /// answer, and the entry point mining rounds call once per candidate
+    /// frontier.
     pub fn support_many(
         &self,
         db: &Database,
         queries: &[ChainQuery],
         opts: EvalOptions,
     ) -> Vec<Result<usize>> {
-        self.eval_many(
-            db,
-            queries,
-            opts,
-            |q, maps| self.support_grouped(q, maps),
-            |q, rowmaps| {
-                let rows = self.explained_anchor_dep(q, rowmaps);
-                self.distinct_lids(q, &rows)
-            },
-        )
-    }
-
-    /// Batch `explained_rows` evaluation: one sorted row set per query, in
-    /// input order, identical to [`ChainQuery::explained_rows`] per query.
-    ///
-    /// This is the audit-layer entry point: an explainer evaluates its
-    /// whole template suite as one fanned-out batch. It rides the fused
-    /// suite driver ([`Engine::eval_suite`]): one pass over each shared
-    /// log partition / log scan evaluates **all** templates, and the
-    /// per-query [`RowSet`]s convert to the legacy sorted `Vec` form
-    /// without a sort (bitmap iteration is ordered).
-    pub fn explained_rows_many(
-        &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-    ) -> Vec<Result<Vec<RowId>>> {
         self.eval_suite(db, queries, opts)
             .into_iter()
-            .map(|set| set.map(|s| s.to_vec()))
+            .zip(queries)
+            .map(|(rows, q)| rows.map(|rows| self.distinct_lids(q, &rows)))
             .collect()
     }
 
-    /// The fused suite driver: evaluates **all** templates against each
-    /// log chunk before moving on, returning one compressed [`RowSet`]
-    /// of explained rows per query (input order; invalid queries report
-    /// their error in place).
+    /// Evaluates **all** templates against each log chunk before moving
+    /// on, returning one compressed [`RowSet`] of explained rows per query
+    /// (input order; invalid queries report their error in place).
     ///
-    /// Where [`Engine::eval_many`] fans out *per query* — so N templates
-    /// sharing an anchor shape re-walk the same partition's distinct
-    /// starts N times, and N decorated templates re-scan the log N times
-    /// — this driver groups the suite first and pays each scan once:
+    /// The suite is grouped first, so each shared scan is paid once, not
+    /// once per template:
     ///
     /// * **set-based templates** are bucketed by anchor shape
     ///   ([`GroupKey`]); per bucket, the distinct starts and each start's
@@ -520,6 +488,76 @@ impl Engine {
         db: &Database,
         queries: &[ChainQuery],
         opts: EvalOptions,
+    ) -> Vec<Result<RowSet>> {
+        self.eval_fused(db, queries, opts, Anchors::All)
+    }
+
+    /// [`Engine::eval_suite`] restricted to **anchor rows** `[lo, hi)` of
+    /// each query's log table: only log rows in that range can appear in
+    /// the answers, while chain steps still walk the *whole* support
+    /// tables. This is the delta evaluator behind the maintained
+    /// explained/unexplained materializations
+    /// ([`ShardedEngine::pin_suite`]): after an append grows the log by
+    /// `[lo, hi)`, evaluating just that range answers "which of the new
+    /// accesses are explained?" without re-scanning history.
+    ///
+    /// The range partition is built fresh per call and **not cached** —
+    /// it covers an arbitrary slice, not the `[0, covered)` prefix the
+    /// chunked cache extends — so reserve this for genuine deltas. Per
+    /// query, the result equals the `eval_suite` answer intersected with
+    /// `[lo, hi)` (the stream-equivalence suite enforces this
+    /// differentially), because a log row is anchored independently of
+    /// every other log row.
+    pub fn eval_suite_range(
+        &self,
+        db: &Database,
+        queries: &[ChainQuery],
+        opts: EvalOptions,
+        lo: usize,
+        hi: usize,
+    ) -> Vec<Result<RowSet>> {
+        self.eval_fused(db, queries, opts, Anchors::Range(lo, hi))
+    }
+
+    /// [`Engine::eval_suite`] restricted to an explicit **anchor row
+    /// set**: only rows in `rows` can appear in the answers, while chain
+    /// steps still walk the whole support tables. This is the
+    /// *scattered-rows* delta evaluator behind the maintained partition:
+    /// when a support table grows, a template stepping into it can
+    /// newly explain old anchor rows — but explanation is monotone under
+    /// append-only growth, so only *previously unexplained* rows need
+    /// re-asking, and of those only the ones an appended row can reach
+    /// (the advance core's candidate set, a scattered handful of
+    /// the log). Per query, the result
+    /// equals the `eval_suite` answer intersected with `rows` (the
+    /// stream-equivalence suite enforces this differentially).
+    ///
+    /// Like [`Engine::eval_suite_range`], the partition over `rows` is
+    /// built fresh (one grouped chunk straight from the row list, so a
+    /// scattered set costs `O(rows)`) and not cached — reserve this for
+    /// genuine deltas.
+    pub fn eval_suite_rows(
+        &self,
+        db: &Database,
+        queries: &[ChainQuery],
+        opts: EvalOptions,
+        rows: &RowSet,
+    ) -> Vec<Result<RowSet>> {
+        self.eval_fused(db, queries, opts, Anchors::Rows(&rows.to_vec()))
+    }
+
+    /// The one evaluation driver behind [`Engine::eval_suite`],
+    /// [`Engine::eval_suite_range`] and [`Engine::eval_suite_rows`]:
+    /// validate in place, build the suite's missing step maps, bucket the
+    /// templates, and walk every bucket in parallel slices. `anchors`
+    /// decides only which partition a grouped bucket walks
+    /// ([`Engine::partition`]) and which rows a per-row bucket scans.
+    fn eval_fused(
+        &self,
+        db: &Database,
+        queries: &[ChainQuery],
+        opts: EvalOptions,
+        anchors: Anchors,
     ) -> Vec<Result<RowSet>> {
         let mut results: Vec<Option<Result<RowSet>>> = queries
             .iter()
@@ -566,18 +604,7 @@ impl Engine {
                 let ix = match bucket_ix.get(&key) {
                     Some(&ix) => ix,
                     None => {
-                        let groups = self.groups_for(q);
-                        let mut starts: Vec<u32> = Vec::new();
-                        with_scratch_marks(self.snapshot.interner.len(), |marks| {
-                            for chunk in &groups.chunks {
-                                for &start in chunk.by_start.keys() {
-                                    if marks.insert(start) {
-                                        starts.push(start);
-                                    }
-                                }
-                            }
-                            marks.remove_all(&starts);
-                        });
+                        let (groups, starts) = self.partition(q, &key, anchors);
                         grouped.push(GroupedBucket {
                             groups,
                             starts,
@@ -608,7 +635,8 @@ impl Engine {
         }
 
         // One work item per (bucket, range slice): parallelism is over
-        // the data, so even a single-template suite fans out.
+        // the data, so even a single-template suite fans out. A per-row
+        // slice is a range of positions in the anchors (`Anchors::span`).
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
@@ -623,151 +651,8 @@ impl Engine {
             }
         }
         for (b, bucket) in per_row.iter().enumerate() {
-            let n_rows = self.snapshot.table(bucket.log).n_rows;
-            for (lo, hi) in split_ranges(n_rows, threads) {
-                work.push(Work::PerRow { bucket: b, lo, hi });
-            }
-        }
-        let outputs = par_map(&work, |item| match *item {
-            Work::Grouped { bucket, lo, hi } => self.eval_grouped_slice(&grouped[bucket], lo, hi),
-            Work::PerRow { bucket, lo, hi } => self.eval_per_row_slice(&per_row[bucket], lo, hi),
-        });
-
-        // Fan-in: every valid query starts from the empty set (a bucket
-        // with no rows produces no work items), then absorbs its slice
-        // results — the union is associative, so slice order is free.
-        for (slot, _) in &valid {
-            results[*slot] = Some(Ok(RowSet::new()));
-        }
-        for slice in outputs {
-            for (slot, set) in slice {
-                if let Some(Ok(acc)) = &mut results[slot] {
-                    acc.union_with(&set);
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every query resolved"))
-            .collect()
-    }
-
-    /// [`Engine::eval_suite`] restricted to **anchor rows** `[lo, hi)` of
-    /// each query's log table: only log rows in that range can appear in
-    /// the answers, while chain steps still walk the *whole* support
-    /// tables. This is the delta evaluator behind the maintained
-    /// explained/unexplained materializations
-    /// ([`ShardedEngine::pin_suite`]): after an append grows the log by
-    /// `[lo, hi)`, evaluating just that range answers "which of the new
-    /// accesses are explained?" without re-scanning history.
-    ///
-    /// The range partition is built fresh per call and **not cached** —
-    /// it covers an arbitrary slice, not the `[0, covered)` prefix the
-    /// chunked cache extends — so reserve this for genuine deltas. Per
-    /// query, the result equals the `eval_suite` answer intersected with
-    /// `[lo, hi)` (the stream-equivalence suite enforces this
-    /// differentially), because a log row is anchored independently of
-    /// every other log row.
-    pub fn eval_suite_range(
-        &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<Result<RowSet>> {
-        let mut results: Vec<Option<Result<RowSet>>> = queries
-            .iter()
-            .map(|q| q.validate(db).err().map(Err))
-            .collect();
-        let valid: Vec<(usize, &ChainQuery)> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(i, _)| (i, &queries[i]))
-            .collect();
-        self.build_missing_maps(
-            valid
-                .iter()
-                .map(|(_, q)| *q)
-                .filter(|q| !q.is_anchor_dependent()),
-            opts,
-        );
-
-        let mut grouped: Vec<GroupedBucket> = Vec::new();
-        let mut bucket_ix: HashMap<GroupKey, usize> = HashMap::new();
-        let mut per_row: Vec<PerRowBucket> = Vec::new();
-        let mut per_row_ix: HashMap<TableId, usize> = HashMap::new();
-        for (slot, q) in &valid {
-            if q.is_anchor_dependent() {
-                let ix = *per_row_ix.entry(q.log).or_insert_with(|| {
-                    per_row.push(PerRowBucket {
-                        log: q.log,
-                        templates: Vec::new(),
-                    });
-                    per_row.len() - 1
-                });
-                per_row[ix].templates.push(PerRowTemplate {
-                    slot: *slot,
-                    q,
-                    rowmaps: self.rowmaps_for(q),
-                });
-            } else {
-                let key = GroupKey::of(q);
-                let ix = match bucket_ix.get(&key) {
-                    Some(&ix) => ix,
-                    None => {
-                        // One fresh, uncached chunk over just `[lo, hi)`.
-                        // Its `by_start` keys are already distinct, so the
-                        // starts need no scratch-mark dedup.
-                        let log = self.snapshot.table(key.log);
-                        let (lo, hi) = (lo.min(log.n_rows), hi.min(log.n_rows));
-                        let chunk = self
-                            .build_group_chunk(&key, log.cols[key.start_col].iter_range(lo, hi));
-                        let starts: Vec<u32> = chunk.by_start.keys().copied().collect();
-                        grouped.push(GroupedBucket {
-                            groups: Chunks::one(chunk, hi),
-                            starts,
-                            templates: Vec::new(),
-                        });
-                        bucket_ix.insert(key, grouped.len() - 1);
-                        grouped.len() - 1
-                    }
-                };
-                grouped[ix].templates.push(GroupedTemplate {
-                    slot: *slot,
-                    q,
-                    maps: self.maps_for(q, opts),
-                });
-            }
-        }
-
-        for bucket in &mut grouped {
-            bucket.templates.sort_by(|a, b| {
-                let ptrs = |t: &GroupedTemplate| -> Vec<usize> {
-                    t.maps.iter().map(|m| Arc::as_ptr(m) as usize).collect()
-                };
-                ptrs(a).cmp(&ptrs(b))
-            });
-        }
-
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        enum Work {
-            Grouped { bucket: usize, lo: usize, hi: usize },
-            PerRow { bucket: usize, lo: usize, hi: usize },
-        }
-        let mut work: Vec<Work> = Vec::new();
-        for (b, bucket) in grouped.iter().enumerate() {
-            for (lo, hi) in split_ranges(bucket.starts.len(), threads) {
-                work.push(Work::Grouped { bucket: b, lo, hi });
-            }
-        }
-        for (b, bucket) in per_row.iter().enumerate() {
-            let n_rows = self.snapshot.table(bucket.log).n_rows;
-            let (lo, hi) = (lo.min(n_rows), hi.min(n_rows));
-            for (a, z) in split_ranges(hi.saturating_sub(lo), threads) {
+            let (lo, hi) = anchors.span(self.snapshot.table(bucket.log).n_rows);
+            for (a, z) in split_ranges(hi - lo, threads) {
                 work.push(Work::PerRow {
                     bucket: b,
                     lo: lo + a,
@@ -777,176 +662,73 @@ impl Engine {
         }
         let outputs = par_map(&work, |item| match *item {
             Work::Grouped { bucket, lo, hi } => self.eval_grouped_slice(&grouped[bucket], lo, hi),
-            Work::PerRow { bucket, lo, hi } => self.eval_per_row_slice(&per_row[bucket], lo, hi),
+            Work::PerRow { bucket, lo, hi } => match anchors {
+                Anchors::All | Anchors::Range(..) => {
+                    self.eval_per_row_rows(&per_row[bucket], lo..hi)
+                }
+                Anchors::Rows(rows) => self
+                    .eval_per_row_rows(&per_row[bucket], rows[lo..hi].iter().map(|&r| r as usize)),
+            },
         });
 
-        for (slot, _) in &valid {
-            results[*slot] = Some(Ok(RowSet::new()));
-        }
+        // Fan-in: a query's first slice result is moved in and later ones
+        // are unioned into it — the union is associative, so slice order
+        // is free. A valid query without work items (its bucket has no
+        // anchor rows) answers the empty set.
         for slice in outputs {
             for (slot, set) in slice {
-                if let Some(Ok(acc)) = &mut results[slot] {
-                    acc.union_with(&set);
+                match &mut results[slot] {
+                    Some(Ok(acc)) => acc.union_with(&set),
+                    unset => *unset = Some(Ok(set)),
                 }
             }
         }
         results
             .into_iter()
-            .map(|slot| slot.expect("every query resolved"))
+            .map(|slot| slot.unwrap_or_else(|| Ok(RowSet::new())))
             .collect()
     }
 
-    /// [`Engine::eval_suite`] restricted to an explicit **anchor row
-    /// set**: only rows in `rows` can appear in the answers, while chain
-    /// steps still walk the whole support tables. This is the
-    /// *scattered-rows* delta evaluator behind the maintained partition:
-    /// when a support table grows, a template stepping into it can
-    /// newly explain old anchor rows — but explanation is monotone under
-    /// append-only growth, so only *previously unexplained* rows need
-    /// re-asking, and of those only the ones an appended row can reach
-    /// (the advance core's candidate set, a scattered handful of
-    /// the log). Per query, the result
-    /// equals the `eval_suite` answer intersected with `rows` (the
-    /// stream-equivalence suite enforces this differentially).
-    ///
-    /// Like [`Engine::eval_suite_range`], the partition over `rows` is
-    /// built fresh (one grouped chunk straight from the row list, so a
-    /// scattered set costs `O(rows)`) and not cached — reserve this for
-    /// genuine deltas.
-    pub fn eval_suite_rows(
+    /// The log partition a grouped bucket walks, and its distinct starts.
+    /// Over [`Anchors::All`] it is the cached, chunked partition
+    /// ([`Engine::groups_for`]), whose starts can recur across chunks;
+    /// over a range or a row list it is one fresh, uncached chunk over
+    /// just those anchors, whose `by_start` keys are already distinct.
+    fn partition(
         &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-        rows: &RowSet,
-    ) -> Vec<Result<RowSet>> {
-        let mut results: Vec<Option<Result<RowSet>>> = queries
-            .iter()
-            .map(|q| q.validate(db).err().map(Err))
-            .collect();
-        let valid: Vec<(usize, &ChainQuery)> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(i, _)| (i, &queries[i]))
-            .collect();
-        self.build_missing_maps(
-            valid
-                .iter()
-                .map(|(_, q)| *q)
-                .filter(|q| !q.is_anchor_dependent()),
-            opts,
-        );
-        let row_ids: Vec<u32> = rows.to_vec();
-
-        let mut grouped: Vec<GroupedBucket> = Vec::new();
-        let mut bucket_ix: HashMap<GroupKey, usize> = HashMap::new();
-        let mut per_row: Vec<PerRowBucket> = Vec::new();
-        let mut per_row_ix: HashMap<TableId, usize> = HashMap::new();
-        for (slot, q) in &valid {
-            if q.is_anchor_dependent() {
-                let ix = *per_row_ix.entry(q.log).or_insert_with(|| {
-                    per_row.push(PerRowBucket {
-                        log: q.log,
-                        templates: Vec::new(),
-                    });
-                    per_row.len() - 1
-                });
-                per_row[ix].templates.push(PerRowTemplate {
-                    slot: *slot,
-                    q,
-                    rowmaps: self.rowmaps_for(q),
-                });
-            } else {
-                let key = GroupKey::of(q);
-                let ix = match bucket_ix.get(&key) {
-                    Some(&ix) => ix,
-                    None => {
-                        // One fresh chunk straight from the (ascending)
-                        // row list: its `by_start` keys are already
-                        // distinct, and each bucket's rows stay ascending.
-                        let log = self.snapshot.table(key.log);
-                        let start_col = &log.cols[key.start_col];
-                        let in_log = row_ids.partition_point(|&r| (r as usize) < log.n_rows);
-                        let chunk = self.build_group_chunk(
-                            &key,
-                            row_ids[..in_log]
-                                .iter()
-                                .map(|&r| (r as usize, &start_col[r as usize])),
-                        );
-                        let starts: Vec<u32> = chunk.by_start.keys().copied().collect();
-                        grouped.push(GroupedBucket {
-                            groups: Chunks::one(chunk, log.n_rows),
-                            starts,
-                            templates: Vec::new(),
-                        });
-                        bucket_ix.insert(key, grouped.len() - 1);
-                        grouped.len() - 1
+        q: &ChainQuery,
+        key: &GroupKey,
+        anchors: Anchors,
+    ) -> (GroupChunks, Vec<u32>) {
+        let log = self.snapshot.table(key.log);
+        let start_col = &log.cols[key.start_col];
+        let (lo, hi) = anchors.span(log.n_rows);
+        let chunk = match anchors {
+            Anchors::All => {
+                let groups = self.groups_for(q);
+                let mut starts: Vec<u32> = Vec::new();
+                with_scratch_marks(self.snapshot.interner.len(), |marks| {
+                    for chunk in &groups.chunks {
+                        for &start in chunk.by_start.keys() {
+                            if marks.insert(start) {
+                                starts.push(start);
+                            }
+                        }
                     }
-                };
-                grouped[ix].templates.push(GroupedTemplate {
-                    slot: *slot,
-                    q,
-                    maps: self.maps_for(q, opts),
+                    marks.remove_all(&starts);
                 });
+                return (groups, starts);
             }
-        }
-
-        for bucket in &mut grouped {
-            bucket.templates.sort_by(|a, b| {
-                let ptrs = |t: &GroupedTemplate| -> Vec<usize> {
-                    t.maps.iter().map(|m| Arc::as_ptr(m) as usize).collect()
-                };
-                ptrs(a).cmp(&ptrs(b))
-            });
-        }
-
-        let threads = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        enum Work {
-            Grouped { bucket: usize, lo: usize, hi: usize },
-            PerRow { bucket: usize, lo: usize, hi: usize },
-        }
-        let mut work: Vec<Work> = Vec::new();
-        for (b, bucket) in grouped.iter().enumerate() {
-            for (lo, hi) in split_ranges(bucket.starts.len(), threads) {
-                work.push(Work::Grouped { bucket: b, lo, hi });
-            }
-        }
-        for (b, bucket) in per_row.iter().enumerate() {
-            let n_rows = self.snapshot.table(bucket.log).n_rows;
-            let end = row_ids.partition_point(|&r| (r as usize) < n_rows);
-            for (a, z) in split_ranges(end, threads) {
-                work.push(Work::PerRow {
-                    bucket: b,
-                    lo: a,
-                    hi: z,
-                });
-            }
-        }
-        let outputs = par_map(&work, |item| match *item {
-            Work::Grouped { bucket, lo, hi } => self.eval_grouped_slice(&grouped[bucket], lo, hi),
-            Work::PerRow { bucket, lo, hi } => self.eval_per_row_rows(
-                &per_row[bucket],
-                row_ids[lo..hi].iter().map(|&r| r as usize),
+            Anchors::Range(..) => self.build_group_chunk(key, start_col.iter_range(lo, hi)),
+            Anchors::Rows(rows) => self.build_group_chunk(
+                key,
+                rows[lo..hi]
+                    .iter()
+                    .map(|&r| (r as usize, &start_col[r as usize])),
             ),
-        });
-
-        for (slot, _) in &valid {
-            results[*slot] = Some(Ok(RowSet::new()));
-        }
-        for slice in outputs {
-            for (slot, set) in slice {
-                if let Some(Ok(acc)) = &mut results[slot] {
-                    acc.union_with(&set);
-                }
-            }
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every query resolved"))
-            .collect()
+        };
+        let starts: Vec<u32> = chunk.by_start.keys().copied().collect();
+        (Chunks::one(chunk, log.n_rows), starts)
     }
 
     /// Walks every template of one grouped bucket over the starts in
@@ -1066,9 +848,11 @@ impl Engine {
             .collect()
     }
 
-    /// One fused scan over log rows `[lo, hi)` evaluating every
-    /// anchor-dependent template of the bucket against each row — the
-    /// "one log scan, N templates" half of the fused driver.
+    /// One fused scan over the **ascending** anchor rows `rows`,
+    /// evaluating every anchor-dependent template of the bucket against
+    /// each row — the "one log scan, N templates" half of the fused
+    /// driver. Ascending order is load-bearing: each template's hits
+    /// compress sort-free.
     ///
     /// Templates sharing the anchor start column and the first step's
     /// (table, enter column) form a *family*: their candidate rows are
@@ -1079,19 +863,6 @@ impl Engine {
     /// filters required by every member short-circuit the candidate, and
     /// anchor-side comparison values are hoisted out of the candidate
     /// loop entirely.
-    fn eval_per_row_slice(
-        &self,
-        bucket: &PerRowBucket,
-        lo: usize,
-        hi: usize,
-    ) -> Vec<(usize, RowSet)> {
-        self.eval_per_row_rows(bucket, lo..hi)
-    }
-
-    /// [`Engine::eval_per_row_slice`] over an arbitrary **ascending**
-    /// row iterator — the scattered-residue form behind
-    /// [`Engine::eval_suite_rows`]. Ascending order is load-bearing:
-    /// each template's hits compress sort-free.
     fn eval_per_row_rows(
         &self,
         bucket: &PerRowBucket,
@@ -1290,85 +1061,6 @@ impl Engine {
         }
     }
 
-    /// The shared batch driver behind [`Engine::support_many`] and
-    /// [`Engine::explained_rows_many`]: validate everything, build the
-    /// batch's missing step maps, row maps, and log partitions once, then
-    /// fan evaluation out over scoped threads — `eval` for set-based
-    /// queries, `eval_ad` for anchor-dependent ones (which run per row on
-    /// the shared row maps).
-    fn eval_many<R, EV, AD>(
-        &self,
-        db: &Database,
-        queries: &[ChainQuery],
-        opts: EvalOptions,
-        eval: EV,
-        eval_ad: AD,
-    ) -> Vec<Result<R>>
-    where
-        R: Send,
-        EV: Fn(&ChainQuery, &[Arc<StepMap>]) -> R + Sync,
-        AD: Fn(&ChainQuery, &[RowMapChunks]) -> R + Sync,
-    {
-        let mut results: Vec<Option<Result<R>>> = queries
-            .iter()
-            .map(|q| match q.validate(db) {
-                Err(e) => Some(Err(e)),
-                Ok(()) => None,
-            })
-            .collect();
-
-        let batch: Vec<(usize, &ChainQuery)> = results
-            .iter()
-            .enumerate()
-            .filter(|(_, slot)| slot.is_none())
-            .map(|(i, _)| (i, &queries[i]))
-            .collect();
-        self.build_missing_maps(
-            batch
-                .iter()
-                .map(|(_, q)| *q)
-                .filter(|q| !q.is_anchor_dependent()),
-            opts,
-        );
-        // Pre-build the (few) log partitions the batch shares, so parallel
-        // workers don't redundantly compute the same grouping.
-        {
-            let mut seen = std::collections::HashSet::new();
-            for (_, q) in &batch {
-                if !q.is_anchor_dependent() && seen.insert(GroupKey::of(q)) {
-                    let _ = self.groups_for(q);
-                }
-            }
-        }
-
-        enum Prepared {
-            Grouped(Vec<Arc<StepMap>>),
-            PerRow(Vec<RowMapChunks>),
-        }
-        let with_maps: Vec<(usize, &ChainQuery, Prepared)> = batch
-            .into_iter()
-            .map(|(i, q)| {
-                let prepared = if q.is_anchor_dependent() {
-                    Prepared::PerRow(self.rowmaps_for(q))
-                } else {
-                    Prepared::Grouped(self.maps_for(q, opts))
-                };
-                (i, q, prepared)
-            })
-            .collect();
-        let outputs = par_map(&with_maps, |(_, q, prepared)| match prepared {
-            Prepared::Grouped(maps) => eval(q, maps),
-            Prepared::PerRow(rowmaps) => eval_ad(q, rowmaps),
-        });
-        for ((i, _, _), output) in with_maps.iter().zip(outputs) {
-            results[*i] = Some(Ok(output));
-        }
-        results
-            .into_iter()
-            .map(|slot| slot.expect("every query resolved"))
-            .collect()
-    }
-
     // ----------------------------------------------------------- step maps
 
     /// Builds (in parallel) every step map the batch needs that is not in
@@ -1547,185 +1239,15 @@ impl Engine {
         }
     }
 
-    /// Pair-invariant evaluation on interned ids (sorted ascending, exactly
-    /// as [`ChainQuery::explained_rows`] returns them).
-    fn explained_grouped(&self, q: &ChainQuery, maps: &[Arc<StepMap>]) -> Vec<RowId> {
-        let mut out = self.explained_grouped_unsorted(q, maps);
-        out.sort_unstable();
-        out
-    }
-
-    /// The explained rows in group-iteration (arbitrary) order — the
-    /// support path uses this to skip the sort it doesn't need.
-    ///
-    /// The partition is chunked by row range ([`GroupChunks`]); the chain
-    /// is still walked **once per distinct start across all chunks**
-    /// (deduplicated via the scratch bitset), so chunking never repeats a
-    /// walk — each surviving start then collects its rows from every
-    /// chunk's bucket.
-    fn explained_grouped_unsorted(&self, q: &ChainQuery, maps: &[Arc<StepMap>]) -> Vec<RowId> {
-        let groups = self.groups_for(q);
-        let mut out = Vec::new();
-        with_scratch_marks(self.snapshot.interner.len(), |marks| {
-            // Distinct starts across chunks.
-            let mut starts: Vec<u32> = Vec::new();
-            for chunk in &groups.chunks {
-                for &start in chunk.by_start.keys() {
-                    if marks.insert(start) {
-                        starts.push(start);
-                    }
-                }
-            }
-            marks.remove_all(&starts);
-
-            let mut frontier: Vec<u32> = Vec::new();
-            let mut next: Vec<u32> = Vec::new();
-            for &start in &starts {
-                frontier.clear();
-                frontier.push(start);
-                let mut dead = false;
-                for map in maps {
-                    next.clear();
-                    for &v in &frontier {
-                        for &exit in map.exits_of(v) {
-                            if marks.insert(exit) {
-                                next.push(exit);
-                            }
-                        }
-                    }
-                    marks.remove_all(&next);
-                    std::mem::swap(&mut frontier, &mut next);
-                    if frontier.is_empty() {
-                        dead = true;
-                        break;
-                    }
-                }
-                if dead {
-                    continue;
-                }
-                match q.close_col {
-                    None => {
-                        for chunk in &groups.chunks {
-                            if let Some(closes) = chunk.by_start.get(&start) {
-                                for (_, rows) in closes {
-                                    out.extend_from_slice(rows);
-                                }
-                            }
-                        }
-                    }
-                    Some(_) => {
-                        for &v in &frontier {
-                            marks.insert(v);
-                        }
-                        for chunk in &groups.chunks {
-                            if let Some(closes) = chunk.by_start.get(&start) {
-                                for (close, rows) in closes {
-                                    if marks.contains(*close) {
-                                        out.extend_from_slice(rows);
-                                    }
-                                }
-                            }
-                        }
-                        marks.remove_all(&frontier);
-                    }
-                }
-            }
-        });
-        out
-    }
-
-    /// `COUNT(DISTINCT lid)` over the explained rows.
-    fn support_grouped(&self, q: &ChainQuery, maps: &[Arc<StepMap>]) -> usize {
-        let rows = self.explained_grouped_unsorted(q, maps);
-        self.distinct_lids(q, &rows)
-    }
-
     /// Distinct log-id count over a set of explained rows (interning is
     /// exact, so distinct ids are exactly distinct values).
-    fn distinct_lids(&self, q: &ChainQuery, rows: &[RowId]) -> usize {
-        let log = self.snapshot.table(q.log);
-        let lid_col = &log.cols[q.lid_col];
+    fn distinct_lids(&self, q: &ChainQuery, rows: &RowSet) -> usize {
+        let lid_col = &self.snapshot.table(q.log).cols[q.lid_col];
         let mut lids = std::collections::HashSet::with_capacity(rows.len());
-        for &r in rows {
+        for r in rows.iter() {
             lids.insert(lid_col[r as usize]);
         }
         lids.len()
-    }
-
-    // ----------------------------------------------- anchor-dependent path
-
-    /// Per-row evaluation of an anchor-dependent decorated query on the
-    /// interned snapshot — identical results to the row evaluator's
-    /// fallback, but probing shared CSR row maps instead of per-call hash
-    /// indexes, with bitset frontiers instead of `HashSet<Value>`s.
-    /// Returns rows in ascending order (the scan order).
-    fn explained_anchor_dep(&self, q: &ChainQuery, rowmaps: &[RowMapChunks]) -> Vec<RowId> {
-        let log = self.snapshot.table(q.log);
-        let interner = &self.snapshot.interner;
-        let step_tables: Vec<&InternedTable> = q
-            .steps
-            .iter()
-            .map(|s| self.snapshot.table(s.table))
-            .collect();
-        let mut out = Vec::new();
-        with_scratch_marks(interner.len(), |marks| {
-            let mut frontier: Vec<u32> = Vec::new();
-            let mut next: Vec<u32> = Vec::new();
-            for r in 0..log.n_rows {
-                if !self.anchor_passes(q, log, r) {
-                    continue;
-                }
-                let start = log.cols[q.start_col][r];
-                if start == NULL_ID {
-                    continue;
-                }
-                frontier.clear();
-                frontier.push(start);
-                let mut dead = false;
-                for ((step, table), rowmap) in q.steps.iter().zip(&step_tables).zip(rowmaps) {
-                    next.clear();
-                    for &v in &frontier {
-                        'rows: for cand in rowmap.rows_of(v) {
-                            let cand = cand as usize;
-                            for f in &step.filters {
-                                let lhs = interner.value(table.cols[f.col][cand]);
-                                let rhs = match f.rhs {
-                                    Rhs::Const(c) => c,
-                                    Rhs::AnchorCol(col) => interner.value(log.cols[col][r]),
-                                };
-                                if !f.op.eval(&lhs, &rhs) {
-                                    continue 'rows;
-                                }
-                            }
-                            let exit = table.cols[step.exit_col][cand];
-                            if exit != NULL_ID && marks.insert(exit) {
-                                next.push(exit);
-                            }
-                        }
-                    }
-                    marks.remove_all(&next);
-                    std::mem::swap(&mut frontier, &mut next);
-                    if frontier.is_empty() {
-                        dead = true;
-                        break;
-                    }
-                }
-                if dead {
-                    continue;
-                }
-                let explained = match q.close_col {
-                    None => true,
-                    Some(c) => {
-                        let close = log.cols[c][r];
-                        close != NULL_ID && frontier.contains(&close)
-                    }
-                };
-                if explained {
-                    out.push(r as RowId);
-                }
-            }
-        });
-        out
     }
 }
 
@@ -1861,6 +1383,32 @@ mod tests {
         (db, log, appt, info)
     }
 
+    /// One query's explained rows through the fused driver, in the cold
+    /// evaluator's sorted form.
+    pub(super) fn rows_of(
+        engine: &Engine,
+        db: &Database,
+        q: &ChainQuery,
+        opts: EvalOptions,
+    ) -> Result<Vec<RowId>> {
+        engine
+            .eval_suite(db, std::slice::from_ref(q), opts)
+            .remove(0)
+            .map(|rows| rows.to_vec())
+    }
+
+    /// One query's support through [`Engine::support_many`].
+    fn support_of(
+        engine: &Engine,
+        db: &Database,
+        q: &ChainQuery,
+        opts: EvalOptions,
+    ) -> Result<usize> {
+        engine
+            .support_many(db, std::slice::from_ref(q), opts)
+            .remove(0)
+    }
+
     fn template_a(log: TableId, appt: TableId) -> ChainQuery {
         ChainQuery {
             log,
@@ -1894,11 +1442,11 @@ mod tests {
         let opts = EvalOptions::default();
         for q in [template_a(log, appt), template_b(log, appt, info)] {
             assert_eq!(
-                engine.explained_rows(&db, &q, opts).unwrap(),
+                rows_of(&engine, &db, &q, opts).unwrap(),
                 q.explained_rows(&db, opts).unwrap()
             );
             assert_eq!(
-                engine.support(&db, &q, opts).unwrap(),
+                support_of(&engine, &db, &q, opts).unwrap(),
                 q.support(&db, opts).unwrap()
             );
         }
@@ -1957,13 +1505,13 @@ mod tests {
             ..template_a(log, appt)
         };
         assert_eq!(
-            engine.explained_rows(&db, &open, opts).unwrap(),
+            rows_of(&engine, &db, &open, opts).unwrap(),
             open.explained_rows(&db, opts).unwrap()
         );
         let mut filtered = template_a(log, appt);
         filtered.anchor_filters = vec![(1, CmpOp::Ge, Value::Date(2))];
         assert_eq!(
-            engine.explained_rows(&db, &filtered, opts).unwrap(),
+            rows_of(&engine, &db, &filtered, opts).unwrap(),
             filtered.explained_rows(&db, opts).unwrap()
         );
     }
@@ -1981,11 +1529,11 @@ mod tests {
         assert!(q.is_anchor_dependent());
         let opts = EvalOptions::default();
         assert_eq!(
-            engine.explained_rows(&db, &q, opts).unwrap(),
+            rows_of(&engine, &db, &q, opts).unwrap(),
             q.explained_rows(&db, opts).unwrap()
         );
         assert_eq!(
-            engine.support(&db, &q, opts).unwrap(),
+            support_of(&engine, &db, &q, opts).unwrap(),
             q.support(&db, opts).unwrap()
         );
         // The per-row path populates the row-map cache, never the step-map
@@ -1994,7 +1542,7 @@ mod tests {
         assert_eq!(engine.cached_row_maps(), 1);
         // The undecorated variant shares nothing with it.
         let plain = template_a(log, appt);
-        let _ = engine.explained_rows(&db, &plain, opts).unwrap();
+        let _ = rows_of(&engine, &db, &plain, opts).unwrap();
         assert_eq!(engine.cached_step_maps(), 1);
         assert_eq!(engine.cached_row_maps(), 1);
     }
@@ -2039,7 +1587,7 @@ mod tests {
     }
 
     #[test]
-    fn explained_rows_many_matches_one_by_one() {
+    fn eval_suite_matches_one_by_one() {
         let (db, log, appt, info) = figure3_db();
         let engine = Engine::new(&db);
         let opts = EvalOptions::default();
@@ -2055,9 +1603,12 @@ mod tests {
                 ..template_a(log, appt)
             },
         ];
-        let batch = engine.explained_rows_many(&db, &queries, opts);
+        let batch = engine.eval_suite(&db, &queries, opts);
         for (q, got) in queries.iter().take(3).zip(&batch) {
-            assert_eq!(got.as_ref().unwrap(), &q.explained_rows(&db, opts).unwrap());
+            assert_eq!(
+                got.as_ref().unwrap().to_vec(),
+                q.explained_rows(&db, opts).unwrap()
+            );
         }
         assert!(batch[3].is_err());
     }
@@ -2089,7 +1640,7 @@ mod tests {
         assert_eq!(engine.cached_partitions(), 1);
         for q in [&qa, &qb] {
             assert_eq!(
-                engine.explained_rows(&db, q, opts).unwrap(),
+                rows_of(&engine, &db, q, opts).unwrap(),
                 q.explained_rows(&db, opts).unwrap()
             );
         }
@@ -2112,11 +1663,11 @@ mod tests {
         );
         for q in [&qa, &qb] {
             assert_eq!(
-                engine.explained_rows(&db, q, opts).unwrap(),
+                rows_of(&engine, &db, q, opts).unwrap(),
                 q.explained_rows(&db, opts).unwrap()
             );
             assert_eq!(
-                engine.support(&db, q, opts).unwrap(),
+                support_of(&engine, &db, q, opts).unwrap(),
                 q.support(&db, opts).unwrap()
             );
         }
@@ -2146,9 +1697,7 @@ mod tests {
             ..template_a(log, appt)
         };
         assert_eq!(
-            engine
-                .explained_rows(&db, &q, EvalOptions::default())
-                .unwrap(),
+            rows_of(&engine, &db, &q, EvalOptions::default()).unwrap(),
             q.explained_rows(&db, EvalOptions::default()).unwrap()
         );
     }
@@ -2159,7 +1708,7 @@ mod tests {
         let mut engine = Engine::new(&db);
         let opts = EvalOptions::default();
         let qb = template_b(log, appt, info);
-        let _ = engine.explained_rows(&db, &qb, opts).unwrap();
+        let _ = rows_of(&engine, &db, &qb, opts).unwrap();
         // Appending a log row with brand-new values grows the id space;
         // the retained Appointments/Doctor_Info maps must treat those new
         // ids as "no exits" rather than indexing out of bounds.
@@ -2176,7 +1725,7 @@ mod tests {
         let stats = engine.refresh(&db).unwrap();
         assert_eq!(stats.dropped_step_maps, 0);
         assert_eq!(
-            engine.explained_rows(&db, &qb, opts).unwrap(),
+            rows_of(&engine, &db, &qb, opts).unwrap(),
             qb.explained_rows(&db, opts).unwrap()
         );
     }
@@ -2204,9 +1753,9 @@ mod tests {
         assert!(engine.cache.lock().is_err(), "cache lock is poisoned");
         // The engine recovers the guards and keeps answering correctly,
         // including cache misses (inserts into the poisoned maps).
-        assert_eq!(engine.explained_rows(&db, &q, opts).unwrap(), expected);
+        assert_eq!(rows_of(&engine, &db, &q, opts).unwrap(), expected);
         assert_eq!(
-            engine.support(&db, &q, opts).unwrap(),
+            support_of(&engine, &db, &q, opts).unwrap(),
             q.support(&db, opts).unwrap()
         );
         let mut decorated = template_a(log, appt);
@@ -2216,7 +1765,7 @@ mod tests {
             rhs: Rhs::AnchorCol(1),
         });
         assert_eq!(
-            engine.explained_rows(&db, &decorated, opts).unwrap(),
+            rows_of(&engine, &db, &decorated, opts).unwrap(),
             decorated.explained_rows(&db, opts).unwrap()
         );
     }
@@ -2246,13 +1795,13 @@ mod tests {
         };
         for _ in 0..2 {
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                engine.explained_rows(&db, &stale, opts)
+                rows_of(&engine, &db, &stale, opts)
             }));
             assert!(caught.is_err(), "stale-snapshot evaluation panics");
             // Same thread, same scratch state: results stay exact.
-            assert_eq!(engine.explained_rows(&db, &q, opts).unwrap(), expected);
+            assert_eq!(rows_of(&engine, &db, &q, opts).unwrap(), expected);
             assert_eq!(
-                engine.support(&db, &q, opts).unwrap(),
+                support_of(&engine, &db, &q, opts).unwrap(),
                 q.support(&db, opts).unwrap()
             );
         }
@@ -2271,7 +1820,7 @@ mod tests {
         let mut engine = Engine::new(&db);
         let opts = EvalOptions::default();
         let q = template_a(log, appt);
-        let expected = engine.explained_rows(&db, &q, opts).unwrap();
+        let expected = rows_of(&engine, &db, &q, opts).unwrap();
         // Refreshing against an unrelated, shorter database is refused...
         let (other, ..) = {
             let mut other = Database::new();
@@ -2283,7 +1832,7 @@ mod tests {
         let err = engine.refresh(&other).unwrap_err();
         assert!(matches!(err, RefreshError::CatalogShrank { .. }));
         // ...and the engine still answers from its intact snapshot.
-        assert_eq!(engine.explained_rows(&db, &q, opts).unwrap(), expected);
+        assert_eq!(rows_of(&engine, &db, &q, opts).unwrap(), expected);
     }
 
     /// ⌈log2 n⌉ + 1: the chunk-count bound after `n` extensions.
@@ -2393,7 +1942,7 @@ mod tests {
                 RowSet::from_sorted_vec(&(0..n as u32).step_by(3).collect::<Vec<_>>());
             for q in [&grouped, &decorated] {
                 let oracle = q.explained_rows(&db, opts).unwrap();
-                assert_eq!(engine.explained_rows(&db, q, opts).unwrap(), oracle);
+                assert_eq!(rows_of(&engine, &db, q, opts).unwrap(), oracle);
                 let scattered = engine
                     .eval_suite_rows(&db, std::slice::from_ref(q), opts, &every_third)
                     .remove(0)
@@ -2411,12 +1960,8 @@ mod tests {
             .unwrap();
         let engine = Engine::new(&db);
         let q = template_b(log, appt, info);
-        let with = engine
-            .support(&db, &q, EvalOptions { dedup: true })
-            .unwrap();
-        let without = engine
-            .support(&db, &q, EvalOptions { dedup: false })
-            .unwrap();
+        let with = support_of(&engine, &db, &q, EvalOptions { dedup: true }).unwrap();
+        let without = support_of(&engine, &db, &q, EvalOptions { dedup: false }).unwrap();
         assert_eq!(with, without);
         // Both dedup settings cached their own maps.
         assert_eq!(engine.cached_step_maps(), 6);

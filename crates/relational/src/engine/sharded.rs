@@ -932,6 +932,7 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::chain::ChainStep;
+    use crate::engine::tests::rows_of;
     use crate::types::DataType;
 
     fn world() -> (Database, TableId, TableId) {
@@ -1268,12 +1269,8 @@ mod tests {
             for shard in vec.shards() {
                 let cold = Engine::new(shard.db());
                 assert_eq!(
-                    shard
-                        .engine()
-                        .explained_rows(shard.db(), &q, EvalOptions::default())
-                        .unwrap(),
-                    cold.explained_rows(shard.db(), &q, EvalOptions::default())
-                        .unwrap()
+                    rows_of(shard.engine(), shard.db(), &q, EvalOptions::default()).unwrap(),
+                    rows_of(&cold, shard.db(), &q, EvalOptions::default()).unwrap()
                 );
             }
             let cold = compute_maintained(vec.shards(), &pin, vec.global_log_len());

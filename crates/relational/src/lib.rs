@@ -47,10 +47,11 @@
 //!    `enter → {exits}` CSR map built **once** per engine and shared by
 //!    every query that traverses it; the `(start, close) → rows` partition
 //!    of the log is likewise computed once per anchor shape.
-//! 3. **Batch API** ([`Engine::support_many`],
-//!    [`Engine::explained_rows_many`]): a whole candidate frontier or
-//!    template suite is evaluated against one cache, fanned out across
-//!    threads ([`engine::par_map`]).
+//! 3. **One fused driver** ([`Engine::eval_suite`], its restricted forms
+//!    [`Engine::eval_suite_range`] and [`Engine::eval_suite_rows`], and
+//!    [`Engine::support_many`] on top): a whole candidate frontier or
+//!    template suite is evaluated in one pass against one cache, fanned
+//!    out across threads ([`engine::par_map`]).
 //! 4. **Incremental refresh** ([`Engine::refresh`]): tables are
 //!    append-only, so a warm engine follows the growing log by scanning
 //!    only the appended rows and dropping only the caches over tables that
@@ -70,7 +71,7 @@
 //! The engine returns **byte-identical** results to [`ChainQuery`] for
 //! every query class (enforced differentially by the `engine_equivalence`
 //! integration test); anchor-dependent decorated queries are transparently
-//! routed to the per-row evaluator. `eba-core`'s miner drives all bottom-up
+//! routed to the driver's per-row scan. `eba-core`'s miner drives all bottom-up
 //! rounds and decoration refinement through it (`MiningConfig::opt_engine`),
 //! and `eba-audit`'s explainer, metrics, timeline, and portal layers batch
 //! whole template suites through it.

@@ -35,6 +35,32 @@ pub fn test_shards() -> usize {
         .unwrap_or(1)
 }
 
+/// One query's explained rows through the engine's fused driver
+/// ([`Engine::eval_suite`]), in the cold evaluator's sorted form.
+pub fn engine_rows(
+    engine: &Engine,
+    db: &Database,
+    q: &ChainQuery,
+    opts: EvalOptions,
+) -> eba::relational::Result<Vec<u32>> {
+    engine
+        .eval_suite(db, std::slice::from_ref(q), opts)
+        .remove(0)
+        .map(|rows| rows.to_vec())
+}
+
+/// One query's support through [`Engine::support_many`].
+pub fn engine_support(
+    engine: &Engine,
+    db: &Database,
+    q: &ChainQuery,
+    opts: EvalOptions,
+) -> eba::relational::Result<usize> {
+    engine
+        .support_many(db, std::slice::from_ref(q), opts)
+        .remove(0)
+}
+
 /// The standard concurrency-test world: a tiny synthetic hospital, its
 /// conventional log spec, the hand-crafted template suite, and the
 /// user/patient pools an ingesting writer samples from.

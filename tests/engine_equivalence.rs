@@ -32,13 +32,13 @@ fn assert_equivalent(db: &Database, engine: &Engine, q: &ChainQuery, what: &str)
     for dedup in [true, false] {
         let opts = EvalOptions { dedup };
         let reference = q.explained_rows(db, opts).unwrap();
-        let via_engine = engine.explained_rows(db, q, opts).unwrap();
+        let via_engine = common::engine_rows(engine, db, q, opts).unwrap();
         assert_eq!(
             via_engine, reference,
             "{what}: explained_rows (dedup={dedup})"
         );
         let s_ref = q.support(db, opts).unwrap();
-        let s_eng = engine.support(db, q, opts).unwrap();
+        let s_eng = common::engine_support(engine, db, q, opts).unwrap();
         assert_eq!(s_eng, s_ref, "{what}: support (dedup={dedup})");
     }
 }
@@ -245,9 +245,12 @@ fn explained_rows_many_matches_one_by_one() {
         .map(|(_, q)| q)
         .collect();
     let opts = EvalOptions::default();
-    let batch = engine.explained_rows_many(&h.db, &queries, opts);
+    let batch = engine.eval_suite(&h.db, &queries, opts);
     for (q, got) in queries.iter().zip(batch) {
-        assert_eq!(got.unwrap(), q.explained_rows(&h.db, opts).unwrap());
+        assert_eq!(
+            got.unwrap().to_vec(),
+            q.explained_rows(&h.db, opts).unwrap()
+        );
     }
 }
 
@@ -466,12 +469,12 @@ proptest! {
             for dedup in [true, false] {
                 let opts = EvalOptions { dedup };
                 prop_assert_eq!(
-                    engine.explained_rows(&db, q, opts).unwrap(),
+                    common::engine_rows(&engine, &db, q, opts).unwrap(),
                     q.explained_rows(&db, opts).unwrap(),
                     "{} (dedup={})", what, dedup
                 );
                 prop_assert_eq!(
-                    engine.support(&db, q, opts).unwrap(),
+                    common::engine_support(&engine, &db, q, opts).unwrap(),
                     q.support(&db, opts).unwrap(),
                     "{} (dedup={})", what, dedup
                 );
@@ -502,12 +505,12 @@ proptest! {
             for dedup in [true, false] {
                 let opts = EvalOptions { dedup };
                 prop_assert_eq!(
-                    engine.explained_rows(&db, q, opts).unwrap(),
+                    common::engine_rows(&engine, &db, q, opts).unwrap(),
                     q.explained_rows(&db, opts).unwrap(),
                     "after refresh: {} (dedup={})", what, dedup
                 );
                 prop_assert_eq!(
-                    engine.support(&db, q, opts).unwrap(),
+                    common::engine_support(&engine, &db, q, opts).unwrap(),
                     q.support(&db, opts).unwrap(),
                     "after refresh: {} (dedup={})", what, dedup
                 );
@@ -542,8 +545,8 @@ proptest! {
                 .iter()
                 .map(|(_, q)| {
                     (
-                        engine.explained_rows(db, q, opts).unwrap(),
-                        engine.support(db, q, opts).unwrap(),
+                        common::engine_rows(engine, db, q, opts).unwrap(),
+                        common::engine_support(engine, db, q, opts).unwrap(),
                     )
                 })
                 .collect()
@@ -647,7 +650,7 @@ fn shared_engine_readers_always_observe_a_published_epoch() {
                     // the engine agrees with the reference row evaluator
                     // over the shard's own frozen database.
                     assert_eq!(
-                        shard.engine().explained_rows(shard.db(), q, opts).unwrap(),
+                        common::engine_rows(shard.engine(), shard.db(), q, opts).unwrap(),
                         q.explained_rows(shard.db(), opts).unwrap(),
                         "epoch {} inconsistent",
                         vec.seq()
@@ -701,7 +704,7 @@ fn panicking_query_leaves_the_session_answering() {
     let opts = EvalOptions::default();
     // Warm the session.
     for (_, q) in &queries {
-        let _ = engine.explained_rows(&h.db, q, opts).unwrap();
+        let _ = common::engine_rows(&engine, &h.db, q, opts).unwrap();
     }
     // A query over a table the engine's snapshot has never seen panics
     // (stale-snapshot misuse). It must not take the session down.
@@ -722,7 +725,7 @@ fn panicking_query_leaves_the_session_answering() {
         anchor_filters: vec![],
     };
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        engine.explained_rows(&h.db, &stale, opts)
+        common::engine_rows(&engine, &h.db, &stale, opts)
     }));
     assert!(caught.is_err(), "stale-snapshot query panics");
 
@@ -763,15 +766,11 @@ fn refresh_against_shrunk_database_is_an_error_not_an_abort() {
     );
     let mut engine = Engine::new(&grown);
     let q = hospital_queries(&grown, &spec).remove(0).1;
-    let expected = engine
-        .explained_rows(&grown, &q, EvalOptions::default())
-        .unwrap();
+    let expected = common::engine_rows(&engine, &grown, &q, EvalOptions::default()).unwrap();
     let err = engine.refresh(&h.db).unwrap_err();
     assert!(matches!(err, RefreshError::TableShrank { .. }));
     assert_eq!(
-        engine
-            .explained_rows(&grown, &q, EvalOptions::default())
-            .unwrap(),
+        common::engine_rows(&engine, &grown, &q, EvalOptions::default()).unwrap(),
         expected,
         "engine unchanged after refused refresh"
     );
@@ -792,6 +791,6 @@ fn engine_rejects_what_the_evaluator_rejects() {
         close_col: None,
         anchor_filters: vec![],
     };
-    assert!(engine.support(&h.db, &bad, EvalOptions::default()).is_err());
+    assert!(common::engine_support(&engine, &h.db, &bad, EvalOptions::default()).is_err());
     assert!(bad.support(&h.db, EvalOptions::default()).is_err());
 }

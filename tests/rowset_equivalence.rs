@@ -24,8 +24,8 @@ use eba::relational::{
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// The old per-template reference: one `explained_rows` call per query,
-/// exactly what `eval_suite` fuses into a single scan.
+/// The per-template reference: one single-template pass of the driver
+/// per query, exactly what `eval_suite` fuses into a single scan.
 fn per_template_reference(
     engine: &Engine,
     db: &Database,
@@ -34,7 +34,7 @@ fn per_template_reference(
 ) -> Vec<Vec<RowId>> {
     queries
         .iter()
-        .map(|q| engine.explained_rows(db, q, opts).expect("valid query"))
+        .map(|q| common::engine_rows(engine, db, q, opts).expect("valid query"))
         .collect()
 }
 
@@ -47,7 +47,10 @@ fn fused_suite_matches_the_per_template_path_on_the_hospital() {
         let suite = world.suite();
         for dedup in [true, false] {
             let opts = EvalOptions { dedup };
-            let reference = per_template_reference(&engine, db, &suite, opts);
+            let reference: Vec<Vec<RowId>> = suite
+                .iter()
+                .map(|q| q.explained_rows(db, opts).unwrap())
+                .collect();
             let fused = engine.eval_suite(db, &suite, opts);
             assert_eq!(fused.len(), suite.len());
             let mut sets = Vec::new();
@@ -332,6 +335,10 @@ struct RandomWorld {
     log_rows: Vec<(i64, i64, i64)>,
     event_rows: Vec<(i64, i64, bool)>,
     team_rows: Vec<(i64, i64)>,
+    /// Anchor restrictions: a `[lo, hi)` range and a row subset, both
+    /// allowed past the log end.
+    range: (usize, usize),
+    subset: Vec<u32>,
 }
 
 fn random_world() -> impl Strategy<Value = RandomWorld> {
@@ -339,8 +346,12 @@ fn random_world() -> impl Strategy<Value = RandomWorld> {
         prop::collection::vec((0..40i64, 0..6i64, 0..8i64), 1..30),
         prop::collection::vec((0..8i64, 0..6i64, 0..10i64), 0..25),
         prop::collection::vec((0..6i64, 0..6i64), 0..15),
+        (
+            (0..40usize, 0..40usize),
+            prop::collection::vec(0..40u32, 0..20),
+        ),
     )
-        .prop_map(|(mut log_rows, event_rows, team_rows)| {
+        .prop_map(|(mut log_rows, event_rows, team_rows, (range, subset))| {
             for (i, r) in log_rows.iter_mut().enumerate() {
                 r.0 = i as i64;
             }
@@ -351,6 +362,8 @@ fn random_world() -> impl Strategy<Value = RandomWorld> {
                     .map(|(p, a, n)| (p, a, n == 0))
                     .collect(),
                 team_rows,
+                range,
+                subset,
             }
         })
 }
@@ -453,14 +466,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The fused driver equals the per-template path per slot and in
-    /// union, on random worlds, under both dedup settings — and the
-    /// row-set algebra over the evaluated sets equals a sorted-Vec
+    /// union, on random worlds, under both dedup settings — over the
+    /// whole log, a row range and a row subset, and as supports — and
+    /// the row-set algebra over the evaluated sets equals a sorted-Vec
     /// reference.
     #[test]
     fn fused_driver_and_rowset_algebra_match_references(w in random_world()) {
         let (db, log, event, team) = materialize(&w);
         let engine = Engine::new(&db);
         let queries = query_classes(log, event, team);
+        let n = db.table(log).len();
+        let subset: RowSet = w.subset.iter().copied().collect();
         for dedup in [true, false] {
             let opts = EvalOptions { dedup };
             let reference: Vec<Vec<RowId>> = queries
@@ -473,6 +489,45 @@ proptest! {
                 let set = set.unwrap();
                 prop_assert_eq!(&set.to_vec(), expect, "q{} (dedup={})", i, dedup);
                 sets.push(set);
+            }
+            // Restricted forms: a range (the random one, an empty one,
+            // and one past the log end) and a row subset, each ≡ the cold
+            // answer restricted to those anchors.
+            let (lo, hi) = w.range;
+            for (lo, hi) in [(lo, hi), (hi, hi), (lo, n + 5)] {
+                let ranged = engine.eval_suite_range(&db, &queries, opts, lo, hi);
+                for (i, (set, expect)) in ranged.into_iter().zip(&reference).enumerate() {
+                    let expect: Vec<RowId> = expect
+                        .iter()
+                        .copied()
+                        .filter(|&r| lo <= r as usize && (r as usize) < hi)
+                        .collect();
+                    prop_assert_eq!(
+                        set.unwrap().to_vec(), expect,
+                        "q{} range [{}, {}) (dedup={})", i, lo, hi, dedup
+                    );
+                }
+            }
+            let rows = engine.eval_suite_rows(&db, &queries, opts, &subset);
+            for (i, (set, expect)) in rows.into_iter().zip(&reference).enumerate() {
+                let expect: Vec<RowId> =
+                    expect.iter().copied().filter(|&r| subset.contains(r)).collect();
+                prop_assert_eq!(set.unwrap().to_vec(), expect, "q{} rows (dedup={})", i, dedup);
+            }
+            // Support counts distinct lids. `Lid` is unique per log row,
+            // so count by the non-unique `User` column too.
+            let by_user: Vec<ChainQuery> = queries
+                .iter()
+                .map(|q| ChainQuery { lid_col: 1, ..q.clone() })
+                .collect();
+            for suite in [&queries, &by_user] {
+                let supports = engine.support_many(&db, suite, opts);
+                for (i, (q, support)) in suite.iter().zip(supports).enumerate() {
+                    prop_assert_eq!(
+                        support.unwrap(), q.support(&db, opts).unwrap(),
+                        "q{} lid col {} support (dedup={})", i, q.lid_col, dedup
+                    );
+                }
             }
             // Union: fused vs BTreeSet reference.
             let union_ref: Vec<RowId> = reference

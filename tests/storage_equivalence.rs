@@ -268,12 +268,12 @@ fn assert_equivalent(seg: &World, engine: &Engine, oracle: &FlatOracle, what: &s
             "{what}: {name} row evaluator on segmented storage"
         );
         assert_eq!(
-            engine.explained_rows(&seg.db, &q, opts).unwrap(),
+            common::engine_rows(engine, &seg.db, &q, opts).unwrap(),
             flat_rows,
             "{what}: {name} engine on segmented storage"
         );
         assert_eq!(
-            engine.support(&seg.db, &q, opts).unwrap(),
+            common::engine_support(engine, &seg.db, &q, opts).unwrap(),
             q.support(&flat.db, opts).unwrap(),
             "{what}: {name} support"
         );
@@ -414,8 +414,8 @@ proptest! {
                 .iter()
                 .map(|(_, q)| {
                     (
-                        engine.explained_rows(db, q, opts).unwrap(),
-                        engine.support(db, q, opts).unwrap(),
+                        common::engine_rows(engine, db, q, opts).unwrap(),
+                        common::engine_support(engine, db, q, opts).unwrap(),
                     )
                 })
                 .collect()
@@ -577,8 +577,8 @@ fn sealed_segments_are_pointer_shared_across_epochs() {
         let fresh = Engine::new(shard.db());
         for (name, q) in &queries {
             assert_eq!(
-                shard.engine().explained_rows(shard.db(), q, opts).unwrap(),
-                fresh.explained_rows(shard.db(), q, opts).unwrap(),
+                common::engine_rows(shard.engine(), shard.db(), q, opts).unwrap(),
+                common::engine_rows(&fresh, shard.db(), q, opts).unwrap(),
                 "latest epoch diverges from a fresh engine: {name}"
             );
         }
