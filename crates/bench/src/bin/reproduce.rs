@@ -4,8 +4,11 @@
 //! reproduce [--scale tiny|small|default] [--seed N] [--csv DIR] [ARTIFACT...]
 //! ```
 //!
-//! With no `ARTIFACT` arguments all experiments run in paper order.
-//! Artifacts: `overview fig6 fig7 fig8 fig9 fig10 fig12 fig13 fig14 table1`.
+//! With no `ARTIFACT` arguments every experiment but `scaling` runs in
+//! paper order. Artifacts: `overview fig6 fig7 fig8 fig9 fig10 fig11 fig12
+//! fig13 fig14 table1 ext scaling` (`fig10` and `fig11` come as one pair;
+//! `scaling` regenerates the hospital at three sizes). An unknown name is
+//! a usage error (exit 2).
 
 use eba_bench::scale_config;
 use eba_experiments::{
@@ -14,6 +17,12 @@ use eba_experiments::{
 };
 use eba_synth::SynthConfig;
 use std::io::Write;
+
+/// Every name `ARTIFACT` accepts.
+const ARTIFACTS: [&str; 13] = [
+    "overview", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14",
+    "table1", "ext", "scaling",
+];
 
 fn main() {
     let mut scale = "default".to_string();
@@ -38,7 +47,8 @@ fn main() {
             }
             "--csv" => csv_dir = Some(args.next().unwrap_or_else(|| usage("missing --csv dir"))),
             "--help" | "-h" => usage(""),
-            other => artifacts.push(other.to_string()),
+            other if ARTIFACTS.contains(&other) => artifacts.push(other.to_string()),
+            other => usage(&format!("unknown artifact `{other}`")),
         }
     }
 
@@ -139,7 +149,8 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: reproduce [--scale tiny|small|default] [--seed N] [--csv DIR] [ARTIFACT...]\n\
-         artifacts: overview fig6 fig7 fig8 fig9 fig10 fig12 fig13 fig14 table1 ext scaling"
+         artifacts: {}",
+        ARTIFACTS.join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

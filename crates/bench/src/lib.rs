@@ -1,20 +1,16 @@
 //! # eba-bench
 //!
-//! Benchmarks and the `reproduce` binary.
+//! The `reproduce` binary and, as a package of its own under
+//! `src/bin/eba_benchmark/`, the wire-level benchmark that `BENCHMARK.json`
+//! declares.
 //!
 //! * `cargo run -p eba-bench --release --bin reproduce` regenerates every
 //!   table and figure of the paper's evaluation (optionally a single one:
 //!   `-- fig13`, and `--scale tiny|small|default`, `--csv <dir>`).
-//! * `cargo bench -p eba-bench --bench mining` measures the three mining
-//!   algorithms (Figure 13's subject).
-//! * `cargo bench -p eba-bench --bench ablation` measures the §3.2.1
-//!   optimizations individually.
-//! * `cargo bench -p eba-bench --bench engine` measures the relational
-//!   substrate's support-query evaluation.
-//! * `cargo bench -p eba-bench --bench clustering` measures `W = AᵀA`
-//!   construction and Louvain clustering.
-
-pub mod harness;
+//! * `cargo run --release --manifest-path
+//!   crates/bench/src/bin/eba_benchmark/Cargo.toml -- --smoke` runs every
+//!   benchmark workload once on a small hospital; its `mine` workload's
+//!   `mine_job_ms` times the miner.
 
 use eba_synth::SynthConfig;
 
@@ -28,17 +24,6 @@ pub fn scale_config(name: &str) -> Option<SynthConfig> {
     }
 }
 
-/// A bench-sized hospital: between `tiny` and `small`, fast enough for
-/// Criterion's repeated runs in release mode.
-pub fn bench_config() -> SynthConfig {
-    SynthConfig {
-        n_patients: 800,
-        n_teams: 8,
-        n_float_accesses: 400,
-        ..SynthConfig::small()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,12 +34,5 @@ mod tests {
         assert!(scale_config("small").is_some());
         assert!(scale_config("default").is_some());
         assert!(scale_config("nope").is_none());
-    }
-
-    #[test]
-    fn bench_config_is_mid_sized() {
-        let b = bench_config();
-        assert!(b.n_patients > SynthConfig::tiny().n_patients);
-        assert!(b.n_patients <= SynthConfig::default_scale().n_patients);
     }
 }

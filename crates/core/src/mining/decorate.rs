@@ -91,7 +91,6 @@ pub fn refine(
     threshold: usize,
     config: &MiningConfig,
 ) -> Vec<DecoratedTemplate> {
-    let engine = config.opt_engine.then(|| Engine::new(db));
     refine_with(
         db,
         spec,
@@ -99,7 +98,7 @@ pub fn refine(
         candidate,
         threshold,
         config,
-        engine.as_ref(),
+        &Engine::new(db),
     )
 }
 
@@ -107,8 +106,6 @@ pub fn refine(
 /// holds an [`Engine`] over this database (e.g. one built per auditing
 /// session and used for several refinements) reuses its warm snapshot and
 /// step-map cache instead of paying [`refine`]'s fresh full-database scan.
-/// `None` evaluates through the per-query row evaluator regardless of
-/// `config.opt_engine`.
 pub fn refine_with(
     db: &Database,
     spec: &LogSpec,
@@ -116,7 +113,7 @@ pub fn refine_with(
     candidate: &DecorationCandidate,
     threshold: usize,
     config: &MiningConfig,
-    engine: Option<&Engine>,
+    engine: &Engine,
 ) -> Vec<DecoratedTemplate> {
     let opts = EvalOptions {
         dedup: config.opt_dedup,
@@ -163,20 +160,11 @@ pub fn refine_with(
             })
             .collect();
         let queries: Vec<ChainQuery> = decorated.iter().map(|p| p.to_chain_query(spec)).collect();
-        let supports: Vec<usize> = match engine {
-            Some(engine) => engine
-                .support_many(db, &queries, opts)
-                .into_iter()
-                .map(|r| r.expect("decorating a valid path keeps it valid"))
-                .collect(),
-            None => queries
-                .iter()
-                .map(|q| {
-                    q.support(db, opts)
-                        .expect("decorating a valid path keeps it valid")
-                })
-                .collect(),
-        };
+        let supports: Vec<usize> = engine
+            .support_many(db, &queries, opts)
+            .into_iter()
+            .map(|r| r.expect("decorating a valid path keeps it valid"))
+            .collect();
 
         let mut still_pending = Vec::with_capacity(pending.len());
         for (((t, aliases), path), support) in pending.into_iter().zip(decorated).zip(supports) {

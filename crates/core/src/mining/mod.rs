@@ -23,8 +23,10 @@
 //!
 //! The §3.2.1 optimizations — canonical-form support caching,
 //! distinct-projection de-duplication, and estimator-driven skipping of
-//! non-selective paths — are individually toggleable in [`MiningConfig`]
-//! for the ablation benchmarks, and none of them changes the mined set.
+//! non-selective paths — are individually toggleable in [`MiningConfig`],
+//! and none of them changes the mined set (`tests/mining_equivalence.rs`
+//! checks each). Every candidate is evaluated through one shared
+//! [`eba_relational::Engine`] per run.
 
 mod bridge;
 pub mod decorate;
@@ -68,14 +70,6 @@ pub struct MiningConfig {
     /// The estimator safety factor `c` (skip only when the estimate exceeds
     /// `c · S`); the paper uses a constant "like 10".
     pub skip_multiplier: f64,
-    /// Evaluate candidates through the shared
-    /// [`eba_relational::Engine`]: a per-run interned snapshot with a
-    /// memoized step-map cache, batch-evaluating each round's candidate
-    /// frontier in parallel. Off, every candidate re-scans its tables
-    /// through [`eba_relational::ChainQuery::support`] (the pre-engine
-    /// behaviour, kept for benchmarking the engine itself). Never changes
-    /// the mined set.
-    pub opt_engine: bool,
     /// Allow mined paths to traverse *fresh aliases of the log table*
     /// mid-path (e.g. "…the doctor accessed another patient who had an
     /// appointment with the accessing user"). Off by default: the paper's
@@ -97,7 +91,6 @@ impl Default for MiningConfig {
             opt_dedup: true,
             opt_skip: true,
             skip_multiplier: 10.0,
-            opt_engine: true,
             allow_log_aliases: false,
         }
     }

@@ -32,8 +32,9 @@ pub(crate) struct Ctx<'a> {
     pub anchor_lids: usize,
     /// Fraction of the log passing the anchor filters (estimator hint).
     pub anchor_frac: f64,
-    /// The shared evaluation engine (`None` when `opt_engine` is off).
-    engine: Option<Engine>,
+    /// The shared evaluation engine: a per-run interned snapshot with a
+    /// memoized step-map cache, batch-evaluating each round's candidates.
+    engine: Engine,
     cache: HashMap<CanonicalKey, usize>,
     pub stats: MiningStats,
 }
@@ -50,7 +51,7 @@ impl<'a> Ctx<'a> {
             threshold,
             anchor_lids,
             anchor_frac: anchor_lids as f64 / total as f64,
-            engine: config.opt_engine.then(|| Engine::new(db)),
+            engine: Engine::new(db),
             cache: HashMap::new(),
             stats: MiningStats::default(),
         }
@@ -97,20 +98,12 @@ impl<'a> Ctx<'a> {
             .iter()
             .map(|&i| candidates[i].0.to_chain_query(self.spec))
             .collect();
-        let supports: Vec<usize> = match &self.engine {
-            Some(engine) => engine
-                .support_many(self.db, &queries, self.eval_options())
-                .into_iter()
-                .map(|r| r.expect("paths constructed by the miner lower to valid queries"))
-                .collect(),
-            None => queries
-                .iter()
-                .map(|q| {
-                    q.support(self.db, self.eval_options())
-                        .expect("paths constructed by the miner lower to valid queries")
-                })
-                .collect(),
-        };
+        let supports: Vec<usize> = self
+            .engine
+            .support_many(self.db, &queries, self.eval_options())
+            .into_iter()
+            .map(|r| r.expect("paths constructed by the miner lower to valid queries"))
+            .collect();
         self.stats.at(length).support_queries += to_eval.len();
         for (&i, &support) in to_eval.iter().zip(&supports) {
             out[i] = Some(support);

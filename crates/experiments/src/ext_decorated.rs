@@ -53,7 +53,7 @@ pub fn ext_decorated(s: &Scenario) -> FigureResult {
         &candidate,
         mined.threshold,
         &config,
-        Some(s.engine()),
+        s.engine(),
     );
 
     // Test environment: day-7 first accesses plus the fake log.

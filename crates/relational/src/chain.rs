@@ -30,8 +30,8 @@
 //! *semijoin chain*: a frontier of distinct values is pushed through a
 //! per-step `enter → {exit}` map built from a `SELECT DISTINCT` projection
 //! of the step's table (the paper's "reducing result multiplicity"
-//! optimization, on by default and toggleable via [`EvalOptions`] for the
-//! ablation benchmarks). Decorated queries that reference the anchor row
+//! optimization, on by default and toggleable via [`EvalOptions`]; it never
+//! changes an answer). Decorated queries that reference the anchor row
 //! fall back to per-row evaluation.
 
 use crate::database::{Database, TableId};

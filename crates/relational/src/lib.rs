@@ -71,9 +71,10 @@
 //! The engine returns **byte-identical** results to [`ChainQuery`] for
 //! every query class (enforced differentially by the `engine_equivalence`
 //! integration test); anchor-dependent decorated queries are transparently
-//! routed to the driver's per-row scan. `eba-core`'s miner drives all bottom-up
-//! rounds and decoration refinement through it (`MiningConfig::opt_engine`),
-//! and `eba-audit`'s explainer, metrics, timeline, and portal layers batch
+//! routed to the driver's per-row scan. `eba-core`'s miner evaluates every
+//! bottom-up round and every decoration refinement through it (its only
+//! evaluation path; the cold [`ChainQuery`] is the tests' reference), and
+//! `eba-audit`'s explainer, metrics, timeline, and portal layers batch
 //! whole template suites through it.
 //!
 //! ```
@@ -95,11 +96,9 @@ pub mod engine;
 pub mod error;
 pub mod index;
 pub mod pile;
-pub mod plan;
 pub mod pool;
 pub mod rowset;
 pub mod segment;
-pub mod select;
 pub mod stats;
 pub mod sync;
 pub mod table;
@@ -119,11 +118,9 @@ pub use engine::{
 pub use error::{Error, PileError, Result};
 pub use index::{HashIndex, TableIndex};
 pub use pile::{Batch, Durability, DurableStore, PlainValue, RecoveryReport};
-pub use plan::{explain, Plan, PlanStep};
 pub use pool::{StringPool, Symbol};
 pub use rowset::RowSet;
 pub use segment::{SegVec, DEFAULT_SEGMENT_ROWS};
-pub use select::Selection;
 pub use stats::ColumnStats;
 pub use table::{Row, RowId, Table};
 pub use types::{ColId, Column, DataType, TableSchema};

@@ -7,6 +7,7 @@
 #![allow(dead_code)] // each test binary uses the subset it needs
 
 pub mod chaos;
+pub mod mining;
 
 use eba::audit::explain::{anchors, explained, unexplained};
 use eba::audit::handcrafted::HandcraftedTemplates;
@@ -21,18 +22,14 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shard count the concurrency suites run at, from `EBA_TEST_SHARDS`
-/// (CI runs the workspace at both `1` and `4`); defaults to 1, so a
-/// plain `cargo test` exercises the degenerate single-shard engine.
-/// `AuditService` constructors read the same variable through
-/// [`eba::server::default_shard_count`], so the library- and socket-level
+/// Shard count the concurrency suites run at: `EBA_SHARDS`, else
+/// `EBA_TEST_SHARDS` (CI runs the workspace at both `1` and `4`), else 1,
+/// so a plain `cargo test` exercises the degenerate single-shard engine.
+/// It is [`eba::server::default_shard_count`], the same parser the
+/// `AuditService` constructors use, so the library- and socket-level
 /// suites agree on the partition layout without threading a parameter.
 pub fn test_shards() -> usize {
-    std::env::var("EBA_TEST_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    eba::server::default_shard_count()
 }
 
 /// One query's explained rows through the engine's fused driver

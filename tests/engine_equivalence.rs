@@ -3,8 +3,9 @@
 //! reference row evaluator ([`ChainQuery`]) for every query class —
 //! undecorated closed chains, open partial paths, constant-decorated and
 //! anchor-decorated chains, and anchor-filtered specs — on randomized
-//! databases, and mining must produce the same template set with the
-//! engine on and off.
+//! databases, and mining through the engine must produce the same
+//! templates and supports as the cold mining reference in
+//! `tests/common/mining.rs`.
 //!
 //! The same guarantee covers the engine-backed **audit layer** (every
 //! question asked of an [`AuditView`]) and survives
@@ -15,16 +16,23 @@
 use eba::audit::explain::{anchors, explained, explained_cold, unexplained};
 use eba::audit::handcrafted::{same_group, EventTable, HandcraftedTemplates};
 use eba::audit::{AuditView, Explainer};
-use eba::core::mining::{mine_one_way, mine_two_way, refine, DecorationCandidate};
+use eba::core::canonical::CanonicalKey;
+use eba::core::mining::{
+    mine_bridge, mine_one_way, mine_two_way, refine, refine_with, DecorationCandidate,
+};
 use eba::core::{LogSpec, MiningConfig};
+use eba::experiments::Scenario;
 use eba::relational::{
     ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RefreshError, RowSet,
     ShardedEngine, TableId, Value,
 };
 use eba::synth::{Hospital, SynthConfig};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 mod common;
+
+use common::mining;
 
 /// Asserts the engine and the row evaluator agree exactly on one query,
 /// under both dedup settings.
@@ -254,54 +262,88 @@ fn explained_rows_many_matches_one_by_one() {
     }
 }
 
+/// The product miner ("engine on") against the test-side cold reference
+/// ("engine off": `common::mining`, every support a cold `ChainQuery`
+/// scan with no cache and no skip). `mining_equivalence` pins the two-way
+/// and bridged key sets to one-way's; here every template's support is
+/// checked too.
 #[test]
 fn mining_is_identical_with_engine_on_and_off() {
-    let h = Hospital::generate(SynthConfig::tiny());
-    let spec = LogSpec::conventional(&h.db).unwrap();
-    let base = MiningConfig {
-        support_frac: 0.02,
+    let s = Scenario::build(SynthConfig::tiny());
+    let db = &s.hospital.db;
+    let spec = s.train_spec();
+    for max_length in [3, 4] {
+        let config = MiningConfig {
+            support_frac: 0.01,
+            max_length,
+            max_tables: 3,
+            ..MiningConfig::default()
+        };
+        let on = mine_one_way(db, &spec, &config);
+        let off = mining::cold_one_way(db, &spec, &config);
+        assert_eq!(on.threshold, off.threshold, "max_length {max_length}");
+        let supports: BTreeMap<CanonicalKey, usize> = on
+            .templates
+            .iter()
+            .map(|t| (t.key.clone(), t.support))
+            .collect();
+        assert_eq!(supports, off.supports, "one-way at max_length {max_length}");
+        assert!(!supports.is_empty());
+
+        let two_way = mine_two_way(db, &spec, &config);
+        let bridged = mine_bridge(db, &spec, &config, 2).unwrap();
+        for (what, mined) in [("two-way", &two_way), ("bridge-2", &bridged)] {
+            for t in &mined.templates {
+                assert_eq!(
+                    t.support,
+                    mining::cold_support(db, &spec, &t.path),
+                    "{what} at max_length {max_length}: {}",
+                    t.key.as_str()
+                );
+            }
+        }
+    }
+
+    // Decoration refinement picks the same pinned values and supports as
+    // the cold per-value loop, from a fresh engine and from a warm one.
+    let config = MiningConfig {
+        support_frac: 0.01,
         max_length: 4,
         max_tables: 3,
         ..MiningConfig::default()
     };
-    let engine_off = MiningConfig {
-        opt_engine: false,
-        ..base.clone()
-    };
-    let on = mine_one_way(&h.db, &spec, &base);
-    let off = mine_one_way(&h.db, &spec, &engine_off);
-    assert_eq!(on.key_set(), off.key_set());
-    assert_eq!(on.threshold, off.threshold);
-    for (a, b) in on.templates.iter().zip(&off.templates) {
-        assert_eq!(a.key, b.key);
-        assert_eq!(a.support, b.support);
-    }
-    // Identical support-query/cache accounting, engine or not.
-    assert_eq!(on.stats.support_queries(), off.stats.support_queries());
-    assert_eq!(on.stats.cache_hits(), off.stats.cache_hits());
-
-    let two_on = mine_two_way(&h.db, &spec, &base);
-    let two_off = mine_two_way(&h.db, &spec, &engine_off);
-    assert_eq!(two_on.key_set(), two_off.key_set());
-
-    // Decoration refinement picks the same pinned values and supports.
-    if let Ok(candidate) = DecorationCandidate::group_depths(&h.db, 3) {
-        let refined_on = refine(&h.db, &spec, &on.templates, &candidate, on.threshold, &base);
-        let refined_off = refine(
-            &h.db,
-            &spec,
-            &off.templates,
-            &candidate,
-            off.threshold,
-            &engine_off,
-        );
-        assert_eq!(refined_on.len(), refined_off.len());
-        for (a, b) in refined_on.iter().zip(&refined_off) {
-            assert_eq!(a.base_key, b.base_key);
-            assert_eq!(a.pinned, b.pinned);
-            assert_eq!(a.support, b.support);
-        }
-    }
+    let mined = mine_one_way(db, &spec, &config);
+    let candidate =
+        DecorationCandidate::group_depths(db, s.groups.hierarchy.depth_count() - 1).unwrap();
+    let cold = mining::cold_refine(db, &spec, &mined.templates, &candidate, mined.threshold);
+    assert!(!cold.is_empty());
+    let fresh = refine(
+        db,
+        &spec,
+        &mined.templates,
+        &candidate,
+        mined.threshold,
+        &config,
+    );
+    assert_eq!(mining::refined(&fresh), cold, "refine");
+    let queries: Vec<ChainQuery> = mined
+        .templates
+        .iter()
+        .map(|t| t.path.to_chain_query(&spec))
+        .collect();
+    s.engine()
+        .support_many(db, &queries, EvalOptions::default());
+    assert!(s.engine().cached_step_maps() > 0);
+    let warm = refine_with(
+        db,
+        &spec,
+        &mined.templates,
+        &candidate,
+        mined.threshold,
+        &config,
+        s.engine(),
+    );
+    assert_eq!(mining::refined(&warm), cold, "refine_with on a warm engine");
 }
 
 // --------------------------------------------------------------- proptest
