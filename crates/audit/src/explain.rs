@@ -6,9 +6,7 @@
 
 use crate::view::AuditView;
 use eba_core::{ExplanationTemplate, LogSpec};
-use eba_relational::{
-    ChainQuery, Database, EvalOptions, PreparedChain, Result, RowId, RowSet, SuitePin,
-};
+use eba_relational::{ChainQuery, Database, EvalOptions, Result, RowId, RowSet, SuitePin};
 
 /// One rendered explanation for a specific access.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,28 +42,9 @@ impl Explainer {
         self.templates.len() - 1
     }
 
-    /// Lowers and validates every template's query **once**, for per-row
-    /// loops: [`PreparedExplainer::explain`] then skips the structural
-    /// re-validation [`ChainQuery::instances`](eba_relational::ChainQuery)
-    /// would pay on every row.
-    pub fn prepared(&self, db: &Database, spec: &LogSpec) -> Result<PreparedExplainer<'_>> {
-        let queries = self
-            .templates
-            .iter()
-            .map(|t| t.path.to_chain_query(spec).into_prepared(db))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(PreparedExplainer {
-            templates: &self.templates,
-            queries,
-        })
-    }
-
     /// All explanations for one log record, rendered and sorted by
     /// ascending path length (then template order). At most
     /// `instances_per_template` witnesses are rendered per template.
-    ///
-    /// Convenience for one-off calls; loops over many rows should
-    /// [`Explainer::prepared`] once and reuse it.
     pub fn explain(
         &self,
         db: &Database,
@@ -73,9 +52,19 @@ impl Explainer {
         row: RowId,
         instances_per_template: usize,
     ) -> Result<Vec<RankedExplanation>> {
-        Ok(self
-            .prepared(db, spec)?
-            .explain(db, spec, row, instances_per_template))
+        let mut out = Vec::new();
+        for (i, t) in self.templates.iter().enumerate() {
+            let query = t.path.to_chain_query(spec);
+            for inst in query.instances(db, row, instances_per_template)? {
+                out.push(RankedExplanation {
+                    template_index: i,
+                    length: t.length(),
+                    text: t.render(db, spec, row, &inst),
+                });
+            }
+        }
+        out.sort_by_key(|e| (e.length, e.template_index));
+        Ok(out)
     }
 
     /// The suite as a [`SuitePin`], ready to hand to
@@ -152,48 +141,6 @@ pub fn explained_cold<'t>(
         );
     }
     out
-}
-
-/// An [`Explainer`] whose template queries were lowered and validated once.
-/// Produced by [`Explainer::prepared`]; see there.
-#[derive(Debug)]
-pub struct PreparedExplainer<'t> {
-    templates: &'t [ExplanationTemplate],
-    queries: Vec<PreparedChain>,
-}
-
-impl PreparedExplainer<'_> {
-    /// The templates, in index order.
-    pub fn templates(&self) -> &[ExplanationTemplate] {
-        self.templates
-    }
-
-    /// The validated queries, parallel to [`PreparedExplainer::templates`].
-    pub fn queries(&self) -> &[PreparedChain] {
-        &self.queries
-    }
-
-    /// [`Explainer::explain`] without per-row query re-validation.
-    pub fn explain(
-        &self,
-        db: &Database,
-        spec: &LogSpec,
-        row: RowId,
-        instances_per_template: usize,
-    ) -> Vec<RankedExplanation> {
-        let mut out = Vec::new();
-        for (i, (t, q)) in self.templates.iter().zip(&self.queries).enumerate() {
-            for inst in q.instances(db, row, instances_per_template) {
-                out.push(RankedExplanation {
-                    template_index: i,
-                    length: t.length(),
-                    text: t.render(db, spec, row, &inst),
-                });
-            }
-        }
-        out.sort_by_key(|e| (e.length, e.template_index));
-        out
-    }
 }
 
 #[cfg(test)]

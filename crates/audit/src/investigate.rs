@@ -12,7 +12,7 @@
 //! ([`eba_relational::ChainQuery::trace`]) for one access and ranks the
 //! near-misses.
 
-use crate::explain::{Explainer, PreparedExplainer};
+use crate::explain::Explainer;
 use eba_core::LogSpec;
 use eba_relational::{Database, Result, RowId};
 
@@ -79,39 +79,15 @@ impl Diagnosis {
 
 /// Diagnoses one access against every template, sorted with the closest
 /// misses first.
-///
-/// Convenience for one-off calls; investigating many accesses should
-/// [`Explainer::prepared`] once and call [`diagnose_prepared`] per row.
 pub fn diagnose(
     db: &Database,
     spec: &LogSpec,
     explainer: &Explainer,
     row: RowId,
 ) -> Result<Vec<Diagnosis>> {
-    Ok(diagnose_prepared(
-        db,
-        spec,
-        &explainer.prepared(db, spec)?,
-        row,
-    ))
-}
-
-/// [`diagnose`] against pre-validated template queries: the per-row loop
-/// runs no structural validation at all.
-pub fn diagnose_prepared(
-    db: &Database,
-    spec: &LogSpec,
-    prepared: &PreparedExplainer<'_>,
-    row: RowId,
-) -> Vec<Diagnosis> {
-    let mut out = Vec::with_capacity(prepared.templates().len());
-    for (i, (t, q)) in prepared
-        .templates()
-        .iter()
-        .zip(prepared.queries())
-        .enumerate()
-    {
-        let trace = q.trace(db, row);
+    let mut out = Vec::with_capacity(explainer.templates().len());
+    for (i, t) in explainer.templates().iter().enumerate() {
+        let trace = t.path.to_chain_query(spec).trace(db, row)?;
         let outcome = if !trace.anchor_matches {
             Outcome::OutOfScope
         } else if trace.closed {
@@ -137,7 +113,7 @@ pub fn diagnose_prepared(
             .cmp(&a.score())
             .then(a.template_index.cmp(&b.template_index))
     });
-    out
+    Ok(out)
 }
 
 /// True when any diagnosis says the access *would* have been explained had
@@ -185,13 +161,12 @@ mod tests {
     fn snoops_on_treated_patients_show_wrong_user() {
         let (h, spec, explainer) = setup();
         let explained = explained_cold(&h.db, &spec, explainer.templates());
-        let prepared = explainer.prepared(&h.db, &spec).unwrap();
         let mut wrong_user_seen = false;
         for rid in 0..h.log_len() as u32 {
             if h.reason_of(rid) != AccessReason::Snoop || explained.contains(rid) {
                 continue;
             }
-            let d = diagnose_prepared(&h.db, &spec, &prepared, rid);
+            let d = diagnose(&h.db, &spec, &explainer, rid).unwrap();
             // Every unexplained snoop must diagnose as *something*
             // informative (near miss or dead path), never Explained.
             assert!(!matches!(d[0].outcome, Outcome::Explained));
@@ -211,26 +186,10 @@ mod tests {
     #[test]
     fn diagnoses_are_sorted_closest_first() {
         let (h, spec, explainer) = setup();
-        let prepared = explainer.prepared(&h.db, &spec).unwrap();
         for rid in 0..(h.log_len() as u32).min(50) {
-            let d = diagnose_prepared(&h.db, &spec, &prepared, rid);
+            let d = diagnose(&h.db, &spec, &explainer, rid).unwrap();
             for w in d.windows(2) {
                 assert!(w[0].score() >= w[1].score());
-            }
-        }
-    }
-
-    #[test]
-    fn prepared_and_unprepared_diagnoses_agree() {
-        let (h, spec, explainer) = setup();
-        let prepared = explainer.prepared(&h.db, &spec).unwrap();
-        for rid in 0..(h.log_len() as u32).min(20) {
-            let a = diagnose(&h.db, &spec, &explainer, rid).unwrap();
-            let b = diagnose_prepared(&h.db, &spec, &prepared, rid);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.template_index, y.template_index);
-                assert_eq!(x.outcome, y.outcome);
             }
         }
     }

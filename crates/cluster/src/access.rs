@@ -49,16 +49,6 @@ impl AccessMatrix {
         }
     }
 
-    /// Number of users (columns).
-    pub fn user_count(&self) -> usize {
-        self.n_users
-    }
-
-    /// Number of patients (rows).
-    pub fn patient_count(&self) -> usize {
-        self.patient_users.len()
-    }
-
     /// `A[i,j]`: `1/k_i` if user `j` accessed patient `i`, else 0.
     pub fn entry(&self, patient: u32, user: u32) -> f64 {
         let users = &self.patient_users[patient as usize];

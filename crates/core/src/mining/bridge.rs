@@ -353,7 +353,6 @@ mod tests {
             support_frac: 0.5,
             max_length: 4,
             max_tables: 3,
-            opt_skip: false,
             ..MiningConfig::default()
         };
         let two = crate::mining::mine_two_way(&db, &spec, &config);

@@ -83,23 +83,18 @@ pub struct DecoratedTemplate {
 /// first, across all still-unresolved templates), so each round is one
 /// batch the shared [`Engine`] evaluates in parallel — the same queries,
 /// in the same monotone order, as the one-at-a-time scan.
+///
+/// `_config` is unused: refinement takes no mining parameter. The
+/// parameter stays because the frozen benchmark calls this signature.
 pub fn refine(
     db: &Database,
     spec: &LogSpec,
     templates: &[MinedTemplate],
     candidate: &DecorationCandidate,
     threshold: usize,
-    config: &MiningConfig,
+    _config: &MiningConfig,
 ) -> Vec<DecoratedTemplate> {
-    refine_with(
-        db,
-        spec,
-        templates,
-        candidate,
-        threshold,
-        config,
-        &Engine::new(db),
-    )
+    refine_with(db, spec, templates, candidate, threshold, &Engine::new(db))
 }
 
 /// [`refine`] against a caller-provided engine: a caller that already
@@ -112,12 +107,8 @@ pub fn refine_with(
     templates: &[MinedTemplate],
     candidate: &DecorationCandidate,
     threshold: usize,
-    config: &MiningConfig,
     engine: &Engine,
 ) -> Vec<DecoratedTemplate> {
-    let opts = EvalOptions {
-        dedup: config.opt_dedup,
-    };
     // Templates still looking for their decoration value, with the aliases
     // (1-based) of the candidate table on their path.
     let mut pending: Vec<(&MinedTemplate, Vec<usize>)> = templates
@@ -161,7 +152,7 @@ pub fn refine_with(
             .collect();
         let queries: Vec<ChainQuery> = decorated.iter().map(|p| p.to_chain_query(spec)).collect();
         let supports: Vec<usize> = engine
-            .support_many(db, &queries, opts)
+            .support_many(db, &queries, EvalOptions::default())
             .into_iter()
             .map(|r| r.expect("decorating a valid path keeps it valid"))
             .collect();

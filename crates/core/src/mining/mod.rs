@@ -23,10 +23,17 @@
 //!
 //! The §3.2.1 optimizations — canonical-form support caching,
 //! distinct-projection de-duplication, and estimator-driven skipping of
-//! non-selective paths — are individually toggleable in [`MiningConfig`],
-//! and none of them changes the mined set (`tests/mining_equivalence.rs`
-//! checks each). Every candidate is evaluated through one shared
-//! [`eba_relational::Engine`] per run.
+//! non-selective paths — are always on; none of them changes the mined set
+//! (`tests/engine_equivalence.rs` checks the miner against a cold reference
+//! with no cache and no skip). Every candidate is evaluated through one
+//! shared [`eba_relational::Engine`] per run.
+//!
+//! Mined paths never traverse a *fresh alias of the log table* mid-path
+//! (e.g. "…the doctor accessed another patient who had an appointment with
+//! the accessing user"): the paper's template counts (Table 1) indicate its
+//! miner did not chain through additional log tuple variables, and such
+//! templates are rarely meaningful to an administrator. Hand-crafted
+//! templates (like decorated repeat access) may still reference the log.
 
 mod bridge;
 pub mod decorate;
@@ -44,7 +51,7 @@ use crate::path::Path;
 use eba_relational::TableId;
 use std::time::Duration;
 
-/// Mining parameters (Def. 5 plus the optimization toggles).
+/// Mining parameters (Def. 5).
 #[derive(Debug, Clone)]
 pub struct MiningConfig {
     /// Minimum support as a fraction of the (anchor-filtered) log, the
@@ -58,26 +65,6 @@ pub struct MiningConfig {
     /// Tables excluded from the `T` limit (the paper exempts its
     /// audit-id↔caregiver-id mapping table).
     pub exempt_tables: Vec<TableId>,
-    /// §3.2.1 optimization 1: cache support values under canonical
-    /// selection-condition form.
-    pub opt_cache: bool,
-    /// §3.2.1 optimization 2: evaluate over per-table distinct projections.
-    pub opt_dedup: bool,
-    /// §3.2.1 optimization 3: skip support evaluation of open paths the
-    /// estimator predicts to be non-selective, passing them straight to the
-    /// next round. Completed explanations are never skipped.
-    pub opt_skip: bool,
-    /// The estimator safety factor `c` (skip only when the estimate exceeds
-    /// `c · S`); the paper uses a constant "like 10".
-    pub skip_multiplier: f64,
-    /// Allow mined paths to traverse *fresh aliases of the log table*
-    /// mid-path (e.g. "…the doctor accessed another patient who had an
-    /// appointment with the accessing user"). Off by default: the paper's
-    /// template counts (Table 1) indicate its miner did not chain through
-    /// additional log tuple variables, and such templates are rarely
-    /// meaningful to an administrator. Hand-crafted templates (like
-    /// decorated repeat access) may still reference the log.
-    pub allow_log_aliases: bool,
 }
 
 impl Default for MiningConfig {
@@ -87,11 +74,6 @@ impl Default for MiningConfig {
             max_length: 4,
             max_tables: 3,
             exempt_tables: Vec::new(),
-            opt_cache: true,
-            opt_dedup: true,
-            opt_skip: true,
-            skip_multiplier: 10.0,
-            allow_log_aliases: false,
         }
     }
 }

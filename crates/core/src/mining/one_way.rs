@@ -192,37 +192,6 @@ mod tests {
     }
 
     #[test]
-    fn optimizations_do_not_change_output() {
-        let (db, spec) = figure3();
-        let base = MiningConfig {
-            support_frac: 0.5,
-            max_length: 4,
-            max_tables: 3,
-            ..MiningConfig::default()
-        };
-        let reference = mine_one_way(&db, &spec, &base);
-        for (cache, dedup, skip) in [
-            (false, true, true),
-            (true, false, true),
-            (true, true, false),
-            (false, false, false),
-        ] {
-            let cfg = MiningConfig {
-                opt_cache: cache,
-                opt_dedup: dedup,
-                opt_skip: skip,
-                ..base.clone()
-            };
-            let result = mine_one_way(&db, &spec, &cfg);
-            assert_eq!(
-                result.key_set(),
-                reference.key_set(),
-                "cache={cache} dedup={dedup} skip={skip}"
-            );
-        }
-    }
-
-    #[test]
     fn stats_track_rounds() {
         let (db, spec) = figure3();
         let config = MiningConfig {

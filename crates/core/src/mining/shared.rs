@@ -23,6 +23,11 @@ use eba_relational::{estimate_support_hinted, ChainQuery, Database, Engine, Eval
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
+/// The estimator safety factor `c` of §3.2.1 optimization 3: an open path
+/// skips evaluation only when its estimate exceeds `c · S`. The paper uses
+/// a constant "like 10".
+const SKIP_MULTIPLIER: f64 = 10.0;
+
 /// Evaluation context for one mining run.
 pub(crate) struct Ctx<'a> {
     pub db: &'a Database,
@@ -57,80 +62,51 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn eval_options(&self) -> EvalOptions {
-        EvalOptions {
-            dedup: self.config.opt_dedup,
-        }
-    }
-
     /// Supports of a whole round's candidates, in input order.
     ///
-    /// With the canonical-form cache on, each distinct key is evaluated at
-    /// most once (earlier rounds' results are reused, and same-round
-    /// duplicates count as cache hits — identical to one-by-one
-    /// evaluation). The queries actually evaluated go to the engine as one
-    /// parallel batch.
+    /// Each distinct canonical key is evaluated at most once (earlier
+    /// rounds' results are reused, and same-round duplicates count as cache
+    /// hits — identical to one-by-one evaluation). The queries actually
+    /// evaluated go to the engine as one parallel batch.
     pub fn supports_of(
         &mut self,
         candidates: &[(&Path, &CanonicalKey)],
         length: usize,
     ) -> Vec<usize> {
-        let mut out: Vec<Option<usize>> = vec![None; candidates.len()];
         let mut to_eval: Vec<usize> = Vec::new();
-        if self.config.opt_cache {
-            let mut scheduled: HashSet<&CanonicalKey> = HashSet::new();
-            for (i, (_, key)) in candidates.iter().enumerate() {
-                if let Some(&s) = self.cache.get(*key) {
-                    self.stats.at(length).cache_hits += 1;
-                    out[i] = Some(s);
-                } else if scheduled.insert(*key) {
-                    to_eval.push(i);
-                } else {
-                    // Same-round duplicate: filled from the cache below.
-                    self.stats.at(length).cache_hits += 1;
-                }
+        let mut scheduled: HashSet<&CanonicalKey> = HashSet::new();
+        for (i, (_, key)) in candidates.iter().enumerate() {
+            if self.cache.contains_key(*key) || !scheduled.insert(*key) {
+                // Answered by an earlier round, or a same-round duplicate
+                // filled in below.
+                self.stats.at(length).cache_hits += 1;
+            } else {
+                to_eval.push(i);
             }
-        } else {
-            to_eval.extend(0..candidates.len());
         }
 
         let queries: Vec<ChainQuery> = to_eval
             .iter()
             .map(|&i| candidates[i].0.to_chain_query(self.spec))
             .collect();
-        let supports: Vec<usize> = self
+        let supports = self
             .engine
-            .support_many(self.db, &queries, self.eval_options())
-            .into_iter()
-            .map(|r| r.expect("paths constructed by the miner lower to valid queries"))
-            .collect();
+            .support_many(self.db, &queries, EvalOptions::default());
         self.stats.at(length).support_queries += to_eval.len();
-        for (&i, &support) in to_eval.iter().zip(&supports) {
-            out[i] = Some(support);
-            if self.config.opt_cache {
-                self.cache.insert(candidates[i].1.clone(), support);
-            }
+        for (&i, support) in to_eval.iter().zip(supports) {
+            let support = support.expect("paths constructed by the miner lower to valid queries");
+            self.cache.insert(candidates[i].1.clone(), support);
         }
-        for (i, (_, key)) in candidates.iter().enumerate() {
-            if out[i].is_none() {
-                out[i] = Some(self.cache[*key]);
-            }
-        }
-        out.into_iter()
-            .map(|s| s.expect("every candidate resolved"))
-            .collect()
+        candidates.iter().map(|(_, key)| self.cache[*key]).collect()
     }
 
     /// §3.2.1 optimization 3: should this *open* path skip support
     /// evaluation this round? True when the estimator predicts at least
     /// `c · S` explained log ids.
     pub fn should_skip(&self, path: &Path) -> bool {
-        if !self.config.opt_skip {
-            return false;
-        }
         let q = path.to_chain_query(self.spec);
         let est = estimate_support_hinted(self.db, &q, self.anchor_frac);
-        est >= self.config.skip_multiplier * self.threshold as f64
+        est >= SKIP_MULTIPLIER * self.threshold as f64
     }
 }
 
@@ -154,7 +130,7 @@ pub(crate) fn seed_frontier(ctx: &mut Ctx<'_>, edges: &EdgeSet, dir: Direction) 
     let mut seen: HashMap<CanonicalKey, Path> = HashMap::new();
     let mut batch: Vec<Candidate> = Vec::new();
     for edge in edges.from_attr(anchor) {
-        if edge.to.table == ctx.spec.table && !ctx.config.allow_log_aliases {
+        if edge.to.table == ctx.spec.table {
             continue; // a fresh log alias as the first hop
         }
         let Ok(path) = Path::seed(ctx.spec, dir, *edge) else {
@@ -271,9 +247,9 @@ pub(crate) fn expand_frontier(
                 }
             }
             // (b) Continuation: the edge's target becomes a fresh tuple
-            // variable. Fresh aliases of the log table are excluded unless
-            // explicitly allowed (see `MiningConfig::allow_log_aliases`).
-            if keep_open && (edge.to.table != ctx.spec.table || ctx.config.allow_log_aliases) {
+            // variable. Fresh aliases of the log table are excluded (see
+            // the `mining` module doc).
+            if keep_open && edge.to.table != ctx.spec.table {
                 if let Ok(open) = path.extended(*edge) {
                     if !open.is_restricted(
                         ctx.spec.table,

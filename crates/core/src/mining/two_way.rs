@@ -141,7 +141,6 @@ mod tests {
             support_frac: 0.5,
             max_length: 3,
             max_tables: 3,
-            opt_skip: false,
             ..MiningConfig::default()
         };
         let one = mine_one_way(&db, &spec, &config);

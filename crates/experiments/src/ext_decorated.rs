@@ -52,7 +52,6 @@ pub fn ext_decorated(s: &Scenario) -> FigureResult {
         &group_templates,
         &candidate,
         mined.threshold,
-        &config,
         s.engine(),
     );
 

@@ -37,21 +37,3 @@ pub mod scenario;
 
 pub use figure::{FigureResult, FigureRow};
 pub use scenario::Scenario;
-
-/// Runs every experiment on one scenario, in paper order.
-pub fn run_all(scenario: &Scenario) -> Vec<FigureResult> {
-    let mut out = vec![
-        overview::data_overview(scenario),
-        fig_events::fig06(scenario),
-        fig_handcrafted::fig07(scenario),
-        fig_events::fig08(scenario),
-        fig_handcrafted::fig09(scenario),
-    ];
-    out.extend(fig_groups::fig10_11(scenario));
-    out.push(fig_groups::fig12(scenario));
-    out.push(fig_mining::fig13(scenario));
-    out.push(fig_predictive::fig14(scenario));
-    out.push(fig_mining::table1(scenario));
-    out.push(ext_decorated::ext_decorated(scenario));
-    out
-}

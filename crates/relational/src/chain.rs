@@ -500,27 +500,16 @@ impl ChainQuery {
     /// view used by investigation tooling — a template that dies at step 1
     /// (no event at all) tells a different story than one whose frontier
     /// reaches the final step but misses the user.
-    ///
-    /// Validates the query on every call; investigation tooling invoking
-    /// this once per log row should validate once via
-    /// [`ChainQuery::into_prepared`] and call [`PreparedChain::trace`]
-    /// instead.
     pub fn trace(&self, db: &Database, log_row: RowId) -> Result<StepTrace> {
         self.validate(db)?;
-        Ok(self.trace_validated(db, log_row))
-    }
-
-    /// [`ChainQuery::trace`] without the validation pass (the query must
-    /// already have been validated against `db`).
-    fn trace_validated(&self, db: &Database, log_row: RowId) -> StepTrace {
         let log = db.table(self.log);
         let anchor = log.row(log_row);
         if !self.anchor_passes(anchor) || anchor[self.start_col].is_null() {
-            return StepTrace {
+            return Ok(StepTrace {
                 survivors: vec![0; self.steps.len()],
                 closed: false,
                 anchor_matches: false,
-            };
+            });
         }
         let mut frontier: HashSet<Value> = HashSet::new();
         frontier.insert(anchor[self.start_col]);
@@ -545,22 +534,22 @@ impl ChainQuery {
             survivors.push(frontier.len());
             if frontier.is_empty() {
                 survivors.resize(self.steps.len(), 0);
-                return StepTrace {
+                return Ok(StepTrace {
                     survivors,
                     closed: false,
                     anchor_matches: true,
-                };
+                });
             }
         }
         let closed = match self.close_col {
             None => true,
             Some(c) => !anchor[c].is_null() && frontier.contains(&anchor[c]),
         };
-        StepTrace {
+        Ok(StepTrace {
             survivors,
             closed,
             anchor_matches: true,
-        }
+        })
     }
 
     // ------------------------------------------------------------ instances
@@ -569,31 +558,22 @@ impl ChainQuery {
     /// row: the concrete step rows that justify the explanation. These are
     /// the paper's *explanation instances*, ready to be rendered as natural
     /// language.
-    ///
-    /// Validates the query on every call; per-row loops should validate
-    /// once via [`ChainQuery::into_prepared`] and call
-    /// [`PreparedChain::instances`] instead.
     pub fn instances(&self, db: &Database, log_row: RowId, limit: usize) -> Result<Vec<Instance>> {
         self.validate(db)?;
-        Ok(self.instances_validated(db, log_row, limit))
-    }
-
-    /// [`ChainQuery::instances`] without the validation pass.
-    fn instances_validated(&self, db: &Database, log_row: RowId, limit: usize) -> Vec<Instance> {
         let log = db.table(self.log);
         let anchor = log.row(log_row);
         if !self.anchor_passes(anchor) {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let start = anchor[self.start_col];
         if start.is_null() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let close = match self.close_col {
             Some(c) => {
                 let v = anchor[c];
                 if v.is_null() {
-                    return Vec::new();
+                    return Ok(Vec::new());
                 }
                 Some(v)
             }
@@ -602,7 +582,7 @@ impl ChainQuery {
         let mut out = Vec::new();
         let mut stack = Vec::with_capacity(self.steps.len());
         self.search_instances(db, anchor, start, close, 0, limit, &mut stack, &mut out);
-        out
+        Ok(out)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -651,45 +631,6 @@ impl ChainQuery {
             self.search_instances(db, anchor, exit, close, depth + 1, limit, stack, out);
             stack.pop();
         }
-    }
-
-    /// Validates the query once and wraps it for per-row hot loops:
-    /// [`PreparedChain::trace`] and [`PreparedChain::instances`] skip the
-    /// full structural re-validation [`ChainQuery::trace`] and
-    /// [`ChainQuery::instances`] pay on every call.
-    pub fn into_prepared(self, db: &Database) -> Result<PreparedChain> {
-        self.validate(db)?;
-        Ok(PreparedChain { query: self })
-    }
-}
-
-/// A [`ChainQuery`] validated once against a database. Produced by
-/// [`ChainQuery::into_prepared`]; the per-row entry points do no
-/// re-validation, so investigation tooling can call them once per log row
-/// without paying the structural checks each time.
-///
-/// The wrapped query was validated against one specific database; using a
-/// prepared chain against a database with a different schema may panic on
-/// out-of-range tables or columns (appending rows is fine).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PreparedChain {
-    query: ChainQuery,
-}
-
-impl PreparedChain {
-    /// The underlying query.
-    pub fn query(&self) -> &ChainQuery {
-        &self.query
-    }
-
-    /// [`ChainQuery::trace`] without per-call validation.
-    pub fn trace(&self, db: &Database, log_row: RowId) -> StepTrace {
-        self.query.trace_validated(db, log_row)
-    }
-
-    /// [`ChainQuery::instances`] without per-call validation.
-    pub fn instances(&self, db: &Database, log_row: RowId, limit: usize) -> Vec<Instance> {
-        self.query.instances_validated(db, log_row, limit)
     }
 }
 

@@ -108,7 +108,7 @@ pub mod wal;
 
 pub use chain::{
     estimate_support, estimate_support_hinted, ChainQuery, ChainStep, CmpOp, EvalOptions, Instance,
-    PreparedChain, Rhs, StepFilter, StepTrace,
+    Rhs, StepFilter, StepTrace,
 };
 pub use database::{AttrRef, Database, RelationshipKind, TableId};
 pub use engine::{

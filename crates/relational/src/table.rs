@@ -149,14 +149,6 @@ impl Table {
         Ok(id)
     }
 
-    /// Bulk insert; stops at the first invalid row.
-    pub fn insert_all<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) -> Result<()> {
-        for row in rows {
-            self.insert(row)?;
-        }
-        Ok(())
-    }
-
     /// Borrow a row by id.
     ///
     /// # Panics

@@ -15,8 +15,7 @@
 //! `--shards N` hash-partitions the access log by patient into N shards;
 //! each `INGEST` refreshes the shards in parallel and sessions pin the
 //! whole published epoch vector, so every answer stays byte-identical to
-//! the single-shard server. Defaults to `EBA_SHARDS` (then
-//! `EBA_TEST_SHARDS`), else 1.
+//! the single-shard server. Defaults to `EBA_SHARDS`, else 1.
 //!
 //! With `--pile FILE` acknowledged `INGEST` batches are durable: startup
 //! recovers everything previously acknowledged over the same

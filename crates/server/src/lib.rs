@@ -28,7 +28,7 @@
 //!   `ERR bad-request ...`; a panicking handler is recovered into
 //!   `ERR internal ...` and the session keeps serving (PR 3's poison
 //!   recovery guarantees the engine survives it);
-//! * **opt-in durability**: [`AuditService::new_durable`] wires a
+//! * **opt-in durability**: [`AuditService::new_durable_sharded`] wires a
 //!   [`DurableStore`] (segment pile + WAL,
 //!   [`eba_relational::pile`]) into the ingest path — the batch is on
 //!   disk *before* the epoch publishes, so an acknowledged `INGEST`
@@ -67,21 +67,16 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The service's default shard count: `EBA_SHARDS` (or, for the test
-/// harness, `EBA_TEST_SHARDS`) when set to a positive integer, else 1.
-/// One shard is the exact unsharded engine — the `shard_equivalence`
-/// suite proves the two indistinguishable — so sharding is pure opt-in.
+/// The service's default shard count: `EBA_SHARDS` when set to a
+/// positive integer, else 1. One shard is the exact unsharded engine — the
+/// `shard_equivalence` suite proves the two indistinguishable — so
+/// sharding is pure opt-in.
 pub fn default_shard_count() -> usize {
-    for var in ["EBA_SHARDS", "EBA_TEST_SHARDS"] {
-        if let Ok(v) = std::env::var(var) {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    1
+    std::env::var("EBA_SHARDS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(1)
 }
 
 /// Default cap on concurrent `INGEST` batches (one writing + waiters)
@@ -215,24 +210,13 @@ impl WriterState {
 }
 
 impl AuditService {
-    /// Assembles a service over a database with [`default_shard_count`]
-    /// shards. The initial epoch vector (seq 0) is built here — one full
-    /// partition-and-snapshot pass.
-    pub fn new(
-        db: Database,
-        spec: LogSpec,
-        cols: LogColumns,
-        explainer: Explainer,
-        days: u32,
-    ) -> AuditService {
-        Self::new_sharded(db, spec, cols, explainer, days, default_shard_count())
-    }
-
-    /// [`AuditService::new`] with an explicit shard count (`--shards N`):
-    /// the log is hash-partitioned by patient into `n_shards` engines
-    /// published together as one epoch vector; every audit question
-    /// scatter-gathers across them with answers byte-identical to one
-    /// shard's.
+    /// Assembles a service over a database with `n_shards` shards
+    /// (`--shards N`, else [`default_shard_count`]): the log is
+    /// hash-partitioned by patient into `n_shards` engines published
+    /// together as one epoch vector; every audit question scatter-gathers
+    /// across them with answers byte-identical to one shard's. The initial
+    /// epoch vector (seq 0) is built here — one full partition-and-snapshot
+    /// pass.
     pub fn new_sharded(
         db: Database,
         spec: LogSpec,
@@ -276,13 +260,13 @@ impl AuditService {
         self.pin_id
     }
 
-    /// Assembles a **durable** service: opens (creating if absent) the
-    /// segment pile at `pile_path` and its WAL, replays every recovered
-    /// batch into `db` *before* the initial epoch is built (one bulk
-    /// insert pass, one engine build — the cold-start path the benchmark
-    /// meters as `restart_ms` / `pile.replay_ms`), and wires the store into
-    /// the ingest path so every acknowledged `INGEST` is durable under
-    /// `policy`.
+    /// [`AuditService::new_sharded`] over a **durable** store: opens
+    /// (creating if absent) the segment pile at `pile_path` and its WAL,
+    /// replays every recovered batch into `db` *before* the initial epoch
+    /// is built (one bulk insert pass, one engine build — the cold-start
+    /// path the benchmark meters as `restart_ms` / `pile.replay_ms`), and
+    /// wires the store into the ingest path so every acknowledged `INGEST`
+    /// is durable under `policy`.
     ///
     /// `db` must be the same base data the store was built over (the
     /// CSVs / synthetic seed from before any durable ingest) — a store
@@ -292,34 +276,13 @@ impl AuditService {
     /// Recovery drops (torn tails, discontinuities) become operator
     /// warnings immediately; the full report stays available through
     /// [`AuditService::recovery_report`] / the `RECOVERY` command.
-    pub fn new_durable(
-        db: Database,
-        spec: LogSpec,
-        cols: LogColumns,
-        explainer: Explainer,
-        days: u32,
-        pile_path: &Path,
-        policy: Durability,
-    ) -> Result<AuditService, PileError> {
-        Self::new_durable_sharded(
-            db,
-            spec,
-            cols,
-            explainer,
-            days,
-            pile_path,
-            policy,
-            default_shard_count(),
-        )
-    }
-
-    /// [`AuditService::new_durable`] with an explicit shard count. The
-    /// durable layout is shard-agnostic — one global pile/WAL recording
-    /// batches in global row order — so the same store can be reopened
-    /// with a *different* `--shards N` and recovery still reproduces the
-    /// acknowledged log exactly: the replayed database is re-partitioned
-    /// deterministically by the routing hash. `RECOVERY` reports how the
-    /// recovered rows landed per shard.
+    ///
+    /// The durable layout is shard-agnostic — one global pile/WAL
+    /// recording batches in global row order — so the same store can be
+    /// reopened with a *different* `n_shards` and recovery still
+    /// reproduces the acknowledged log exactly: the replayed database is
+    /// re-partitioned deterministically by the routing hash. `RECOVERY`
+    /// reports how the recovered rows landed per shard.
     #[allow(clippy::too_many_arguments)]
     pub fn new_durable_sharded(
         mut db: Database,
@@ -542,64 +505,45 @@ impl AuditService {
     }
 
     /// A tiny synthetic-hospital service with the hand-crafted template
-    /// suite — the zero-setup constructor the `eba-serve` binary, the
-    /// unit tests, and the benchmark workload share.
+    /// suite at [`default_shard_count`] shards — the zero-setup fixture of
+    /// the unit tests.
     pub fn tiny_synthetic(seed: u64) -> AuditService {
-        Self::tiny_synthetic_sharded(seed, default_shard_count())
-    }
-
-    /// [`AuditService::tiny_synthetic`] with an explicit shard count.
-    pub fn tiny_synthetic_sharded(seed: u64, n_shards: usize) -> AuditService {
         let config = eba_synth::SynthConfig {
             seed,
             ..eba_synth::SynthConfig::tiny()
         };
-        Self::from_hospital_sharded(eba_synth::Hospital::generate(config), n_shards)
+        Self::from_hospital_sharded(eba_synth::Hospital::generate(config), default_shard_count())
     }
 
-    /// Wraps a generated hospital with the hand-crafted suite.
-    pub fn from_hospital(h: eba_synth::Hospital) -> AuditService {
-        Self::from_hospital_sharded(h, default_shard_count())
-    }
-
-    /// [`AuditService::from_hospital`] with an explicit shard count.
+    /// Wraps a generated hospital with the hand-crafted suite, at
+    /// `n_shards` shards.
     pub fn from_hospital_sharded(h: eba_synth::Hospital, n_shards: usize) -> AuditService {
-        let spec = LogSpec::conventional(&h.db).expect("synthetic Log table");
-        let t = HandcraftedTemplates::build(&h.db, &spec).expect("CareWeb schema");
-        let explainer = Explainer::new(t.all().into_iter().cloned().collect());
-        let cols = h.log_cols;
-        let days = h.config.days;
-        Self::new_sharded(h.db, spec, cols, explainer, days, n_shards)
+        let (spec, explainer) = handcrafted_suite(&h.db);
+        Self::new_sharded(h.db, spec, h.log_cols, explainer, h.config.days, n_shards)
     }
 
-    /// [`AuditService::from_hospital`] with a durable store: previously
-    /// acknowledged ingests are recovered from `pile_path` (same seed ⇒
-    /// same base data ⇒ the store's row offsets line up) and every new
-    /// acknowledged `INGEST` is persisted under `policy`.
-    pub fn from_hospital_durable(
-        h: eba_synth::Hospital,
-        pile_path: &Path,
-        policy: Durability,
-    ) -> Result<AuditService, PileError> {
-        Self::from_hospital_durable_sharded(h, pile_path, policy, default_shard_count())
-    }
-
-    /// [`AuditService::from_hospital_durable`] with an explicit shard
-    /// count — the store layout is shard-agnostic, so any count works
-    /// over an existing pile.
+    /// [`AuditService::from_hospital_sharded`] with a durable store:
+    /// previously acknowledged ingests are recovered from `pile_path`
+    /// (same seed ⇒ same base data ⇒ the store's row offsets line up) and
+    /// every new acknowledged `INGEST` is persisted under `policy`. The
+    /// store layout is shard-agnostic, so any count works over an existing
+    /// pile.
     pub fn from_hospital_durable_sharded(
         h: eba_synth::Hospital,
         pile_path: &Path,
         policy: Durability,
         n_shards: usize,
     ) -> Result<AuditService, PileError> {
-        let spec = LogSpec::conventional(&h.db).expect("synthetic Log table");
-        let t = HandcraftedTemplates::build(&h.db, &spec).expect("CareWeb schema");
-        let explainer = Explainer::new(t.all().into_iter().cloned().collect());
-        let cols = h.log_cols;
-        let days = h.config.days;
+        let (spec, explainer) = handcrafted_suite(&h.db);
         Self::new_durable_sharded(
-            h.db, spec, cols, explainer, days, pile_path, policy, n_shards,
+            h.db,
+            spec,
+            h.log_cols,
+            explainer,
+            h.config.days,
+            pile_path,
+            policy,
+            n_shards,
         )
     }
 
@@ -659,6 +603,14 @@ impl AuditService {
             std::cmp::Ordering::Greater => {}
         }
     }
+}
+
+/// A synthetic hospital's log spec and its hand-crafted explanation suite.
+fn handcrafted_suite(db: &Database) -> (LogSpec, Explainer) {
+    let spec = LogSpec::conventional(db).expect("synthetic Log table");
+    let t = HandcraftedTemplates::build(db, &spec).expect("CareWeb schema");
+    let explainer = Explainer::new(t.all().into_iter().cloned().collect());
+    (spec, explainer)
 }
 
 /// Locks a plain-state mutex, recovering a poisoned guard (warnings and
@@ -724,7 +676,11 @@ mod tests {
 
     #[test]
     fn shard_count_follows_the_explicit_request() {
-        let svc = AuditService::tiny_synthetic_sharded(1, 3);
+        let h = eba_synth::Hospital::generate(eba_synth::SynthConfig {
+            seed: 1,
+            ..eba_synth::SynthConfig::tiny()
+        });
+        let svc = AuditService::from_hospital_sharded(h, 3);
         assert_eq!(svc.shard_count(), 3);
         let epochs = svc.sharded().load();
         assert_eq!(epochs.shard_count(), 3);
@@ -796,8 +752,13 @@ mod tests {
             day: Some(1),
         };
         let anchor = {
-            let svc = AuditService::from_hospital_durable(hospital(3), &pile, Durability::Strict)
-                .unwrap();
+            let svc = AuditService::from_hospital_durable_sharded(
+                hospital(3),
+                &pile,
+                Durability::Strict,
+                default_shard_count(),
+            )
+            .unwrap();
             assert!(svc.is_durable());
             assert_eq!(svc.recovery_report().unwrap().batches(), 0);
             svc.ingest_rows(&[row(1, 10_000), row(2, 10_001)]).unwrap();
@@ -806,8 +767,13 @@ mod tests {
         };
         // "Restart": the same base data plus the recovered store must
         // reproduce the acknowledged log exactly.
-        let svc =
-            AuditService::from_hospital_durable(hospital(3), &pile, Durability::Strict).unwrap();
+        let svc = AuditService::from_hospital_durable_sharded(
+            hospital(3),
+            &pile,
+            Durability::Strict,
+            default_shard_count(),
+        )
+        .unwrap();
         let report = svc.recovery_report().expect("durable service");
         assert_eq!(report.batches(), 2);
         assert_eq!(report.rows, 3);

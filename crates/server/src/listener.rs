@@ -4,12 +4,13 @@
 //! never pinning a thread forever), capped-exponential backoff on
 //! accept failures, and the overload-protection layer: admission
 //! control at the connection cap (`ERR busy`, never a silent drop),
-//! bounded request frames (`ERR toolong`), a batch-row cap enforced
-//! before any row line is read, and write-stall teardown with a logged
-//! reason.
+//! bounded request frames (`ERR toolong`), and write-stall teardown with
+//! a logged reason. (An `INGEST` header over
+//! [`MAX_INGEST_BATCH`](crate::protocol::MAX_INGEST_BATCH) rows is
+//! refused by [`Command::parse`] before any row line is read.)
 
 use crate::frame::{BoundedLineReader, FrameLine};
-use crate::protocol::{Command, IngestRow, ProtocolError, Response, MAX_INGEST_BATCH};
+use crate::protocol::{Command, IngestRow, ProtocolError, Response};
 use crate::session::Session;
 use crate::{AuditService, DEFAULT_INGEST_QUEUE};
 use std::collections::HashMap;
@@ -20,6 +21,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Cap on one inbound request line, in bytes. An overlong line gets
+/// `ERR toolong` and the connection is closed — the bounded frame reader
+/// never buffers past the cap, so one peer cannot OOM the server with a
+/// single newline-free stream.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Per-connection socket policy and resource limits. The deadline
 /// defaults (2-minute read and write) keep an interactive auditor
@@ -41,16 +48,6 @@ pub struct ServerConfig {
     /// connection gets one `ERR busy` frame in greeting position — with
     /// a `retry-after-ms` hint — and is closed; never a silent drop.
     pub max_connections: usize,
-    /// Cap on one inbound request line, in bytes (0 = unlimited). An
-    /// overlong line gets `ERR toolong` and the connection is closed —
-    /// the bounded frame reader never buffers past the cap, so one peer
-    /// cannot OOM the server with a single newline-free stream.
-    pub max_line_bytes: usize,
-    /// Cap on one `INGEST` batch's announced row count (0 = only the
-    /// absolute [`MAX_INGEST_BATCH`] bound applies). An oversized header
-    /// is refused with `ERR toolong` *before* any row line is read; the
-    /// session stays usable.
-    pub max_batch_rows: usize,
     /// Cap on concurrent `INGEST` batches in the writer path (one
     /// writing + waiters) before new batches are shed with
     /// `ERR overloaded` (0 = never shed). Applied to the service at
@@ -64,8 +61,6 @@ impl Default for ServerConfig {
             read_timeout: Some(Duration::from_secs(120)),
             write_timeout: Some(Duration::from_secs(120)),
             max_connections: 256,
-            max_line_bytes: 64 * 1024,
-            max_batch_rows: MAX_INGEST_BATCH,
             max_ingest_queue: DEFAULT_INGEST_QUEUE,
         }
     }
@@ -401,7 +396,7 @@ fn serve_connection(
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "unknown-peer".to_string());
-    let mut reader = BoundedLineReader::new(BufReader::new(read_half), config.max_line_bytes);
+    let mut reader = BoundedLineReader::new(BufReader::new(read_half), MAX_LINE_BYTES);
     let mut writer = stream;
     let mut session = Session::new(service.clone());
     if session.greeting().write_to(&mut writer).is_err() {
@@ -422,7 +417,7 @@ fn serve_connection(
                 // The rest of the overlong line was never consumed, so
                 // resyncing is impossible by construction: reply, close.
                 let _ = Response::err(&ProtocolError::LineTooLong {
-                    max: config.max_line_bytes,
+                    max: MAX_LINE_BYTES,
                 })
                 .write_to(&mut writer);
                 return;
@@ -439,20 +434,6 @@ fn serve_connection(
         let (response, quit) = match parsed {
             Ok(None) => continue,
             Ok(Some(Command::Quit)) => (session.handle(Command::Quit, vec![]), true),
-            Ok(Some(Command::Ingest { count }))
-                if config.max_batch_rows > 0 && count > config.max_batch_rows =>
-            {
-                // Refused from the header alone — not a single row line
-                // is read or buffered, and the session stays usable. (A
-                // conforming client stops sending rows on the error.)
-                (
-                    Response::err(&ProtocolError::BatchSize {
-                        got: count,
-                        max: config.max_batch_rows,
-                    }),
-                    false,
-                )
-            }
             Ok(Some(Command::Ingest { count })) => {
                 match read_batch(&mut reader, count, &config) {
                     // The batch was consumed whole even if a row is bad, so
@@ -592,7 +573,7 @@ fn read_batch(
             Ok(FrameLine::Line) => rows.push(line.trim().to_string()),
             Ok(FrameLine::TooLong) => {
                 return Err(ProtocolError::LineTooLong {
-                    max: config.max_line_bytes,
+                    max: MAX_LINE_BYTES,
                 })
             }
             Err(e) if is_timeout(&e) => {
@@ -735,18 +716,15 @@ mod tests {
 
     #[test]
     fn oversized_ingest_header_is_refused_and_the_session_stays_usable() {
-        let config = ServerConfig {
-            max_batch_rows: 10,
-            ..ServerConfig::default()
-        };
-        let server = Server::spawn_with(AuditService::tiny_synthetic(3), "127.0.0.1:0", config)
-            .expect("bind");
+        let server = Server::spawn(AuditService::tiny_synthetic(3), "127.0.0.1:0").expect("bind");
         let mut client = Client::connect(server.local_addr()).expect("connect");
         // The count alone condemns the batch: no row is read, no memory
         // reserved, and the reply is typed.
-        let reply = client.send("INGEST 11").expect("refusal");
+        let reply = client
+            .send(&format!("INGEST {}", crate::protocol::MAX_INGEST_BATCH + 1))
+            .expect("refusal");
         assert!(reply.head.starts_with("ERR toolong "), "{}", reply.head);
-        assert!(reply.head.contains("1..=10"), "{}", reply.head);
+        assert!(reply.head.contains("1..=100000"), "{}", reply.head);
         // Same session, conforming batch: accepted.
         let rows: Vec<_> = ["1 10000 1", "2 10001 2"]
             .iter()
@@ -760,18 +738,16 @@ mod tests {
 
     #[test]
     fn overlong_request_line_gets_err_toolong_then_close() {
-        let config = ServerConfig {
-            max_line_bytes: 128,
-            ..ServerConfig::default()
-        };
-        let server = Server::spawn_with(AuditService::tiny_synthetic(3), "127.0.0.1:0", config)
-            .expect("bind");
+        let server = Server::spawn(AuditService::tiny_synthetic(3), "127.0.0.1:0").expect("bind");
         let mut client = Client::connect(server.local_addr()).expect("connect");
-        let long = format!("EXPLAIN {}\n", "9".repeat(500));
+        // One byte over the cap and no terminator: the reader consumes
+        // every byte sent before it trips, so the close is a clean FIN.
+        let mut long = String::from("EXPLAIN ");
+        long.push_str(&"9".repeat(MAX_LINE_BYTES + 1 - long.len()));
         client.send_raw(long.as_bytes()).expect("send");
         let reply = client.read_reply_frame().expect("toolong reply");
         assert!(reply.head.starts_with("ERR toolong "), "{}", reply.head);
-        assert!(reply.head.contains("128"), "{}", reply.head);
+        assert!(reply.head.contains("65536"), "{}", reply.head);
         // Reply-then-close: nothing after the frame.
         assert_eq!(client.drain().expect("eof"), "");
     }

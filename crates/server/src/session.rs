@@ -401,7 +401,11 @@ mod tests {
     }
 
     fn sharded_service(n: usize) -> Arc<AuditService> {
-        Arc::new(AuditService::tiny_synthetic_sharded(7, n))
+        let h = eba_synth::Hospital::generate(eba_synth::SynthConfig {
+            seed: 7,
+            ..eba_synth::SynthConfig::tiny()
+        });
+        Arc::new(AuditService::from_hospital_sharded(h, n))
     }
 
     #[test]

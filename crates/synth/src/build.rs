@@ -219,16 +219,6 @@ impl Hospital {
         Value::Int(index as i64 + 1)
     }
 
-    /// The audit-id value of a user as it appears in data-set-B tables
-    /// (equals [`Hospital::user_value`] unless the mapping artifact is on).
-    pub fn audit_user_value(&self, index: usize) -> Value {
-        if self.t_mapping.is_some() {
-            Value::Int(AUDIT_ID_OFFSET + index as i64 + 1)
-        } else {
-            self.user_value(index)
-        }
-    }
-
     /// Database value for a 0-based patient index.
     pub fn patient_value(&self, index: usize) -> Value {
         Value::Int(10_000 + index as i64)

@@ -22,7 +22,7 @@ use eba::audit::{split, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::{mine_one_way, ExplanationTemplate, LogSpec, MiningConfig};
 use eba::relational::Value;
-use eba::server::{AuditService, Client, IngestRow, Server};
+use eba::server::{default_shard_count, AuditService, Client, IngestRow, Server};
 use eba::synth::{AccessReason, Hospital, SynthConfig};
 use std::collections::HashSet;
 
@@ -72,12 +72,13 @@ fn main() {
     // ---- the detection service goes live -------------------------------
     // The database, spec and suite move into an `eba-serve` instance on an
     // ephemeral port; everything below talks to it over a real socket.
-    let service = AuditService::new(
+    let service = AuditService::new_sharded(
         hospital.db.clone(),
         spec.clone(),
         hospital.log_cols,
         explainer,
         hospital.config.days,
+        default_shard_count(),
     );
     let server = Server::spawn(service, "127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.local_addr();

@@ -392,8 +392,7 @@ fn cmd_report(opts: &Options) -> CliResult {
 ///
 /// `--shards N` hash-partitions the log by patient into N shards that
 /// refresh in parallel on `INGEST`; answers stay byte-identical to the
-/// single-shard server. Defaults to `EBA_SHARDS`/`EBA_TEST_SHARDS`,
-/// else 1.
+/// single-shard server. Defaults to `EBA_SHARDS`, else 1.
 fn cmd_serve(opts: &Options) -> CliResult {
     let mut loaded = load_data(Path::new(opts.require("data")))?;
     let with_groups = opts.flag("groups");

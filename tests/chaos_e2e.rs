@@ -154,10 +154,11 @@ fn byte_level_faults_never_corrupt_durable_state() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let pile = dir.join("pile.seg");
 
-    let service = AuditService::from_hospital_durable(
+    let service = AuditService::from_hospital_durable_sharded(
         common::AuditWorld::tiny(71).hospital,
         &pile,
         Durability::Strict,
+        common::test_shards(),
     )
     .expect("open durable store");
     let config = ServerConfig {

@@ -41,7 +41,7 @@ pub fn cold_one_way(db: &Database, spec: &LogSpec, config: &MiningConfig) -> Col
             &config.exempt_tables,
         )
     };
-    let may_visit = |e: &Edge| e.to.table != spec.table || config.allow_log_aliases;
+    let may_visit = |e: &Edge| e.to.table != spec.table;
     let supported = |p: &Path| restricted(p) && cold_support(db, spec, p) >= threshold;
 
     let mut frontier: BTreeMap<CanonicalKey, Path> = edges

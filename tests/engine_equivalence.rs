@@ -340,7 +340,6 @@ fn mining_is_identical_with_engine_on_and_off() {
         &mined.templates,
         &candidate,
         mined.threshold,
-        &config,
         s.engine(),
     );
     assert_eq!(mining::refined(&warm), cold, "refine_with on a warm engine");
@@ -625,7 +624,7 @@ proptest! {
 // ------------------------------------------------ concurrent snapshot handoff
 
 /// The handoff guarantee: N reader threads query a [`ShardedEngine`] (at
-/// `EBA_TEST_SHARDS`) while the writer appends + publishes. Every answer
+/// `EBA_SHARDS`) while the writer appends + publishes. Every answer
 /// a reader observes must be exactly the answer of *some published
 /// epoch* — enforced by (a) epochs being internally consistent (every
 /// shard engine's result == row-evaluator result over the shard's own

@@ -1,6 +1,5 @@
 //! §5.3.3's key claim, as an integration test on realistic data: the
-//! one-way, two-way, and bridged algorithms — under every optimization
-//! configuration — produce the same template set.
+//! one-way, two-way, and bridged algorithms produce the same template set.
 
 use eba::audit::split;
 use eba::core::{mine_bridge, mine_one_way, mine_two_way, LogSpec, MiningConfig};
@@ -36,31 +35,6 @@ fn all_algorithms_agree_on_synthetic_hospital() {
 }
 
 #[test]
-fn optimizations_never_change_the_mined_set() {
-    let s = scenario();
-    let spec = s.train_spec();
-    let reference = mine_one_way(&s.hospital.db, &spec, &base_config());
-    for cache in [false, true] {
-        for dedup in [false, true] {
-            for skip in [false, true] {
-                let config = MiningConfig {
-                    opt_cache: cache,
-                    opt_dedup: dedup,
-                    opt_skip: skip,
-                    ..base_config()
-                };
-                let r = mine_one_way(&s.hospital.db, &spec, &config);
-                assert_eq!(
-                    r.key_set(),
-                    reference.key_set(),
-                    "cache={cache} dedup={dedup} skip={skip}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn supports_agree_across_algorithms() {
     let s = scenario();
     let spec = s.train_spec();
@@ -84,28 +58,37 @@ fn supports_agree_across_algorithms() {
 
 #[test]
 fn cache_shrinks_support_queries() {
-    // The canonical-form cache pays off when the same selection-condition
-    // set is reached along different traversal orders — in two-way mining
-    // the forward and backward frontiers rediscover every closed template,
-    // so cache hits are guaranteed there (one-way chains each shape once).
+    // Every candidate the estimator does not skip is either evaluated or
+    // answered from the canonical-form cache, so each hit is one
+    // evaluation saved. The cache pays off when the same selection-
+    // condition set is reached along different traversal orders: in
+    // two-way mining the forward and backward frontiers rediscover every
+    // closed template, and bridging glues the same template from several
+    // splits (one-way chains each shape once).
     let s = scenario();
     let spec = s.train_spec();
-    let with_cache = mine_two_way(&s.hospital.db, &spec, &base_config());
-    let without = mine_two_way(
-        &s.hospital.db,
-        &spec,
-        &MiningConfig {
-            opt_cache: false,
-            ..base_config()
-        },
-    );
-    assert!(with_cache.stats.cache_hits() > 0);
-    assert!(
-        with_cache.stats.support_queries() < without.stats.support_queries(),
-        "cache did not reduce evaluations: {} vs {}",
-        with_cache.stats.support_queries(),
-        without.stats.support_queries()
-    );
+    let config = base_config();
+    let runs = [
+        ("two-way", mine_two_way(&s.hospital.db, &spec, &config)),
+        (
+            "bridge-3",
+            mine_bridge(&s.hospital.db, &spec, &config, 3).unwrap(),
+        ),
+    ];
+    for (name, r) in runs {
+        let due: usize = r
+            .stats
+            .per_length
+            .iter()
+            .map(|l| l.candidates - l.skipped)
+            .sum();
+        assert_eq!(
+            r.stats.support_queries() + r.stats.cache_hits(),
+            due,
+            "{name}: every unskipped candidate is evaluated or a cache hit"
+        );
+        assert!(r.stats.cache_hits() > 0, "{name}: no cache hits");
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! Every test drives the same deterministic ingest workload twice — once
 //! into a purely in-memory oracle (`common::Oracle`: a plain database and
 //! a cold engine per epoch) and once through a [`ShardedEngine`] (at
-//! `EBA_TEST_SHARDS`) whose persist hook appends to a [`DurableStore`] —
+//! `EBA_SHARDS`) whose persist hook appends to a [`DurableStore`] —
 //! then "crashes" (tears the store's media mid-write with [`FaultAfter`],
 //! or just drops the store), "restarts" (re-opens the surviving bytes),
 //! replays the recovered batches one publication at a time, and asserts
@@ -450,11 +450,13 @@ fn durable_service_restart_matches_a_never_restarted_oracle() {
 
     // Oracle: one service, never restarted.
     let world = AuditWorld::tiny(31);
-    let oracle =
-        AuditService::from_hospital(eba::synth::Hospital::generate(eba::synth::SynthConfig {
+    let oracle = AuditService::from_hospital_sharded(
+        eba::synth::Hospital::generate(eba::synth::SynthConfig {
             seed: 31,
             ..eba::synth::SynthConfig::tiny()
-        }));
+        }),
+        common::test_shards(),
+    );
     for b in 0..4 {
         oracle.ingest_rows(&rows(b)).unwrap();
     }
@@ -465,7 +467,13 @@ fn durable_service_restart_matches_a_never_restarted_oracle() {
             seed: 31,
             ..eba::synth::SynthConfig::tiny()
         });
-        let svc = AuditService::from_hospital_durable(h, &path, Durability::Strict).unwrap();
+        let svc = AuditService::from_hospital_durable_sharded(
+            h,
+            &path,
+            Durability::Strict,
+            common::test_shards(),
+        )
+        .unwrap();
         assert!(!svc.recovery_report().unwrap().lost_data());
         svc.ingest_rows(&rows(b)).unwrap();
     }
@@ -473,7 +481,13 @@ fn durable_service_restart_matches_a_never_restarted_oracle() {
         seed: 31,
         ..eba::synth::SynthConfig::tiny()
     });
-    let survivor = AuditService::from_hospital_durable(h, &path, Durability::Strict).unwrap();
+    let survivor = AuditService::from_hospital_durable_sharded(
+        h,
+        &path,
+        Durability::Strict,
+        common::test_shards(),
+    )
+    .unwrap();
     assert_eq!(survivor.recovery_report().unwrap().batches(), 4);
 
     let oracle_answers = sharded_transcript(&world, &oracle.sharded().load());

@@ -41,12 +41,13 @@ fn spawn_world_server(seed: u64) -> (common::AuditWorld, Server) {
         db.seal();
         db
     };
-    let service = AuditService::new(
+    let service = AuditService::new_sharded(
         db,
         world.spec.clone(),
         world.hospital.log_cols,
         world.explainer.clone(),
         world.hospital.config.days,
+        common::test_shards(),
     );
     let server = Server::spawn(service, "127.0.0.1:0").expect("bind ephemeral port");
     (world, server)
@@ -88,7 +89,7 @@ fn protocol_round_trips_over_a_real_socket() {
     assert_eq!(c.send("SEQ").unwrap().head, "OK published 0 pinned 0");
 
     // SHARDS: layout report — one body line per shard, row counts
-    // summing to the served log (the suite runs at EBA_TEST_SHARDS).
+    // summing to the served log (the suite runs at EBA_SHARDS).
     let shards = c.send("SHARDS").unwrap();
     assert!(shards.is_ok(), "{}", shards.head);
     let n: usize = shards.field("shards").unwrap().parse().unwrap();
@@ -705,10 +706,11 @@ fn mid_ingest_disconnect_publishes_nothing_and_persists_nothing() {
 
     // Same seed ⇒ same base data: the second world's hospital moves into
     // the durable service while `world` keeps one for building batches.
-    let service = AuditService::from_hospital_durable(
+    let service = AuditService::from_hospital_durable_sharded(
         common::AuditWorld::tiny(67).hospital,
         &pile,
         eba::relational::Durability::Strict,
+        common::test_shards(),
     )
     .expect("open durable store");
     let mut server = Server::spawn(service, "127.0.0.1:0").expect("bind");
