@@ -46,8 +46,7 @@ use std::collections::BTreeMap;
 /// paper-level cost model: rows that had to be asked about). One entry
 /// per pin, per shard, in
 /// [`ShardRefresh::advance`](super::ShardRefresh); all zero when
-/// the partition was recomputed cold instead (rebuild, replace, fresh
-/// pin).
+/// the partition was recomputed cold instead (rebuild or fresh pin).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceStats {
     /// Appended log rows evaluated against every template.

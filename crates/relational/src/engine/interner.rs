@@ -169,14 +169,6 @@ pub enum RefreshError {
         /// Tables the database now reports.
         now: usize,
     },
-    /// The caller declared the database **replaced** rather than extended
-    /// (an operator reload): even when every table's row count lines up,
-    /// existing cells may differ, so an incremental refresh — which skips
-    /// rows it has already interned — would silently keep answering from
-    /// the replaced data. [`ShardedEngine::replace`](super::ShardedEngine)
-    /// refuses the incremental path up front with this reason and
-    /// rebuilds from scratch.
-    Replaced,
 }
 
 impl std::fmt::Display for RefreshError {
@@ -191,11 +183,6 @@ impl std::fmt::Display for RefreshError {
                 f,
                 "catalog shrank ({had} -> {now} tables): snapshots only refresh \
                  against the append-only database they were built from"
-            ),
-            RefreshError::Replaced => write!(
-                f,
-                "database replaced wholesale: a replacement is never assumed to be \
-                 an append-only extension of the published epoch"
             ),
         }
     }

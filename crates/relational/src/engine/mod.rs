@@ -119,14 +119,13 @@ pub use sharded::{
     ShardedEngine, ShardedIngestReport, SuitePin,
 };
 
-use crate::chain::{ChainQuery, EvalOptions, Rhs, StepFilter};
+use crate::chain::{ChainQuery, EvalOptions, Rhs};
 use crate::database::{Database, TableId};
 use crate::error::Result;
 use crate::rowset::RowSet;
 use crate::sync::unpoison;
 use crate::table::RowId;
 use crate::types::ColId;
-use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use stepmap::{Chunks, RowMap, RowMapChunks, StepKey, StepMap};
@@ -222,10 +221,12 @@ struct GroupedBucket<'q> {
     templates: Vec<GroupedTemplate<'q>>,
 }
 
-/// One anchor-dependent template of a fused-suite scan.
+/// One anchor-dependent template of a fused-suite scan: its result
+/// slot, and the interned table and warm row map of each step.
 struct PerRowTemplate<'q> {
     slot: usize,
     q: &'q ChainQuery,
+    tables: Vec<&'q InternedTable>,
     rowmaps: Vec<RowMapChunks>,
 }
 
@@ -234,74 +235,6 @@ struct PerRowTemplate<'q> {
 struct PerRowBucket<'q> {
     log: TableId,
     templates: Vec<PerRowTemplate<'q>>,
-}
-
-/// A family of anchor-dependent templates sharing the anchor start
-/// column and the first step's (table, enter column) — for any anchor
-/// row their step-0 candidate sets are identical, so one candidate pass
-/// serves every member. The plan pre-factors the members' step-0
-/// filters: `filters` holds each distinct filter once, `universal`
-/// indexes the ones every member requires (a miss skips the candidate
-/// family-wide), and `member_extras[m]` indexes member `m`'s remaining
-/// filters.
-struct FamilyPlan {
-    members: Vec<usize>,
-    filters: Vec<StepFilter>,
-    universal: Vec<usize>,
-    member_extras: Vec<Vec<usize>>,
-}
-
-/// Groups a per-row bucket's templates into [`FamilyPlan`]s.
-fn plan_families(templates: &[PerRowTemplate]) -> Vec<FamilyPlan> {
-    let mut families: Vec<FamilyPlan> = Vec::new();
-    let mut ix: HashMap<(ColId, TableId, ColId), usize> = HashMap::new();
-    let mut member_all: Vec<Vec<Vec<usize>>> = Vec::new();
-    for (t, tmpl) in templates.iter().enumerate() {
-        let s0 = &tmpl.q.steps[0];
-        let fam = match ix.entry((tmpl.q.start_col, s0.table, s0.enter_col)) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(families.len());
-                families.push(FamilyPlan {
-                    members: Vec::new(),
-                    filters: Vec::new(),
-                    universal: Vec::new(),
-                    member_extras: Vec::new(),
-                });
-                member_all.push(Vec::new());
-                families.len() - 1
-            }
-        };
-        let plan = &mut families[fam];
-        let indices: Vec<usize> = s0
-            .filters
-            .iter()
-            .map(|f| match plan.filters.iter().position(|g| g == f) {
-                Some(i) => i,
-                None => {
-                    plan.filters.push(*f);
-                    plan.filters.len() - 1
-                }
-            })
-            .collect();
-        plan.members.push(t);
-        member_all[fam].push(indices);
-    }
-    for (plan, all) in families.iter_mut().zip(&member_all) {
-        plan.universal = (0..plan.filters.len())
-            .filter(|i| all.iter().all(|m| m.contains(i)))
-            .collect();
-        plan.member_extras = all
-            .iter()
-            .map(|m| {
-                m.iter()
-                    .copied()
-                    .filter(|i| !plan.universal.contains(i))
-                    .collect()
-            })
-            .collect();
-    }
-    families
 }
 
 /// The anchor rows a fused evaluation answers for: the whole log, a row
@@ -476,8 +409,9 @@ impl Engine {
     ///   maps). Parallelism is over *start ranges*, not templates, so a
     ///   one-template suite still uses every core;
     /// * **anchor-dependent templates** are bucketed by log table; one
-    ///   scan of `0..n_rows` evaluates every decorated template against
-    ///   each row (parallel over row ranges).
+    ///   scan of `0..n_rows` walks every decorated template's chain from
+    ///   each row's start value over the shared row maps (parallel over
+    ///   row ranges).
     ///
     /// Workers emit per-template [`RowSet`]s that merge associatively,
     /// so the fan-out/fan-in never re-sorts: results are identical to
@@ -597,6 +531,11 @@ impl Engine {
                 per_row[ix].templates.push(PerRowTemplate {
                     slot: *slot,
                     q,
+                    tables: q
+                        .steps
+                        .iter()
+                        .map(|s| self.snapshot.table(s.table))
+                        .collect(),
                     rowmaps: self.rowmaps_for(q),
                 });
             } else {
@@ -851,147 +790,32 @@ impl Engine {
     /// One fused scan over the **ascending** anchor rows `rows`,
     /// evaluating every anchor-dependent template of the bucket against
     /// each row — the "one log scan, N templates" half of the fused
-    /// driver. Ascending order is load-bearing: each template's hits
-    /// compress sort-free.
-    ///
-    /// Templates sharing the anchor start column and the first step's
-    /// (table, enter column) form a *family*: their candidate rows are
-    /// identical for a given anchor row, so the candidate set is read
-    /// once per row for the whole family. Within the candidate pass,
-    /// each *distinct* step-0 filter is evaluated at most once (N
-    /// decorated variants of one policy share their base decoration),
-    /// filters required by every member short-circuit the candidate, and
-    /// anchor-side comparison values are hoisted out of the candidate
-    /// loop entirely.
+    /// driver. Per row and template, [`Engine::ad_walk`] walks the chain
+    /// from the row's start value. Ascending order is load-bearing: each
+    /// template's hits compress sort-free.
     fn eval_per_row_rows(
         &self,
         bucket: &PerRowBucket,
         rows: impl Iterator<Item = usize>,
     ) -> Vec<(usize, RowSet)> {
         let log = self.snapshot.table(bucket.log);
-        let interner = &self.snapshot.interner;
-        // The scan visits rows in ascending order, so each template's
-        // hits are already sorted and unique — they compress to a
-        // `RowSet` without a sort.
         let mut hits: Vec<Vec<u32>> = vec![Vec::new(); bucket.templates.len()];
-        let step_tables: Vec<Vec<&InternedTable>> = bucket
-            .templates
-            .iter()
-            .map(|t| {
-                t.q.steps
-                    .iter()
-                    .map(|s| self.snapshot.table(s.table))
-                    .collect()
-            })
-            .collect();
-        let families = plan_families(&bucket.templates);
-        with_scratch_marks(interner.len(), |marks| {
-            let mut alive: Vec<usize> = Vec::new();
-            let mut fronts: Vec<Vec<u32>> = vec![Vec::new(); bucket.templates.len()];
+        with_scratch_marks(self.snapshot.interner.len(), |marks| {
+            let mut frontier: Vec<u32> = Vec::new();
             let mut scratch: Vec<u32> = Vec::new();
-            let mut rhs_vals: Vec<Value> = Vec::new();
-            let mut passes: Vec<bool> = Vec::new();
             for r in rows {
-                for fam in &families {
-                    alive.clear();
-                    for (pos, &t) in fam.members.iter().enumerate() {
-                        if self.anchor_passes(bucket.templates[t].q, log, r) {
-                            alive.push(pos);
-                        }
+                for (tmpl, hits) in bucket.templates.iter().zip(&mut hits) {
+                    if !self.anchor_passes(tmpl.q, log, r) {
+                        continue;
                     }
-                    let Some(&pos0) = alive.first() else { continue };
-                    let t0 = fam.members[pos0];
-                    let start = log.cols[bucket.templates[t0].q.start_col][r];
+                    let start = log.cols[tmpl.q.start_col][r];
                     if start == NULL_ID {
                         continue;
                     }
-                    if alive.len() == 1 {
-                        // One live template: the dedup-during-iteration
-                        // walk is strictly cheaper than the fused pass.
-                        let tmpl = &bucket.templates[t0];
-                        let frontier = &mut fronts[t0];
-                        frontier.clear();
-                        frontier.push(start);
-                        if self.ad_walk(
-                            tmpl,
-                            &step_tables[t0],
-                            log,
-                            r,
-                            0,
-                            frontier,
-                            &mut scratch,
-                            marks,
-                        ) {
-                            hits[t0].push(r as u32);
-                        }
-                        continue;
-                    }
-                    // Fused candidate pass: hoist each distinct filter's
-                    // anchor-side value, then read every candidate row
-                    // once. A failed universal filter skips the
-                    // candidate for the whole family.
-                    rhs_vals.clear();
-                    for f in &fam.filters {
-                        rhs_vals.push(match f.rhs {
-                            Rhs::Const(c) => c,
-                            Rhs::AnchorCol(col) => interner.value(log.cols[col][r]),
-                        });
-                    }
-                    for &pos in &alive {
-                        fronts[fam.members[pos]].clear();
-                    }
-                    let table0 = step_tables[t0][0];
-                    'cand: for cand in bucket.templates[t0].rowmaps[0].rows_of(start) {
-                        let cand = cand as usize;
-                        for &i in &fam.universal {
-                            let f = &fam.filters[i];
-                            let lhs = interner.value(table0.cols[f.col][cand]);
-                            if !f.op.eval(&lhs, &rhs_vals[i]) {
-                                continue 'cand;
-                            }
-                        }
-                        passes.clear();
-                        passes.resize(fam.filters.len(), true);
-                        for (i, f) in fam.filters.iter().enumerate() {
-                            if !fam.universal.contains(&i) {
-                                let lhs = interner.value(table0.cols[f.col][cand]);
-                                passes[i] = f.op.eval(&lhs, &rhs_vals[i]);
-                            }
-                        }
-                        for &pos in &alive {
-                            if fam.member_extras[pos].iter().all(|&i| passes[i]) {
-                                let t = fam.members[pos];
-                                let step = &bucket.templates[t].q.steps[0];
-                                let exit = table0.cols[step.exit_col][cand];
-                                if exit != NULL_ID {
-                                    fronts[t].push(exit);
-                                }
-                            }
-                        }
-                    }
-                    // Remaining steps and the close check are per
-                    // template — frontiers diverge after the decorations.
-                    for &pos in &alive {
-                        let t = fam.members[pos];
-                        let tmpl = &bucket.templates[t];
-                        let frontier = &mut fronts[t];
-                        frontier.retain(|&v| marks.insert(v));
-                        marks.remove_all(frontier);
-                        if frontier.is_empty() {
-                            continue;
-                        }
-                        if self.ad_walk(
-                            tmpl,
-                            &step_tables[t],
-                            log,
-                            r,
-                            1,
-                            frontier,
-                            &mut scratch,
-                            marks,
-                        ) {
-                            hits[t].push(r as u32);
-                        }
+                    frontier.clear();
+                    frontier.push(start);
+                    if self.ad_walk(tmpl, log, r, &mut frontier, &mut scratch, marks) {
+                        hits.push(r as u32);
                     }
                 }
             }
@@ -1004,28 +828,21 @@ impl Engine {
             .collect()
     }
 
-    /// Walks `tmpl`'s steps from `skip` onward for anchor row `r`, with
-    /// `frontier` holding the entry frontier, and answers the close
-    /// check: whether `r` is explained. Shared by the singleton fast
-    /// path (`skip == 0`, frontier seeded with the start value) and the
-    /// fused family pass (`skip == 1`, frontier produced by the shared
-    /// candidate scan).
-    #[allow(clippy::too_many_arguments)]
+    /// Walks `tmpl`'s steps for anchor row `r`, with `frontier` holding
+    /// the start value, and answers the close check: whether `r` is
+    /// explained.
     fn ad_walk(
         &self,
         tmpl: &PerRowTemplate,
-        tables: &[&InternedTable],
         log: &InternedTable,
         r: usize,
-        skip: usize,
         frontier: &mut Vec<u32>,
         next: &mut Vec<u32>,
         marks: &mut BitMarks,
     ) -> bool {
         let interner = &self.snapshot.interner;
         let q = tmpl.q;
-        let later = q.steps.iter().zip(tables).zip(&tmpl.rowmaps).skip(skip);
-        for ((step, table), rowmap) in later {
+        for ((step, table), rowmap) in q.steps.iter().zip(&tmpl.tables).zip(&tmpl.rowmaps) {
             next.clear();
             for &v in frontier.iter() {
                 'rows: for cand in rowmap.rows_of(v) {

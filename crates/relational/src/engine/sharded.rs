@@ -379,8 +379,7 @@ impl EpochVec {
 /// its anchors and evaluates the suite in parallel, then the global-id
 /// bitmaps fold with the associative union — the same scatter-gather shape
 /// as [`EpochVec::eval_suite`]. Also the fallback whenever the incremental
-/// path is unavailable: a rebuild, a [`ShardedEngine::replace`], or a
-/// freshly registered pin.
+/// path is unavailable: a rebuild or a freshly registered pin.
 pub(super) fn compute_maintained(
     shards: &[ShardEpoch],
     pin: &SuitePin,
@@ -880,52 +879,6 @@ impl ShardedEngine {
         });
         Ok((out, report))
     }
-
-    /// Replaces the published state **wholesale** (an operator reload):
-    /// re-partitions `db` from scratch and publishes the successor vector.
-    ///
-    /// Unlike [`ShardedEngine::ingest`], this never attempts the
-    /// incremental refresh: an incremental pass only rescans rows
-    /// *appended* since the snapshot, so a replacement whose row counts
-    /// happen to line up with the published vector's would keep the
-    /// engines answering from the replaced cells. Every shard reports
-    /// [`RefreshError::Replaced`], so
-    /// [`ShardedIngestReport::fallback_warnings`] fires exactly like an
-    /// ingest-path fallback — a reload is an operator-visible event.
-    /// Readers pinned to older vectors are untouched until their next
-    /// load.
-    pub fn replace(&self, db: Database) -> ShardedIngestReport {
-        let mut next_seq = unpoison(self.writer.lock());
-        let n = self.shard_count();
-        *next_seq += 1;
-        let seq = *next_seq;
-        let shards = Self::partition(&db, self.key, n);
-        // A replacement invalidates every maintained set: recompute cold.
-        let pins = unpoison(self.pins.lock()).clone();
-        let report = ShardedIngestReport {
-            seq,
-            shards: (0..n)
-                .map(|_| ShardRefresh {
-                    refresh: RefreshStats::default(),
-                    rebuilt: Some(RefreshError::Replaced),
-                    advance: vec![AdvanceStats::default(); pins.len()],
-                })
-                .collect(),
-        };
-        let global_log_len = db.table(self.key.table).len();
-        let maintained = pins
-            .iter()
-            .map(|pin| Arc::new(compute_maintained(&shards, pin, global_log_len)))
-            .collect();
-        *unpoison(self.current.write()) = Arc::new(EpochVec {
-            shards,
-            key: self.key,
-            seq,
-            global_log_len,
-            maintained,
-        });
-        report
-    }
 }
 
 #[cfg(test)]
@@ -1158,52 +1111,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_repartitions_and_warns() {
-        let (db, log, event) = world();
-        let k = key(&db, log);
-        let q = query(log, event);
-        let sharded = ShardedEngine::new(db.clone(), k, 4);
-        // A corrected world: same shape, different cells.
-        let (mut corrected, _, _) = world();
-        let ev = corrected.table_id("Event").unwrap();
-        corrected
-            .insert(ev, vec![Value::Int(0), Value::Int(2)])
-            .unwrap();
-        let report = sharded.replace(corrected.clone());
-        assert_eq!(report.seq, 1);
-        assert!(report.rebuilt_any());
-        assert_eq!(report.fallback_warnings().len(), 4);
-        assert!(report.fallback_warnings()[0].contains("replaced"));
-        assert_eq!(
-            explained(&sharded.load(), &q),
-            q.explained_rows(&corrected, EvalOptions::default())
-                .unwrap()
-        );
-        // The hole `replace` exists to close: same shape, same row counts,
-        // different cells. An incremental refresh would pass its shrink
-        // checks and keep answering from the replaced data.
-        let mut same_counts = corrected.clone_with_empty_table(ev);
-        for (_, row) in corrected.table(ev).iter() {
-            // Every event now names actor 2.
-            same_counts.insert(ev, vec![row[0], Value::Int(2)]).unwrap();
-        }
-        let before = explained(&sharded.load(), &q);
-        let report = sharded.replace(same_counts.clone());
-        assert_eq!(report.seq, 2);
-        assert!(report
-            .shards
-            .iter()
-            .all(|s| s.rebuilt == Some(RefreshError::Replaced)));
-        let after = explained(&sharded.load(), &q);
-        assert_eq!(
-            after,
-            q.explained_rows(&same_counts, EvalOptions::default())
-                .unwrap()
-        );
-        assert_ne!(after, before, "the corrected cells change the answer");
-    }
-
-    #[test]
     fn caches_stay_warm_across_epochs() {
         let (db, log, event) = world();
         let sharded = ShardedEngine::new(db.clone(), key(&db, log), 1);
@@ -1325,8 +1232,6 @@ mod tests {
                 });
                 check(&sharded.load());
             }
-            sharded.replace(db.clone());
-            check(&sharded.load());
         }
     }
 

@@ -32,7 +32,7 @@ pub struct BoundedLineReader<R> {
 
 impl<R: BufRead> BoundedLineReader<R> {
     /// Wraps `inner`, capping every line at `max_line` bytes (terminator
-    /// excluded). A cap of 0 means unlimited.
+    /// excluded).
     pub fn new(inner: R, max_line: usize) -> BoundedLineReader<R> {
         BoundedLineReader { inner, max_line }
     }
@@ -65,7 +65,7 @@ impl<R: BufRead> BoundedLineReader<R> {
                 }
                 let found_at = chunk.iter().position(|&b| b == b'\n');
                 let keep = found_at.unwrap_or(chunk.len());
-                if self.max_line > 0 && buf.len() + keep > self.max_line {
+                if buf.len() + keep > self.max_line {
                     return Ok(FrameLine::TooLong);
                 }
                 buf.extend_from_slice(&chunk[..keep]);
@@ -136,15 +136,6 @@ mod tests {
         let mut r = reader(&big, 16);
         let mut line = String::new();
         assert_eq!(r.read_line(&mut line).unwrap(), FrameLine::TooLong);
-    }
-
-    #[test]
-    fn zero_cap_means_unlimited() {
-        let long = format!("{}\n", "y".repeat(100_000));
-        let mut r = reader(long.as_bytes(), 0);
-        let mut line = String::new();
-        assert_eq!(r.read_line(&mut line).unwrap(), FrameLine::Line);
-        assert_eq!(line.len(), 100_000);
     }
 
     #[test]

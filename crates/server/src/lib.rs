@@ -1,8 +1,10 @@
 //! # eba-server
 //!
-//! `eba-serve`: the always-on audit service the paper frames — the access
-//! log grows continuously while compliance officers and the patient
-//! portal issue audit questions against it. The hard concurrency
+//! The always-on audit service the paper frames — the access log grows
+//! continuously while compliance officers and the patient portal issue
+//! audit questions against it. `eba serve --data DIR` is its one front
+//! end (`eba synth --out DIR` writes a synthetic hospital to serve), and
+//! it greets every connection as `eba-serve`. The hard concurrency
 //! substrate is [`eba_relational::ShardedEngine`] (the log hash-
 //! partitioned by patient into `--shards N` engines, published together
 //! as one atomically-swapped epoch vector); this crate wires a TCP
@@ -556,28 +558,6 @@ impl AuditService {
     /// Number of log shards this service partitions across.
     pub fn shard_count(&self) -> usize {
         self.sharded.shard_count()
-    }
-
-    /// Operator reload: replaces the published database wholesale (e.g. a
-    /// corrected dataset) and publishes the successor epoch via
-    /// [`ShardedEngine::replace`] — every shard engine is rebuilt from scratch
-    /// unconditionally (a replacement is never assumed to extend the
-    /// published log, even when row counts line up), and the rebuild is
-    /// recorded as an operator warning (surfaced by the `WARNINGS`
-    /// command) exactly like an `INGEST`-path fallback, never silently
-    /// absorbed. Pinned sessions keep answering from their epoch until
-    /// they `REPIN`.
-    pub fn replace_database(&self, db: Database) -> ShardedIngestReport {
-        // Serialize with `ingest_rows` and drop its incremental lid/pair
-        // state: it described the replaced log.
-        let mut guard = self.writer_state.lock().unwrap_or_else(|e| e.into_inner());
-        *guard = None;
-        let report = self.sharded.replace(db);
-        drop(guard);
-        for warning in report.fallback_warnings() {
-            self.record_warning(warning);
-        }
-        report
     }
 
     /// Rebuild-fallback warnings recorded so far (oldest first) — the

@@ -189,8 +189,8 @@ impl Server {
     }
 
     /// Blocks until the accept thread exits (i.e. until another thread
-    /// calls [`Server::shutdown`] or the process dies). Used by the
-    /// `eba-serve` binary and `eba serve`.
+    /// calls [`Server::shutdown`] or the process dies). Used by
+    /// `eba serve`.
     pub fn join(mut self) {
         if let Some(inner) = self.inner.take() {
             let _ = inner.accept.join();

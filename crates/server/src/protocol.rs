@@ -141,9 +141,8 @@ pub enum Command {
         /// What to be notified about.
         kind: crate::push::SubscriptionKind,
     },
-    /// `WARNINGS` — operator warnings recorded so far (every rebuild
-    /// fallback, whether triggered by an `INGEST` or an operator
-    /// database reload).
+    /// `WARNINGS` — operator warnings recorded so far (every `INGEST`
+    /// rebuild fallback, shed and persist failure).
     Warnings,
     /// `RECOVERY` — what startup recovery replayed from the durable
     /// store (or that the service is volatile).

@@ -21,10 +21,6 @@
 //! path. Misuse crossings piggyback on the same diff: per-user
 //! unexplained tallies are only counted when a misuse subscriber exists,
 //! and only for users who gained a row in this publish.
-//!
-//! Operator database reloads ([`AuditService::replace_database`]) do not
-//! publish events: a wholesale replacement is not a stream of new
-//! accesses, and diffing two unrelated logs would alert on noise.
 
 use crate::protocol::Response;
 use crate::AuditService;

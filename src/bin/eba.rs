@@ -243,13 +243,19 @@ fn build_explainer(
 // ----------------------------------------------------------------- mine
 
 fn cmd_mine(opts: &Options) -> CliResult {
+    let support_frac: f64 = opts.parsed("support", 0.01);
+    if !(support_frac > 0.0 && support_frac <= 1.0) {
+        usage(&format!(
+            "--support expects a fraction in (0, 1], got `{support_frac}`"
+        ));
+    }
     let mut loaded = load_data(Path::new(opts.require("data")))?;
     let with_groups = opts.flag("groups");
     if with_groups {
         add_groups(&mut loaded)?;
     }
     let mut config = MiningConfig {
-        support_frac: opts.parsed("support", 0.01),
+        support_frac,
         max_length: opts.parsed("max-length", 4),
         max_tables: opts.parsed("max-tables", 3),
         ..MiningConfig::default()
@@ -378,10 +384,9 @@ fn cmd_report(opts: &Options) -> CliResult {
 
 // ---------------------------------------------------------------- serve
 
-/// `eba serve`: the CSV-loaded deployment of the `eba-serve` audit
-/// service — same listener, same line protocol as the standalone binary,
-/// but over your data. Prints one `listening on <addr>` line to stdout
-/// (port 0 picks an ephemeral port) and serves until killed.
+/// `eba serve`: the audit service over a CSV data directory (your own,
+/// or one `eba synth` wrote). Prints one `listening on <addr>` line to
+/// stdout (port 0 picks an ephemeral port) and serves until killed.
 ///
 /// With `--pile FILE` the service is **durable**: startup recovers every
 /// previously acknowledged `INGEST` from the segment pile (+ its

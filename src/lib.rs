@@ -15,8 +15,9 @@
 //! * [`core`] — explanation templates and mining algorithms (§2–3)
 //! * [`audit`] — user-centric auditing, misuse triage and evaluation
 //!   (§5): one read-side `AuditView`, one function per audit question
-//! * [`server`] — `eba-serve`: the concurrent audit service (line protocol
-//!   over TCP, epoch-pinned sessions on the `ShardedEngine` epoch handle)
+//! * [`server`] — the concurrent audit service behind `eba serve` (line
+//!   protocol over TCP, epoch-pinned sessions on the `ShardedEngine` epoch
+//!   handle)
 //! * [`experiments`] — per-figure/table reproduction of the evaluation
 //!
 //! ## Quickstart
@@ -25,7 +26,7 @@
 //! end-to-end: build the database, mine templates, and explain each access.
 //! The `eba` binary (`src/bin/eba.rs`) exposes the same workflow over CSV
 //! data directories: `eba synth`, `eba mine`, `eba explain`, `eba report`,
-//! `eba investigate`.
+//! `eba investigate`, and `eba serve`.
 
 pub use eba_audit as audit;
 pub use eba_cluster as cluster;

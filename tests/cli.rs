@@ -353,3 +353,30 @@ fn bad_usage_fails_cleanly() {
     let out = eba(&["help"]);
     assert!(out.status.success());
 }
+
+/// `--support` is a fraction of the accesses: anything not finite or
+/// outside (0, 1] is a usage error (exit 2), not a silently empty or
+/// threshold-1 mining run.
+#[test]
+fn mine_rejects_a_support_outside_the_unit_interval() {
+    let dir = data_dir("support");
+    synth(&dir, &[]);
+    let data = dir.to_str().unwrap();
+    for bad in ["2", "0", "-0.5", "NaN", "inf"] {
+        let out = eba(&["mine", "--data", data, "--support", bad]);
+        assert_eq!(out.status.code(), Some(2), "--support {bad}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--support expects a fraction in (0, 1]"),
+            "{err}"
+        );
+        assert!(stdout(&out).is_empty(), "--support {bad} mined anyway");
+    }
+    let out = eba(&["mine", "--data", data, "--support", "1"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -25,9 +25,9 @@ use std::sync::{Arc, Mutex};
 /// Shard count the concurrency suites run at: `EBA_SHARDS` (CI runs the
 /// workspace at both `1` and `4`), else 1, so a plain `cargo test`
 /// exercises the degenerate single-shard engine. It is
-/// [`eba::server::default_shard_count`], the same parser the `eba` and
-/// `eba-serve` binaries use, so the library- and socket-level suites agree
-/// on the partition layout.
+/// [`eba::server::default_shard_count`], the same parser `eba serve`
+/// uses, so the library- and socket-level suites agree on the partition
+/// layout.
 pub fn test_shards() -> usize {
     eba::server::default_shard_count()
 }

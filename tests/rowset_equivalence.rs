@@ -83,13 +83,11 @@ fn fused_suite_matches_the_per_template_path_on_the_hospital() {
 
 /// The decorated-template class: the anchor-dependent repeat-access
 /// template plus seven "repeat access since day D" variants (one extra
-/// constant decoration each) form one *family* — same anchor start
-/// column, same first hop — so the fused driver reads each anchor row's
-/// candidate set once and tests it against every member's decorations.
-/// The fused sets must equal the per-template path slot for slot, for a
-/// family of one (nothing to share) and of eight.
+/// constant decoration each), all walked by the per-row scan in one pass
+/// over the log. The suite's sets must equal the per-template path and
+/// the cold reference slot for slot, for a suite of one and of eight.
 #[test]
-fn fused_policy_family_matches_the_per_template_path() {
+fn anchor_dependent_policy_suite_matches_the_cold_reference() {
     use eba::relational::{Rhs, StepFilter};
     let world = AuditWorld::tiny(17);
     let db = &world.hospital.db;
@@ -99,7 +97,7 @@ fn fused_policy_family_matches_the_per_template_path() {
         .repeat_access
         .path;
     let days = world.hospital.config.days as i64;
-    let mut family = vec![base.to_chain_query(spec)];
+    let mut policies = vec![base.to_chain_query(spec)];
     for i in 1..8i64 {
         let filter = StepFilter {
             col: world.hospital.log_cols.date,
@@ -107,13 +105,13 @@ fn fused_policy_family_matches_the_per_template_path() {
             rhs: Rhs::Const(Value::Date(i * days / 8 * 24 * 60)),
         };
         let path = base.decorated(1, filter).expect("alias 1 exists");
-        family.push(path.to_chain_query(spec));
+        policies.push(path.to_chain_query(spec));
     }
-    assert!(family.iter().all(ChainQuery::is_anchor_dependent));
+    assert!(policies.iter().all(ChainQuery::is_anchor_dependent));
     let engine = Engine::new(db);
     let opts = EvalOptions::default();
     for k in [1usize, 8] {
-        let suite = &family[..k];
+        let suite = &policies[..k];
         let fused: Vec<Vec<RowId>> = engine
             .eval_suite(db, suite, opts)
             .into_iter()
@@ -122,20 +120,71 @@ fn fused_policy_family_matches_the_per_template_path() {
         assert_eq!(
             fused,
             per_template_reference(&engine, db, suite, opts),
-            "family of {k}: engine per-template path"
+            "suite of {k}: engine per-template path"
         );
         for (q, rows) in suite.iter().zip(&fused) {
-            assert_eq!(rows, &q.explained_rows(db, opts).unwrap(), "family of {k}");
+            assert_eq!(rows, &q.explained_rows(db, opts).unwrap(), "suite of {k}");
         }
     }
     // The decorations bite: a later "since" day explains no more rows.
     let sizes: Vec<usize> = engine
-        .eval_suite(db, &family, opts)
+        .eval_suite(db, &policies, opts)
         .into_iter()
         .map(|s| s.unwrap().len())
         .collect();
     assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "{sizes:?}");
     assert!(sizes[0] > sizes[7], "{sizes:?}");
+}
+
+/// The repeat-access skew case: one patient holds half the log, so the
+/// anchor-dependent walk reads that patient's whole history from each of
+/// their anchor rows. The engine, the sharded scatter-gather and the
+/// maintained partition (advanced over the skewed batch) must each equal
+/// the cold reference, at shards {1, 4}.
+#[test]
+fn a_patient_holding_half_the_log_matches_the_cold_reference() {
+    let world = AuditWorld::tiny(29);
+    let base_len = world.hospital.log_len();
+    let mut oracle = world.oracle();
+    let users = &world.users[..world.users.len().min(16)];
+    let rows = oracle.ingest(|db| {
+        eba::audit::fake::FakeLog::inject(
+            db,
+            world.hospital.t_log,
+            &world.hospital.log_cols,
+            users,
+            &world.patients[..1],
+            base_len,
+            world.hospital.config.days,
+            29,
+        );
+    });
+    let db = &oracle.db;
+    let cold = explained_cold(db, &world.spec, world.explainer.templates());
+    // Most of the hot patient's accesses are repeats: the case bites.
+    let hot: RowSet = (base_len as RowId..2 * base_len as RowId).collect();
+    assert!(
+        cold.intersect_len(&hot) > base_len / 2,
+        "{}",
+        cold.intersect_len(&hot)
+    );
+
+    let suite = world.suite();
+    let opts = EvalOptions::default();
+    let union = |sets: Vec<eba::relational::Result<RowSet>>| {
+        RowSet::union_all(sets.into_iter().map(|s| s.expect("valid suite")))
+    };
+    let engine = Engine::new(db);
+    assert_eq!(union(engine.eval_suite(db, &suite, opts)), cold, "engine");
+    for n in [1usize, 4] {
+        let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n);
+        let pin = sharded.pin_suite(world.explainer.suite_pin(&world.spec));
+        common::ingest_rows(&sharded, db, &rows);
+        let epochs = sharded.load();
+        assert_eq!(union(epochs.eval_suite(&suite, opts)), cold, "{n} shards");
+        let maintained = epochs.maintained(pin).expect("pinned vector");
+        assert_eq!(maintained.explained, cold, "{n} shards: maintained");
+    }
 }
 
 #[test]

@@ -625,73 +625,6 @@ fn timeline_overflow_is_served_over_the_wire() {
     assert_eq!(after.body, expected);
 }
 
-/// Satellite: the rebuild fallback still fires **over the server path**
-/// on segmented storage. An operator reload that is not an append-only
-/// extension (the log shrinks back to the seed copy) refuses the
-/// incremental refresh; the service recovers by rebuilding, records the
-/// warning, and serves it over the wire via `WARNINGS` — while pinned
-/// sessions stay byte-stable and a `REPIN` lands on the rebuilt epoch.
-#[test]
-fn rebuild_fallback_warning_fires_over_the_server_path() {
-    let (world, server) = spawn_world_server(61);
-    let addr = server.local_addr();
-
-    let mut pinned = Client::connect(addr).expect("pinned session");
-    let before = pinned.send("METRICS").expect("metrics").render();
-    assert_eq!(
-        pinned.send("WARNINGS").unwrap().head,
-        "OK warnings 0",
-        "a healthy service has no warnings"
-    );
-
-    // Grow the published log over the wire (epoch 1)...
-    let mut writer = Client::connect(addr).expect("writer session");
-    let reply = writer.ingest(&batch(&world, 10, Some(1))).expect("ingest");
-    assert!(reply.is_ok(), "{}", reply.head);
-    assert_eq!(reply.field("rebuilt"), Some("0"));
-
-    // ...then reload the (shorter) seed copy: TableShrank → rebuild
-    // fallback, published as epoch 2.
-    let report = server.service().replace_database(world.hospital.db.clone());
-    assert!(report.rebuilt_any(), "replacement must trigger fallback");
-    assert_eq!(report.seq, 2);
-
-    // The warning is served over the wire — one per shard, since every
-    // shard engine refuses a wholesale replacement and rebuilds.
-    let warnings = pinned.send("WARNINGS").expect("warnings");
-    assert_eq!(
-        warnings.head,
-        format!("OK warnings {}", common::test_shards())
-    );
-    assert!(
-        warnings.body[0].contains("rebuilding"),
-        "{}",
-        warnings.body[0]
-    );
-
-    // The pinned session is untouched by the fallback...
-    assert_eq!(
-        pinned.send("METRICS").unwrap().render(),
-        before,
-        "pinned session drifted across a rebuild fallback"
-    );
-    // ...and a REPIN lands on the rebuilt epoch, whose contents are the
-    // seed database again (same metrics body, new epoch in the head).
-    assert_eq!(pinned.send("REPIN").unwrap().head, "OK epoch 2");
-    let after = pinned.send("METRICS").unwrap();
-    assert_eq!(after.head, "OK metrics epoch 2");
-    assert_eq!(
-        after.body,
-        before
-            .lines()
-            .skip(1)
-            .take_while(|l| *l != ".")
-            .map(str::to_string)
-            .collect::<Vec<_>>(),
-        "the rebuilt epoch serves the seed contents"
-    );
-}
-
 /// Satellite: a client that announces an `INGEST` batch and disconnects
 /// mid-batch publishes **nothing** and persists **nothing** — the torn
 /// batch is all-or-nothing at both the epoch layer and the durable pile
