@@ -360,7 +360,7 @@ mod tests {
         assert_eq!(t.all().len(), 8);
         // One warm engine serves the whole suite with identical supports
         // (the repeat-access template is anchor-dependent and exercises
-        // the per-row fallback).
+        // the extremum walk).
         let engine = eba_relational::Engine::new(&h.db);
         let suite: Vec<_> = t
             .all()

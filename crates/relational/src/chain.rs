@@ -152,7 +152,7 @@ impl ChainStep {
         })
     }
 
-    fn has_anchor_filter(&self) -> bool {
+    pub(crate) fn has_anchor_filter(&self) -> bool {
         self.filters
             .iter()
             .any(|f| matches!(f.rhs, Rhs::AnchorCol(_)))
@@ -257,6 +257,7 @@ impl ChainQuery {
         for (col, _, _) in &self.anchor_filters {
             check_col(self.log, *col)?;
         }
+        let mut anchor_decorations = 0;
         for s in &self.steps {
             check_col(s.table, s.enter_col)?;
             check_col(s.table, s.exit_col)?;
@@ -264,8 +265,21 @@ impl ChainQuery {
                 check_col(s.table, f.col)?;
                 if let Rhs::AnchorCol(c) = f.rhs {
                     check_col(self.log, c)?;
+                    // An anchor decoration is an order test against the
+                    // witnesses' extremum, which `=` has no equivalent of.
+                    if f.op == CmpOp::Eq {
+                        return Err(Error::InvalidQuery(
+                            "an anchor decoration must compare with <, <=, > or >=".into(),
+                        ));
+                    }
+                    anchor_decorations += 1;
                 }
             }
+        }
+        if anchor_decorations > 1 {
+            return Err(Error::InvalidQuery(
+                "a template carries at most one anchor decoration".into(),
+            ));
         }
         Ok(())
     }
@@ -928,6 +942,58 @@ mod tests {
             anchor_filters: vec![],
         };
         assert!(bad_col.validate(&db).is_err());
+    }
+
+    /// An `=` anchor decoration and a second anchor decoration have no
+    /// extremum walk: the row evaluator and the engine both refuse them
+    /// as invalid, and the engine answers the rest of the suite.
+    #[test]
+    fn validate_refuses_anchor_decorations_without_an_extremum() {
+        let (db, log, appt, info) = figure3_db();
+        let decorate = |mut q: ChainQuery, at: &[(usize, CmpOp)]| {
+            for &(step, op) in at {
+                q.steps[step].filters.push(StepFilter {
+                    col: 0,
+                    op,
+                    rhs: Rhs::AnchorCol(1),
+                });
+            }
+            q
+        };
+        let refused = [
+            decorate(template_a(log, appt), &[(0, CmpOp::Eq)]),
+            decorate(template_a(log, appt), &[(0, CmpOp::Lt), (0, CmpOp::Ge)]),
+            decorate(
+                template_b(log, appt, info),
+                &[(0, CmpOp::Le), (2, CmpOp::Gt)],
+            ),
+        ];
+        let accepted = decorate(template_b(log, appt, info), &[(1, CmpOp::Ge)]);
+        let opts = EvalOptions::default();
+        fn invalid<T>(r: &Result<T>) -> bool {
+            matches!(r, Err(Error::InvalidQuery(_)))
+        }
+        for q in &refused {
+            assert!(invalid(&q.validate(&db)), "{q:?}");
+            assert!(invalid(&q.explained_rows(&db, opts)), "{q:?}");
+        }
+        assert!(accepted.validate(&db).is_ok());
+        let engine = crate::Engine::new(&db);
+        let mut suite = vec![template_a(log, appt)];
+        suite.extend(refused.iter().cloned());
+        suite.push(accepted);
+        let answers = engine.eval_suite(&db, &suite, opts);
+        assert_eq!(answers.len(), suite.len());
+        for (q, answer) in suite.iter().zip(&answers) {
+            match q.explained_rows(&db, opts) {
+                Ok(rows) => assert_eq!(answer.as_ref().unwrap().to_vec(), rows),
+                Err(_) => assert!(invalid(answer), "{q:?}"),
+            }
+        }
+        assert!(
+            !answers[0].as_ref().unwrap().is_empty(),
+            "template (A) answers"
+        );
     }
 
     #[test]

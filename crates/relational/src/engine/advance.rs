@@ -477,10 +477,15 @@ mod tests {
         compute_maintained(vec.shards(), pin, vec.global_log_len())
     }
 
+    /// `compute_maintained` evaluates through the engine too, so every
+    /// round is also checked against the row evaluator over an
+    /// independently grown database: `reopened` (`>` at step 1, open)
+    /// then tests the max-carrying extremum walk.
     #[test]
     fn self_join_growth_at_two_depths_matches_cold_recompute() {
         let (db, log, event) = world(60);
         let pin = suite(log, event);
+        let mut oracle = db.clone();
         let live = ShardedEngine::new(db, KEY, 1);
         let id = live.pin_suite(pin.clone());
         let (mut delta_path, mut full_path) = (0, 0);
@@ -493,11 +498,26 @@ mod tests {
                     batch.insert_dim(event, row.clone()).unwrap();
                 }
             });
+            for row in &logs {
+                oracle.insert(log, row.clone()).unwrap();
+            }
+            for row in &events {
+                oracle.insert(event, row.clone()).unwrap();
+            }
             let vec = live.load();
             assert_same(
                 vec.maintained(id).unwrap(),
                 &cold(&vec, &pin),
                 &format!("round {round}"),
+            );
+            let rows =
+                RowSet::union_all(pin.queries.iter().map(|q| {
+                    RowSet::from_sorted_vec(&q.explained_rows(&oracle, pin.opts).unwrap())
+                }));
+            assert_eq!(
+                vec.maintained(id).unwrap().explained,
+                rows,
+                "round {round}: row evaluator"
             );
             let stats = report.shards[0].advance[id];
             assert_eq!(stats.tail_rows, logs.len());

@@ -25,13 +25,14 @@
 //! Results are **identical** to the row evaluator's — the same
 //! `explained_rows` and `support` for every query class (the
 //! `engine_equivalence` integration test enforces this differentially).
-//! Queries whose decorations reference the anchor log row have no shareable
-//! *step* maps (the decoration must be re-evaluated per log row), so the
-//! driver routes them to a per-row scan over shared
-//! `(table, enter_col) → rows` **row maps** ([`stepmap::RowMap`]) —
-//! filter-free identity, one map per entered column, bitset frontiers —
-//! which keeps even the decorated part of an audit suite off the live
-//! tables' hash indexes.
+//! A decoration that references the anchor log row (`w.col < L.col`) has
+//! no shareable *step* map, yet the template walks the same grouped path
+//! as every other: "some witness `w` has `w.col < L.col`" holds iff the
+//! witnesses' `min(col)` does (`max` for `>`/`>=`). The decorated step
+//! folds that extremum per exit value over the shared, filter-free
+//! `(table, enter_col) → rows` **row map** ([`stepmap::RowMap`]), later
+//! steps carry the best extremum forward, and each anchor row of a
+//! `(start, close)` group costs one comparison at the close.
 //!
 //! # Snapshot lifecycle
 //!
@@ -119,13 +120,14 @@ pub use sharded::{
     ShardedEngine, ShardedIngestReport, SuitePin,
 };
 
-use crate::chain::{ChainQuery, EvalOptions, Rhs};
+use crate::chain::{ChainQuery, ChainStep, CmpOp, EvalOptions, Rhs};
 use crate::database::{Database, TableId};
 use crate::error::Result;
 use crate::rowset::RowSet;
 use crate::sync::unpoison;
 use crate::table::RowId;
 use crate::types::ColId;
+use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use stepmap::{Chunks, RowMap, RowMapChunks, StepKey, StepMap};
@@ -137,8 +139,9 @@ pub struct Engine {
     snapshot: InternedDb,
     cache: Mutex<HashMap<StepKey, Arc<StepMap>>>,
     groups: Mutex<HashMap<GroupKey, GroupChunks>>,
-    /// `(table, enter_col) → rows` maps for the anchor-dependent per-row
-    /// path; filter-free identity, so every decorated query shares them.
+    /// `(table, enter_col) → rows` maps, read by the extremum fold of an
+    /// anchor-decorated step and by the advance core's backward walk;
+    /// filter-free identity, so every decorated query shares them.
     /// Chunked by row range: growth appends a chunk over the new rows.
     rowmaps: Mutex<HashMap<(TableId, ColId), RowMapChunks>>,
 }
@@ -157,8 +160,8 @@ pub struct RefreshStats {
     /// Log partitions left stale by the append: **kept**, and extended
     /// over only the new rows when next queried.
     pub stale_partitions: usize,
-    /// Per-row maps left stale by the append: **kept**, and extended
-    /// over only the new rows when next queried.
+    /// Row maps left stale by the append: **kept**, and extended over
+    /// only the new rows when next queried.
     pub stale_row_maps: usize,
 }
 
@@ -167,14 +170,10 @@ pub struct RefreshStats {
 /// `(start, close) → rows` partition, so it is computed once per engine.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct GroupKey {
-    log: crate::database::TableId,
-    start_col: crate::types::ColId,
-    close_col: Option<crate::types::ColId>,
-    anchor_filters: Vec<(
-        crate::types::ColId,
-        crate::chain::CmpOp,
-        crate::value::Value,
-    )>,
+    log: TableId,
+    start_col: ColId,
+    close_col: Option<ColId>,
+    anchor_filters: Vec<(ColId, CmpOp, Value)>,
 }
 
 impl GroupKey {
@@ -188,29 +187,83 @@ impl GroupKey {
     }
 }
 
-/// One close bucket of a start group: `(close id, rows)`.
-type CloseBucket = (u32, Vec<RowId>);
-
 /// One chunk of a log partition: a contiguous row range grouped by
-/// `(start id, close id)`. Chunks over already-partitioned rows are
-/// immutable and `Arc`-shared across engine forks; growth appends a new
-/// chunk over just the appended rows ([`GroupChunks`]).
+/// `(start id, close id)`, stored flat (a few allocations per chunk, not
+/// several per group). Chunks over already-partitioned rows are immutable and
+/// `Arc`-shared across engine forks; growth appends a new chunk over just
+/// the appended rows ([`GroupChunks`]).
 #[derive(Debug)]
 struct GroupChunk {
-    /// `start → per-close rows` within this chunk's range; for open
-    /// queries the close id is [`NULL_ID`] (one bucket per start).
-    by_start: HashMap<u32, Vec<CloseBucket>>,
+    /// `start → [lo, hi)` into `closes`: the start's close buckets.
+    by_start: HashMap<u32, (u32, u32)>,
+    /// `(close id, [lo, hi) into rows)` per bucket; for open queries the
+    /// close id is [`NULL_ID`] (one bucket per start).
+    closes: Vec<(u32, u32, u32)>,
+    /// The chunk's rows, ascending within each bucket.
+    rows: Vec<RowId>,
+}
+
+impl GroupChunk {
+    /// The `(close id, rows)` buckets of `start` within this chunk.
+    fn buckets(&self, start: u32) -> impl Iterator<Item = (u32, &[RowId])> {
+        let (lo, hi) = self.by_start.get(&start).copied().unwrap_or_default();
+        self.closes[lo as usize..hi as usize]
+            .iter()
+            .map(|&(close, a, z)| (close, &self.rows[a as usize..z as usize]))
+    }
 }
 
 /// The chunked per-anchor-shape log partition.
 type GroupChunks = Chunks<GroupChunk>;
 
-/// One set-based template of a fused-suite bucket: its result slot and
-/// warm step maps.
+/// One template of a fused-suite bucket: its result slot, the warm step
+/// maps of its undecorated prefix, and its anchor-decorated step, if any.
 struct GroupedTemplate<'q> {
     slot: usize,
     q: &'q ChainQuery,
+    /// Step maps of every step before the anchor-decorated one (of every
+    /// step when there is none) — the only maps prefix sharing compares.
     maps: Vec<Arc<StepMap>>,
+    extremum: Option<ExtremumStep<'q>>,
+}
+
+/// The anchor-decorated step `w.col op L.col` of a template and the steps
+/// after it, walked as an extremum: min of `col` for `<`/`<=`, max for
+/// `>`/`>=`, since some witness passes iff the extremum does.
+struct ExtremumStep<'q> {
+    step: &'q ChainStep,
+    /// The witness column `col`, the operator, and the anchor column.
+    col: ColId,
+    op: CmpOp,
+    anchor_col: ColId,
+    /// The step table's row map on its enter column (never a step map:
+    /// `StepKey::of` drops the anchor filter from the identity).
+    rows: RowMapChunks,
+    /// Step maps of the steps after the decorated one.
+    tail: Vec<Arc<StepMap>>,
+}
+
+impl ExtremumStep<'_> {
+    /// Whether extremum `a` beats `b` (NULLs never do: SQL comparison).
+    fn better(&self, a: &Value, b: &Value) -> bool {
+        match self.op {
+            CmpOp::Lt | CmpOp::Le => CmpOp::Lt.eval(a, b),
+            _ => CmpOp::Gt.eval(a, b),
+        }
+    }
+
+    /// Sorts `(value, extremum)` pairs by value and keeps one pair per
+    /// value, with the best extremum.
+    fn fold_best(&self, pairs: &mut Vec<(u32, Value)>) {
+        pairs.sort_unstable_by_key(|&(v, _)| v);
+        pairs.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same && self.better(&later.1, &kept.1) {
+                kept.1 = later.1;
+            }
+            same
+        });
+    }
 }
 
 /// One anchor-shape bucket of a fused suite: the shared log partition,
@@ -219,22 +272,6 @@ struct GroupedBucket<'q> {
     groups: GroupChunks,
     starts: Vec<u32>,
     templates: Vec<GroupedTemplate<'q>>,
-}
-
-/// One anchor-dependent template of a fused-suite scan: its result
-/// slot, and the interned table and warm row map of each step.
-struct PerRowTemplate<'q> {
-    slot: usize,
-    q: &'q ChainQuery,
-    tables: Vec<&'q InternedTable>,
-    rowmaps: Vec<RowMapChunks>,
-}
-
-/// Every anchor-dependent template over one log table: fused into a
-/// single scan of that log.
-struct PerRowBucket<'q> {
-    log: TableId,
-    templates: Vec<PerRowTemplate<'q>>,
 }
 
 /// The anchor rows a fused evaluation answers for: the whole log, a row
@@ -307,8 +344,8 @@ impl Engine {
         unpoison(self.groups.lock()).len()
     }
 
-    /// Number of distinct per-row maps built so far (the anchor-dependent
-    /// path's cache).
+    /// Number of distinct row maps built so far (what an anchor-decorated
+    /// step's extremum fold reads instead of a step map).
     pub fn cached_row_maps(&self) -> usize {
         unpoison(self.rowmaps.lock()).len()
     }
@@ -400,18 +437,15 @@ impl Engine {
     /// (input order; invalid queries report their error in place).
     ///
     /// The suite is grouped first, so each shared scan is paid once, not
-    /// once per template:
-    ///
-    /// * **set-based templates** are bucketed by anchor shape
-    ///   ([`GroupKey`]); per bucket, the distinct starts and each start's
-    ///   close buckets are gathered once, then every template's chain is
-    ///   walked against them (shared scratch bitset, per-chunk warm step
-    ///   maps). Parallelism is over *start ranges*, not templates, so a
-    ///   one-template suite still uses every core;
-    /// * **anchor-dependent templates** are bucketed by log table; one
-    ///   scan of `0..n_rows` walks every decorated template's chain from
-    ///   each row's start value over the shared row maps (parallel over
-    ///   row ranges).
+    /// once per template: templates are bucketed by anchor shape
+    /// ([`GroupKey`]); per bucket, the distinct starts and each start's
+    /// close buckets are gathered once, then every template's chain is
+    /// walked against them (shared scratch bitset, warm step maps).
+    /// An anchor-decorated template walks the same partition: its
+    /// decorated step folds the witnesses' extremum over a row map, and
+    /// each anchor row of a group is one comparison with it. Parallelism
+    /// is over *start ranges*, not templates, so a one-template suite
+    /// still uses every core.
     ///
     /// Workers emit per-template [`RowSet`]s that merge associatively,
     /// so the fan-out/fan-in never re-sorts: results are identical to
@@ -484,8 +518,7 @@ impl Engine {
     /// [`Engine::eval_suite_range`] and [`Engine::eval_suite_rows`]:
     /// validate in place, build the suite's missing step maps, bucket the
     /// templates, and walk every bucket in parallel slices. `anchors`
-    /// decides only which partition a grouped bucket walks
-    /// ([`Engine::partition`]) and which rows a per-row bucket scans.
+    /// decides only which partition a bucket walks ([`Engine::partition`]).
     fn eval_fused(
         &self,
         db: &Database,
@@ -503,62 +536,30 @@ impl Engine {
             .filter(|(_, slot)| slot.is_none())
             .map(|(i, _)| (i, &queries[i]))
             .collect();
-        self.build_missing_maps(
-            valid
-                .iter()
-                .map(|(_, q)| *q)
-                .filter(|q| !q.is_anchor_dependent()),
-            opts,
-        );
+        self.build_missing_maps(valid.iter().map(|(_, q)| *q), opts);
 
-        // Bucket set-based templates by anchor shape; each bucket owns
-        // the shared partition and its distinct starts, gathered once.
+        // Bucket templates by anchor shape; each bucket owns the shared
+        // partition and its distinct starts, gathered once.
         let mut grouped: Vec<GroupedBucket> = Vec::new();
         let mut bucket_ix: HashMap<GroupKey, usize> = HashMap::new();
-        // Bucket anchor-dependent templates by log table: one fused scan
-        // per log evaluates all of them.
-        let mut per_row: Vec<PerRowBucket> = Vec::new();
-        let mut per_row_ix: HashMap<TableId, usize> = HashMap::new();
-        for (slot, q) in &valid {
-            if q.is_anchor_dependent() {
-                let ix = *per_row_ix.entry(q.log).or_insert_with(|| {
-                    per_row.push(PerRowBucket {
-                        log: q.log,
+        for &(slot, q) in &valid {
+            let key = GroupKey::of(q);
+            let ix = match bucket_ix.get(&key) {
+                Some(&ix) => ix,
+                None => {
+                    let (groups, starts) = self.partition(q, &key, anchors);
+                    grouped.push(GroupedBucket {
+                        groups,
+                        starts,
                         templates: Vec::new(),
                     });
-                    per_row.len() - 1
-                });
-                per_row[ix].templates.push(PerRowTemplate {
-                    slot: *slot,
-                    q,
-                    tables: q
-                        .steps
-                        .iter()
-                        .map(|s| self.snapshot.table(s.table))
-                        .collect(),
-                    rowmaps: self.rowmaps_for(q),
-                });
-            } else {
-                let key = GroupKey::of(q);
-                let ix = match bucket_ix.get(&key) {
-                    Some(&ix) => ix,
-                    None => {
-                        let (groups, starts) = self.partition(q, &key, anchors);
-                        grouped.push(GroupedBucket {
-                            groups,
-                            starts,
-                            templates: Vec::new(),
-                        });
-                        bucket_ix.insert(key, grouped.len() - 1);
-                        grouped.len() - 1
-                    }
-                };
-                grouped[ix].templates.push(GroupedTemplate {
-                    slot: *slot,
-                    q,
-                    maps: self.maps_for(q, opts),
-                });
-            }
+                    bucket_ix.insert(key, grouped.len() - 1);
+                    grouped.len() - 1
+                }
+            };
+            grouped[ix]
+                .templates
+                .push(self.grouped_template(slot, q, opts));
         }
 
         // Templates holding pointer-equal map prefixes walk as one: sort
@@ -573,41 +574,19 @@ impl Engine {
             });
         }
 
-        // One work item per (bucket, range slice): parallelism is over
-        // the data, so even a single-template suite fans out. A per-row
-        // slice is a range of positions in the anchors (`Anchors::span`).
+        // One work item per (bucket, start-range slice): parallelism is
+        // over the data, so even a single-template suite fans out.
         let threads = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        enum Work {
-            Grouped { bucket: usize, lo: usize, hi: usize },
-            PerRow { bucket: usize, lo: usize, hi: usize },
-        }
-        let mut work: Vec<Work> = Vec::new();
+        let mut work: Vec<(usize, usize, usize)> = Vec::new();
         for (b, bucket) in grouped.iter().enumerate() {
             for (lo, hi) in split_ranges(bucket.starts.len(), threads) {
-                work.push(Work::Grouped { bucket: b, lo, hi });
+                work.push((b, lo, hi));
             }
         }
-        for (b, bucket) in per_row.iter().enumerate() {
-            let (lo, hi) = anchors.span(self.snapshot.table(bucket.log).n_rows);
-            for (a, z) in split_ranges(hi - lo, threads) {
-                work.push(Work::PerRow {
-                    bucket: b,
-                    lo: lo + a,
-                    hi: lo + z,
-                });
-            }
-        }
-        let outputs = par_map(&work, |item| match *item {
-            Work::Grouped { bucket, lo, hi } => self.eval_grouped_slice(&grouped[bucket], lo, hi),
-            Work::PerRow { bucket, lo, hi } => match anchors {
-                Anchors::All | Anchors::Range(..) => {
-                    self.eval_per_row_rows(&per_row[bucket], lo..hi)
-                }
-                Anchors::Rows(rows) => self
-                    .eval_per_row_rows(&per_row[bucket], rows[lo..hi].iter().map(|&r| r as usize)),
-            },
+        let outputs = par_map(&work, |&(bucket, lo, hi)| {
+            self.eval_grouped_slice(&grouped[bucket], lo, hi)
         });
 
         // Fan-in: a query's first slice result is moved in and later ones
@@ -700,6 +679,8 @@ impl Engine {
             // recently walked from the current start (valid to `computed`).
             let mut frontiers: Vec<Vec<u32>> = Vec::new();
             let mut close_rows: Vec<(u32, &[RowId])> = Vec::new();
+            // An extremum walk's `(value, extremum)` frontier and spare.
+            let (mut best, mut spare) = (Vec::new(), Vec::new());
             for &start in &bucket.starts[lo..hi] {
                 let mut gathered = false;
                 let mut computed = 0usize;
@@ -744,24 +725,35 @@ impl Engine {
                         0 => std::slice::from_ref(&start),
                         d => &frontiers[d - 1],
                     };
+                    if let Some(ext) = &tmpl.extremum {
+                        self.walk_extremum(ext, frontier, &mut best, &mut spare);
+                        if tmpl.q.close_col.is_none() {
+                            // An open template's buckets all close on
+                            // NULL_ID: fold the whole frontier into one.
+                            best.iter_mut().for_each(|p| p.0 = NULL_ID);
+                            ext.fold_best(&mut best);
+                        }
+                        if best.is_empty() {
+                            continue;
+                        }
+                    }
                     if !gathered {
                         gathered = true;
                         close_rows.clear();
                         for chunk in &bucket.groups.chunks {
-                            if let Some(closes) = chunk.by_start.get(&start) {
-                                for (close, rows) in closes {
-                                    close_rows.push((*close, rows));
-                                }
-                            }
+                            close_rows.extend(chunk.buckets(start));
                         }
                     }
-                    match tmpl.q.close_col {
-                        None => {
+                    match (&tmpl.extremum, tmpl.q.close_col) {
+                        (Some(ext), _) => {
+                            self.extremum_hits(ext, tmpl.q.log, &best, &close_rows, &mut hits[t])
+                        }
+                        (None, None) => {
                             for &(_, rows) in &close_rows {
                                 hits[t].extend_from_slice(rows);
                             }
                         }
-                        Some(_) => {
+                        (None, Some(_)) => {
                             for &v in frontier {
                                 marks.insert(v);
                             }
@@ -787,93 +779,70 @@ impl Engine {
             .collect()
     }
 
-    /// One fused scan over the **ascending** anchor rows `rows`,
-    /// evaluating every anchor-dependent template of the bucket against
-    /// each row — the "one log scan, N templates" half of the fused
-    /// driver. Per row and template, [`Engine::ad_walk`] walks the chain
-    /// from the row's start value. Ascending order is load-bearing: each
-    /// template's hits compress sort-free.
-    fn eval_per_row_rows(
+    /// Walks `ext` from the prefix frontier `from`. The decorated step
+    /// reads its row map and folds, per exit value, the extremum of the
+    /// witness column over the rows passing the step's `Const` filters
+    /// (NULL witnesses never count); each later step carries the best
+    /// extremum over all paths into its exits. Leaves `best` holding
+    /// `(value, extremum)` pairs, ascending by value.
+    fn walk_extremum(
         &self,
-        bucket: &PerRowBucket,
-        rows: impl Iterator<Item = usize>,
-    ) -> Vec<(usize, RowSet)> {
-        let log = self.snapshot.table(bucket.log);
-        let mut hits: Vec<Vec<u32>> = vec![Vec::new(); bucket.templates.len()];
-        with_scratch_marks(self.snapshot.interner.len(), |marks| {
-            let mut frontier: Vec<u32> = Vec::new();
-            let mut scratch: Vec<u32> = Vec::new();
-            for r in rows {
-                for (tmpl, hits) in bucket.templates.iter().zip(&mut hits) {
-                    if !self.anchor_passes(tmpl.q, log, r) {
-                        continue;
-                    }
-                    let start = log.cols[tmpl.q.start_col][r];
-                    if start == NULL_ID {
-                        continue;
-                    }
-                    frontier.clear();
-                    frontier.push(start);
-                    if self.ad_walk(tmpl, log, r, &mut frontier, &mut scratch, marks) {
-                        hits.push(r as u32);
-                    }
-                }
-            }
-        });
-        bucket
-            .templates
-            .iter()
-            .zip(hits)
-            .map(|(tmpl, rows)| (tmpl.slot, RowSet::from_sorted_vec(&rows)))
-            .collect()
-    }
-
-    /// Walks `tmpl`'s steps for anchor row `r`, with `frontier` holding
-    /// the start value, and answers the close check: whether `r` is
-    /// explained.
-    fn ad_walk(
-        &self,
-        tmpl: &PerRowTemplate,
-        log: &InternedTable,
-        r: usize,
-        frontier: &mut Vec<u32>,
-        next: &mut Vec<u32>,
-        marks: &mut BitMarks,
-    ) -> bool {
+        ext: &ExtremumStep,
+        from: &[u32],
+        best: &mut Vec<(u32, Value)>,
+        next: &mut Vec<(u32, Value)>,
+    ) {
         let interner = &self.snapshot.interner;
-        let q = tmpl.q;
-        for ((step, table), rowmap) in q.steps.iter().zip(&tmpl.tables).zip(&tmpl.rowmaps) {
-            next.clear();
-            for &v in frontier.iter() {
-                'rows: for cand in rowmap.rows_of(v) {
-                    let cand = cand as usize;
-                    for f in &step.filters {
-                        let lhs = interner.value(table.cols[f.col][cand]);
-                        let rhs = match f.rhs {
-                            Rhs::Const(c) => c,
-                            Rhs::AnchorCol(col) => interner.value(log.cols[col][r]),
-                        };
-                        if !f.op.eval(&lhs, &rhs) {
+        let table = self.snapshot.table(ext.step.table);
+        best.clear();
+        for &v in from {
+            'rows: for row in ext.rows.rows_of(v) {
+                let row = row as usize;
+                let (w, exit) = (table.cols[ext.col][row], table.cols[ext.step.exit_col][row]);
+                if w == NULL_ID || exit == NULL_ID {
+                    continue;
+                }
+                for f in &ext.step.filters {
+                    if let Rhs::Const(c) = f.rhs {
+                        if !f.op.eval(&interner.value(table.cols[f.col][row]), &c) {
                             continue 'rows;
                         }
                     }
-                    let exit = table.cols[step.exit_col][cand];
-                    if exit != NULL_ID && marks.insert(exit) {
-                        next.push(exit);
-                    }
                 }
-            }
-            marks.remove_all(next);
-            std::mem::swap(frontier, next);
-            if frontier.is_empty() {
-                return false;
+                best.push((exit, interner.value(w)));
             }
         }
-        match q.close_col {
-            None => true,
-            Some(c) => {
-                let close = log.cols[c][r];
-                close != NULL_ID && frontier.contains(&close)
+        ext.fold_best(best);
+        for map in &ext.tail {
+            next.clear();
+            for &(v, e) in best.iter() {
+                next.extend(map.exits_of(v).iter().map(|&exit| (exit, e)));
+            }
+            ext.fold_best(next);
+            std::mem::swap(best, next);
+        }
+    }
+
+    /// The rows of one start's close buckets that an extremum walk's
+    /// `best` explains: one comparison per row, `op(extremum, L.col)`,
+    /// with the extremum of the bucket's close value.
+    fn extremum_hits(
+        &self,
+        ext: &ExtremumStep,
+        log: TableId,
+        best: &[(u32, Value)],
+        close_rows: &[(u32, &[RowId])],
+        hits: &mut Vec<RowId>,
+    ) {
+        let interner = &self.snapshot.interner;
+        let anchor = &self.snapshot.table(log).cols[ext.anchor_col];
+        for &(close, rows) in close_rows {
+            if let Ok(i) = best.binary_search_by_key(&close, |&(v, _)| v) {
+                let e = best[i].1;
+                hits.extend(
+                    rows.iter()
+                        .filter(|&&r| ext.op.eval(&e, &interner.value(anchor[r as usize]))),
+                );
             }
         }
     }
@@ -892,7 +861,8 @@ impl Engine {
             let cache = unpoison(self.cache.lock());
             let mut seen = std::collections::HashSet::new();
             for q in queries {
-                for step in &q.steps {
+                // The decorated step never has a step map.
+                for step in q.steps.iter().filter(|s| !s.has_anchor_filter()) {
                     let key = StepKey::of(step, opts.dedup);
                     if !cache.contains_key(&key) && seen.insert(key.clone()) {
                         missing.push(key);
@@ -910,9 +880,51 @@ impl Engine {
         }
     }
 
-    /// The step maps of `q`, building any that are missing.
-    fn maps_for(&self, q: &ChainQuery, opts: EvalOptions) -> Vec<Arc<StepMap>> {
-        q.steps
+    /// `q` as a template of a grouped bucket: the step maps of its
+    /// undecorated prefix and, if a step carries the anchor decoration,
+    /// that step's row map and the step maps of the steps after it.
+    /// `validate` admits at most one anchor decoration, never `=`.
+    fn grouped_template<'q>(
+        &self,
+        slot: usize,
+        q: &'q ChainQuery,
+        opts: EvalOptions,
+    ) -> GroupedTemplate<'q> {
+        let Some(d) = q.steps.iter().position(ChainStep::has_anchor_filter) else {
+            return GroupedTemplate {
+                slot,
+                q,
+                maps: self.maps_for(&q.steps, opts),
+                extremum: None,
+            };
+        };
+        let step = &q.steps[d];
+        let (col, op, anchor_col) = step
+            .filters
+            .iter()
+            .find_map(|f| match f.rhs {
+                Rhs::AnchorCol(a) => Some((f.col, f.op, a)),
+                Rhs::Const(_) => None,
+            })
+            .expect("the decorated step has an anchor filter");
+        GroupedTemplate {
+            slot,
+            q,
+            maps: self.maps_for(&q.steps[..d], opts),
+            extremum: Some(ExtremumStep {
+                step,
+                col,
+                op,
+                anchor_col,
+                rows: self.rowmap_for(step.table, step.enter_col),
+                tail: self.maps_for(&q.steps[d + 1..], opts),
+            }),
+        }
+    }
+
+    /// The step maps of `steps`, building any that are missing.
+    fn maps_for(&self, steps: &[ChainStep], opts: EvalOptions) -> Vec<Arc<StepMap>> {
+        steps
             .iter()
             .map(|step| {
                 let key = StepKey::of(step, opts.dedup);
@@ -928,16 +940,9 @@ impl Engine {
             .collect()
     }
 
-    /// The row maps of `q`'s steps (for the anchor-dependent per-row
-    /// path), building or **extending** any that are missing or stale:
-    /// a stale entry gains one chunk over just the appended rows.
-    fn rowmaps_for(&self, q: &ChainQuery) -> Vec<RowMapChunks> {
-        q.steps
-            .iter()
-            .map(|step| self.rowmap_for(step.table, step.enter_col))
-            .collect()
-    }
-
+    /// The row map of `table` on `col`, building or **extending** it when
+    /// missing or stale: a stale entry gains one chunk over just the
+    /// appended rows.
     fn rowmap_for(&self, table: TableId, col: ColId) -> RowMapChunks {
         let key = (table, col);
         let it = self.snapshot.table(table);
@@ -963,16 +968,10 @@ impl Engine {
 
     // ----------------------------------------------------------- evaluation
 
-    /// Whether interned log row `r` passes the anchor filters.
-    #[inline]
-    fn anchor_passes(&self, q: &ChainQuery, log: &InternedTable, r: usize) -> bool {
-        self.anchor_passes_filters(&q.anchor_filters, log, r)
-    }
-
     #[inline]
     fn anchor_passes_filters(
         &self,
-        filters: &[(ColId, crate::chain::CmpOp, crate::value::Value)],
+        filters: &[(ColId, CmpOp, Value)],
         log: &InternedTable,
         r: usize,
     ) -> bool {
@@ -993,38 +992,37 @@ impl Engine {
         rows: impl Iterator<Item = (usize, &'a u32)>,
     ) -> GroupChunk {
         let log = self.snapshot.table(key.log);
-        // start id -> (close id, or NULL_ID for open queries) -> rows.
-        let mut groups: HashMap<u32, HashMap<u32, Vec<RowId>>> = HashMap::new();
+        // (start id, close id or NULL_ID for open queries, row), grouped
+        // by one sort, which also keeps each bucket's rows ascending.
+        let mut keyed: Vec<(u32, u32, RowId)> = Vec::new();
         for (r, &start) in rows {
-            if start == NULL_ID {
-                continue;
-            }
-            if !self.anchor_passes_filters(&key.anchor_filters, log, r) {
+            if start == NULL_ID || !self.anchor_passes_filters(&key.anchor_filters, log, r) {
                 continue;
             }
             let close = match key.close_col {
-                Some(c) => {
-                    let v = log.cols[c][r];
-                    if v == NULL_ID {
-                        continue;
-                    }
-                    v
-                }
+                Some(c) => match log.cols[c][r] {
+                    NULL_ID => continue,
+                    v => v,
+                },
                 None => NULL_ID,
             };
-            groups
-                .entry(start)
-                .or_default()
-                .entry(close)
-                .or_default()
-                .push(r as RowId);
+            keyed.push((start, close, r as RowId));
         }
-        GroupChunk {
-            by_start: groups
-                .into_iter()
-                .map(|(start, closes)| (start, closes.into_iter().collect()))
-                .collect(),
+        keyed.sort_unstable();
+        let mut chunk = GroupChunk {
+            by_start: HashMap::new(),
+            closes: Vec::new(),
+            rows: Vec::with_capacity(keyed.len()),
+        };
+        for run in keyed.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (start, close, _) = run[0];
+            let lo = chunk.rows.len() as u32;
+            chunk.rows.extend(run.iter().map(|&(_, _, r)| r));
+            let b = chunk.closes.len() as u32;
+            chunk.closes.push((close, lo, chunk.rows.len() as u32));
+            chunk.by_start.entry(start).or_insert((b, b)).1 = b + 1;
         }
+        chunk
     }
 
     /// The `(start, close) → rows` partition of a query's anchor shape,
@@ -1353,8 +1351,8 @@ mod tests {
             support_of(&engine, &db, &q, opts).unwrap(),
             q.support(&db, opts).unwrap()
         );
-        // The per-row path populates the row-map cache, never the step-map
-        // cache (its identity would be wrong for anchor decorations).
+        // The decorated step folds its extremum over the row-map cache,
+        // never a step map (its identity would drop the decoration).
         assert_eq!(engine.cached_step_maps(), 0);
         assert_eq!(engine.cached_row_maps(), 1);
         // The undecorated variant shares nothing with it.
@@ -1714,7 +1712,7 @@ mod tests {
             close_col: Some(1),
             anchor_filters: vec![],
         };
-        // ...and decorated (anchor-dependent, per-row path over row maps).
+        // ...and decorated (an extremum walk over the row map).
         let mut earlier = ChainStep::new(log, 2, 1);
         earlier.filters.push(StepFilter {
             col: 0,
@@ -1753,7 +1751,7 @@ mod tests {
                 let merged: Vec<u32> = rowmap.rows_of(id).collect();
                 assert_eq!(merged, cold_map.rows_of(id).collect::<Vec<u32>>());
             }
-            // Grouped and per-row answers over the merged caches match the
+            // Plain and decorated answers over the merged caches match the
             // row evaluator, full-log and over a scattered row set.
             let every_third =
                 RowSet::from_sorted_vec(&(0..n as u32).step_by(3).collect::<Vec<_>>());
@@ -1767,6 +1765,56 @@ mod tests {
                 let expect: Vec<u32> = oracle.into_iter().filter(|r| r % 3 == 0).collect();
                 assert_eq!(scattered.to_vec(), expect, "n = {n}");
             }
+        }
+    }
+
+    /// The extremum after the decorated step is the best over every
+    /// path: both actors of each patient reach the accessing user through
+    /// one `Team` row, and only one of them has an event dated before the
+    /// access — the other actor on one patient, so keeping any single
+    /// path loses one of the two rows.
+    #[test]
+    fn carried_extremum_is_the_best_over_every_path() {
+        let mut db = Database::new();
+        let int = |cols: &[&'static str]| -> Vec<(&'static str, DataType)> {
+            cols.iter().map(|&c| (c, DataType::Int)).collect()
+        };
+        let log = db
+            .create_table("Log", &int(&["Lid", "User", "Patient", "Date"]))
+            .unwrap();
+        let event = db
+            .create_table("Event", &int(&["Patient", "Actor", "Date"]))
+            .unwrap();
+        let team = db.create_table("Team", &int(&["Member", "Buddy"])).unwrap();
+        let ints = |vals: &[i64]| vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        for row in [[1, 10, 5], [1, 11, 1], [2, 10, 1], [2, 11, 5]] {
+            db.insert(event, ints(&row)).unwrap();
+        }
+        for row in [[10, 7], [11, 7]] {
+            db.insert(team, ints(&row)).unwrap();
+        }
+        for row in [[0, 7, 1, 3], [1, 7, 2, 3], [2, 7, 1, 1]] {
+            db.insert(log, ints(&row)).unwrap();
+        }
+        let mut earlier = ChainStep::new(event, 0, 1);
+        earlier.filters.push(StepFilter {
+            col: 2,
+            op: CmpOp::Lt,
+            rhs: Rhs::AnchorCol(3),
+        });
+        let q = ChainQuery {
+            log,
+            lid_col: 0,
+            start_col: 2,
+            steps: vec![earlier, ChainStep::new(team, 0, 1)],
+            close_col: Some(1),
+            anchor_filters: vec![],
+        };
+        let engine = Engine::new(&db);
+        for dedup in [true, false] {
+            let opts = EvalOptions { dedup };
+            assert_eq!(q.explained_rows(&db, opts).unwrap(), vec![0, 1]);
+            assert_eq!(rows_of(&engine, &db, &q, opts).unwrap(), vec![0, 1]);
         }
     }
 

@@ -35,8 +35,9 @@ pub(crate) struct StepKey {
 impl StepKey {
     /// The key of a step under the given dedup setting.
     ///
-    /// Steps with anchor-dependent filters have no shareable map; callers
-    /// must route those queries to the per-row evaluator first.
+    /// The key drops anchor-dependent filters, so it must never key the
+    /// anchor-decorated step: the engine walks that step over its
+    /// [`RowMap`] as an extremum fold, and stops prefix sharing before it.
     pub fn of(step: &ChainStep, dedup: bool) -> StepKey {
         StepKey {
             table: step.table,
@@ -135,15 +136,15 @@ impl StepMap {
 }
 
 /// A built `enter → row indexes` map (CSR over the dense id space) for one
-/// `(table, enter_col)` pair and one contiguous **row range** — the
-/// engine's substrate for evaluating *anchor-dependent* decorated queries
-/// per log row.
+/// `(table, enter_col)` pair and one contiguous **row range** — what an
+/// *anchor-decorated* step reads to fold, per exit value, the extremum of
+/// its decorated column over the rows passing its `Const` filters (and
+/// what the advance core walks backward).
 ///
-/// Unlike [`StepMap`] it carries no filters in its identity: decorations
-/// that reference the anchor row must be re-evaluated per anchor, so the
-/// map only pre-groups the table's rows by enter id and one map serves
-/// **every** decorated query entering the table on that column, under
-/// either dedup setting.
+/// Unlike [`StepMap`] it carries no filters in its identity: the map only
+/// pre-groups the table's rows by enter id, the walk applies the step's
+/// filters per row, and one map serves **every** decorated query entering
+/// the table on that column, under either dedup setting.
 ///
 /// Because tables are append-only, a map over rows `[from, to)` stays
 /// valid forever — growth appends *new* chunks instead of invalidating
@@ -409,7 +410,7 @@ mod tests {
             panic!()
         };
         // Rows 0..=2 have Enter=1; row 3 has Enter=2; row 5 (Enter=3) has a
-        // NULL exit but is still listed (filters run per anchor row).
+        // NULL exit but is still listed (the walk checks exits per row).
         assert_eq!(map.rows_of(e1), &[0, 1, 2]);
         assert_eq!(map.rows_of(e2), &[3]);
         assert_eq!(map.rows_of(e3), &[5]);

@@ -70,10 +70,12 @@
 //!
 //! The engine returns **byte-identical** results to [`ChainQuery`] for
 //! every query class (enforced differentially by the `engine_equivalence`
-//! integration test); anchor-dependent decorated queries are transparently
-//! routed to the driver's per-row scan. `eba-core`'s miner evaluates every
-//! bottom-up round and every decoration refinement through it (its only
-//! evaluation path; the cold [`ChainQuery`] is the tests' reference), and
+//! integration test); an anchor-decorated query walks the same grouped
+//! path, its decorated step folding the min or max of the decorated
+//! column, and each anchor row is compared with it once. `eba-core`'s
+//! miner evaluates every bottom-up round and every decoration refinement
+//! through it (its only evaluation path; the cold [`ChainQuery`] is the
+//! tests' reference), and
 //! `eba-audit`'s explainer, metrics, timeline, and portal layers batch
 //! whole template suites through it.
 //!

@@ -89,7 +89,8 @@ impl AuditWorld {
         })
     }
 
-    fn from_config(config: SynthConfig) -> AuditWorld {
+    /// Builds the world over a hospital generated from `config`.
+    pub fn from_config(config: SynthConfig) -> AuditWorld {
         let hospital = Hospital::generate(config);
         let spec = LogSpec::conventional(&hospital.db).expect("synthetic Log table");
         let t = HandcraftedTemplates::build(&hospital.db, &spec).expect("CareWeb schema");

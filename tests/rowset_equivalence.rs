@@ -83,9 +83,11 @@ fn fused_suite_matches_the_per_template_path_on_the_hospital() {
 
 /// The decorated-template class: the anchor-dependent repeat-access
 /// template plus seven "repeat access since day D" variants (one extra
-/// constant decoration each), all walked by the per-row scan in one pass
-/// over the log. The suite's sets must equal the per-template path and
-/// the cold reference slot for slot, for a suite of one and of eight.
+/// constant decoration each on the decorated alias), all sharing one
+/// `(Patient, User)` partition: each walk folds the min date of the
+/// patient's passing accesses per user, and each anchor row is one
+/// comparison with it. The suite's sets must equal the per-template path
+/// and the cold reference slot for slot, for a suite of one and of eight.
 #[test]
 fn anchor_dependent_policy_suite_matches_the_cold_reference() {
     use eba::relational::{Rhs, StepFilter};
@@ -136,11 +138,11 @@ fn anchor_dependent_policy_suite_matches_the_cold_reference() {
     assert!(sizes[0] > sizes[7], "{sizes:?}");
 }
 
-/// The repeat-access skew case: one patient holds half the log, so the
-/// anchor-dependent walk reads that patient's whole history from each of
-/// their anchor rows. The engine, the sharded scatter-gather and the
-/// maintained partition (advanced over the skewed batch) must each equal
-/// the cold reference, at shards {1, 4}.
+/// The repeat-access skew case: one patient holds half the log, so one
+/// start group holds half the anchor rows and its extremum walk folds
+/// that patient's whole history once, for all of them. The engine, the
+/// sharded scatter-gather and the maintained partition (advanced over the
+/// skewed batch) must each equal the cold reference, at shards {1, 4}.
 #[test]
 fn a_patient_holding_half_the_log_matches_the_cold_reference() {
     let world = AuditWorld::tiny(29);
@@ -185,6 +187,74 @@ fn a_patient_holding_half_the_log_matches_the_cold_reference() {
         let maintained = epochs.maintained(pin).expect("pinned vector");
         assert_eq!(maintained.explained, cold, "{n} shards: maintained");
     }
+}
+
+/// The density case: `tiny` worlds whose repeat chains run longer
+/// (`p_repeat` 0.55, 0.85 and 0.95: about 9, 26 and 77 accesses per
+/// patient, around the paper's 36). On each world, repeat access explains
+/// exactly the time-ordered log's `IsFirst = 0` rows, and after one
+/// ingested batch the engine, the sharded scatter-gather and the
+/// maintained partition each equal the cold reference, at shards {1, 4}.
+#[test]
+fn repeat_density_worlds_match_the_cold_reference() {
+    let opts = EvalOptions::default();
+    let union = |sets: Vec<eba::relational::Result<RowSet>>| {
+        RowSet::union_all(sets.into_iter().map(|s| s.expect("valid suite")))
+    };
+    let mut densities = Vec::new();
+    for p_repeat in [0.55, 0.85, 0.95] {
+        let world = AuditWorld::from_config(eba::synth::SynthConfig {
+            seed: 37,
+            p_repeat,
+            ..eba::synth::SynthConfig::tiny()
+        });
+        let base = &world.hospital.db;
+        densities.push(world.hospital.log_len() as f64 / world.patients.len() as f64);
+        let repeat = eba::audit::HandcraftedTemplates::build(base, &world.spec)
+            .unwrap()
+            .repeat_access
+            .path
+            .to_chain_query(&world.spec);
+        let is_first = world.hospital.log_cols.is_first;
+        let repeats: Vec<RowId> = base
+            .table(world.hospital.t_log)
+            .iter()
+            .filter(|(_, row)| row[is_first] == Value::Int(0))
+            .map(|(r, _)| r)
+            .collect();
+        let engine = Engine::new(base);
+        assert_eq!(
+            common::engine_rows(&engine, base, &repeat, opts).unwrap(),
+            repeats,
+            "p_repeat {p_repeat}: repeat access ≡ IsFirst = 0"
+        );
+
+        let mut oracle = world.oracle();
+        let rows = oracle.ingest(|db| world.inject_batch(db, 200, 37));
+        let db = &oracle.db;
+        let cold = explained_cold(db, &world.spec, world.explainer.templates());
+        let suite = world.suite();
+        let engine = Engine::new(db);
+        let what = format!("p_repeat {p_repeat}");
+        assert_eq!(union(engine.eval_suite(db, &suite, opts)), cold, "{what}");
+        for n in [1usize, 4] {
+            let sharded = ShardedEngine::new(base.clone(), world.key(), n);
+            let pin = sharded.pin_suite(world.explainer.suite_pin(&world.spec));
+            common::ingest_rows(&sharded, db, &rows);
+            let epochs = sharded.load();
+            assert_eq!(
+                union(epochs.eval_suite(&suite, opts)),
+                cold,
+                "{what}, {n} shards"
+            );
+            let maintained = epochs.maintained(pin).expect("pinned vector");
+            assert_eq!(maintained.explained, cold, "{what}, {n} shards: maintained");
+        }
+    }
+    assert!(
+        densities[0] < 15.0 && densities[1] > 20.0 && densities[2] > 60.0,
+        "{densities:?}"
+    );
 }
 
 #[test]
@@ -462,9 +532,9 @@ fn materialize(w: &RandomWorld) -> (Database, TableId, TableId, TableId) {
     (db, log, event, team)
 }
 
-/// The full query-class zoo the fused driver buckets: grouped
-/// (non-anchor-dependent) chains, open chains, two-hop, anchor-filtered,
-/// constant-decorated, and the per-row anchor-dependent class.
+/// The full query-class zoo the fused driver buckets: closed and open
+/// chains, two-hop, anchor-filtered, constant-decorated, and
+/// anchor-decorated chains (walked as an extremum compare).
 fn query_classes(log: TableId, event: TableId, team: TableId) -> Vec<ChainQuery> {
     let one_hop = ChainQuery {
         log,
@@ -508,7 +578,55 @@ fn query_classes(log: TableId, event: TableId, team: TableId) -> Vec<ChainQuery>
         });
         q
     };
-    vec![one_hop, open, two_hop, filtered, decorated, anchor_dep]
+    // Each branch of the extremum walk: a `Const` filter beside the
+    // anchor decoration on one alias (max, `>=`), a decoration at step 0
+    // whose min is carried through the `Team` step, and an open chain
+    // tested against the best extremum of its whole final frontier.
+    let anchor_with_const = {
+        let mut q = one_hop.clone();
+        q.steps[0].filters.extend([
+            eba::relational::StepFilter {
+                col: 1,
+                op: CmpOp::Ge,
+                rhs: eba::relational::Rhs::AnchorCol(0),
+            },
+            eba::relational::StepFilter {
+                col: 1,
+                op: CmpOp::Le,
+                rhs: eba::relational::Rhs::Const(Value::Int(4)),
+            },
+        ]);
+        q
+    };
+    let anchor_carried = {
+        let mut q = two_hop.clone();
+        q.steps[0].filters.push(eba::relational::StepFilter {
+            col: 1,
+            op: CmpOp::Lt,
+            rhs: eba::relational::Rhs::AnchorCol(1),
+        });
+        q
+    };
+    let anchor_open = {
+        let mut q = open.clone();
+        q.steps[0].filters.push(eba::relational::StepFilter {
+            col: 1,
+            op: CmpOp::Gt,
+            rhs: eba::relational::Rhs::AnchorCol(1),
+        });
+        q
+    };
+    vec![
+        one_hop,
+        open,
+        two_hop,
+        filtered,
+        decorated,
+        anchor_dep,
+        anchor_with_const,
+        anchor_carried,
+        anchor_open,
+    ]
 }
 
 proptest! {
