@@ -42,11 +42,10 @@ use crate::table::RowId;
 use crate::types::ColId;
 use std::collections::BTreeMap;
 
-/// What advancing one pinned suite across one ingest cost, as counts (the
-/// paper-level cost model: rows that had to be asked about). One entry
-/// per pin, per shard, in
-/// [`ShardRefresh::advance`](super::ShardRefresh); all zero when
-/// the partition was recomputed cold instead (rebuild or fresh pin).
+/// What advancing the pinned suite across one ingest cost, as counts (the
+/// paper-level cost model: rows that had to be asked about). One per
+/// shard, in [`ShardRefresh::advance`](super::ShardRefresh); all zero when
+/// no suite is pinned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceStats {
     /// Appended log rows evaluated against every template.
@@ -375,6 +374,33 @@ mod tests {
         }
     }
 
+    /// [`suite`]'s event template beside two log self-joins that enter the
+    /// log on the shard key at step 0, so every shard answers them from
+    /// its own rows: "[L.User] opened [L.Patient]'s record before" (repeat
+    /// access) and "... again after this access", which appended rows can
+    /// newly explain old rows through.
+    fn co_partitioned(log: TableId, event: TableId) -> SuitePin {
+        let mut pin = suite(log, event);
+        pin.queries.truncate(1);
+        for op in [CmpOp::Lt, CmpOp::Gt] {
+            let mut step = ChainStep::new(log, PATIENT, USER);
+            step.filters.push(StepFilter {
+                col: LID,
+                op,
+                rhs: Rhs::AnchorCol(LID),
+            });
+            pin.queries.push(ChainQuery {
+                log,
+                lid_col: LID,
+                start_col: PATIENT,
+                steps: vec![step],
+                close_col: Some(USER),
+                anchor_filters: vec![],
+            });
+        }
+        pin
+    }
+
     /// A base log of `loners` never-explainable accesses (each its own
     /// user and patient, nothing after them) and a few shared records.
     fn world(loners: i64) -> (Database, TableId, TableId) {
@@ -519,7 +545,7 @@ mod tests {
                 rows,
                 "round {round}: row evaluator"
             );
-            let stats = report.shards[0].advance[id];
+            let stats = report.shards[0].advance;
             assert_eq!(stats.tail_rows, logs.len());
             if stats.used_full_residue {
                 full_path += 1;
@@ -532,16 +558,28 @@ mod tests {
         assert!(full_path > 0, "the whole-residue path ran");
     }
 
+    /// The oracle is a cold pin at **one** shard. `reopened` and
+    /// `active_colleague` step into the log on the user, which no shard
+    /// answers alone: they grow at one shard and are refused above it.
+    /// The sharded advance stays covered at {1, 4} shards by the
+    /// co-partitioned self-joins.
     #[test]
     fn sharded_self_join_growth_matches_a_cold_pin() {
         let (db, log, event) = world(60);
-        let pin = suite(log, event);
-        for n in [1usize, 4] {
+        let cross = suite(log, event);
+        let answers = ShardedEngine::new(db.clone(), KEY, 4)
+            .load()
+            .eval_suite(&cross.queries, cross.opts);
+        assert!(answers[0].is_ok());
+        assert!(answers[1..].iter().all(|a| a.is_err()), "{answers:?}");
+        let co = co_partitioned(log, event);
+        for (pin, n) in [(&cross, 1usize), (&co, 1), (&co, 4)] {
             let mut oracle = db.clone();
             let live = ShardedEngine::new(db.clone(), KEY, n);
             let id = live.pin_suite(pin.clone());
+            let mut candidates = 0;
             for (round, (logs, events)) in schedule().into_iter().enumerate() {
-                live.ingest(|batch| {
+                let (_, report) = live.ingest(|batch| {
                     for row in &logs {
                         batch.insert_log(row.clone()).unwrap();
                     }
@@ -549,13 +587,18 @@ mod tests {
                         batch.insert_dim(event, row.clone()).unwrap();
                     }
                 });
+                candidates += report
+                    .shards
+                    .iter()
+                    .map(|s| s.advance.candidate_rows)
+                    .sum::<usize>();
                 for row in logs {
                     oracle.insert(log, row).unwrap();
                 }
                 for row in events {
                     oracle.insert(event, row).unwrap();
                 }
-                let cold = ShardedEngine::new(oracle.clone(), KEY, n);
+                let cold = ShardedEngine::new(oracle.clone(), KEY, 1);
                 let cold_id = cold.pin_suite(pin.clone());
                 assert_same(
                     live.load().maintained(id).unwrap(),
@@ -563,6 +606,7 @@ mod tests {
                     &format!("{n} shards, round {round}"),
                 );
             }
+            assert!(candidates > 0, "{n} shards: old rows were re-asked");
         }
     }
 
@@ -587,7 +631,7 @@ mod tests {
             let (_, report) = live.ingest(|batch| {
                 batch.insert_log(access(500 + patient, 2, patient)).unwrap();
             });
-            let stats = report.shards[0].advance[id];
+            let stats = report.shards[0].advance;
             assert_eq!(
                 stats.used_full_residue, full,
                 "patient {patient}: {stats:?}"
@@ -601,21 +645,24 @@ mod tests {
     /// leaves the rows a one-row ingest re-asks unchanged.
     #[test]
     fn candidate_rows_follow_the_batch_not_the_residue() {
-        let run = |loners: i64| -> (AdvanceStats, Vec<AdvanceStats>) {
+        let run = |loners: i64| -> (AdvanceStats, AdvanceStats, Vec<AdvanceStats>) {
             let (db, log, event) = world(loners);
-            let pin = suite(log, event);
-            let advance = |n: usize| -> Vec<AdvanceStats> {
+            let advance = |pin: SuitePin, n: usize| -> Vec<AdvanceStats> {
                 let live = ShardedEngine::new(db.clone(), KEY, n);
-                let id = live.pin_suite(pin.clone());
+                live.pin_suite(pin);
                 let (_, report) = live.ingest(|batch| {
                     batch.insert_log(access(500, 3, 7)).unwrap();
                 });
-                report.shards.iter().map(|s| s.advance[id]).collect()
+                report.shards.iter().map(|s| s.advance).collect()
             };
-            (advance(1)[0], advance(4))
+            (
+                advance(suite(log, event), 1)[0],
+                advance(co_partitioned(log, event), 1)[0],
+                advance(co_partitioned(log, event), 4),
+            )
         };
-        let (small, small_shards) = run(40);
-        let (big, big_shards) = run(80);
+        let (small, small_co, small_shards) = run(40);
+        let (big, big_co, big_shards) = run(80);
         assert!(!small.used_full_residue && !big.used_full_residue);
         assert_eq!(small.tail_rows, 1);
         assert_eq!(small.reasked_templates, 2, "the two self-joins");
@@ -630,10 +677,12 @@ mod tests {
             assert!(shards.iter().all(|s| !s.used_full_residue));
             shards.iter().map(|s| s.candidate_rows).sum()
         };
-        // (A shard's self-joins see only its own log rows, so four shards
-        // together may re-ask fewer rows than one.)
-        assert_eq!(total(&small_shards), total(&big_shards));
-        assert!((1..=small.candidate_rows).contains(&total(&small_shards)));
+        // A co-partitioned walk stays in the appended row's shard, so four
+        // shards together re-ask exactly the rows one shard re-asks.
+        assert!(small_co.candidate_rows > 0, "{small_co:?}");
+        assert_eq!(big_co.candidate_rows, small_co.candidate_rows);
+        assert_eq!(total(&small_shards), small_co.candidate_rows);
+        assert_eq!(total(&big_shards), small_co.candidate_rows);
         assert!(big_shards[0].residue_rows >= small_shards[0].residue_rows + 40);
     }
 }

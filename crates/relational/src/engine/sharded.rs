@@ -16,12 +16,12 @@
 //!   read-lock held only for an `Arc` clone, never for a query or a
 //!   refresh.
 //! * **The writer** (serialized by an internal mutex, so any thread may
-//!   call it) runs [`ShardedEngine::ingest_with`]: clone every shard's
-//!   database, apply the batch, [`fork`](Engine::fork) every shard engine —
-//!   same snapshot, same warm `Arc`-shared caches — refresh the forks
-//!   *privately* (a refused refresh, the typed [`RefreshError`], falls back
-//!   to rebuilding that shard from scratch and is reported), run the
-//!   persist hook *before* anything is published (published ⊆ durable), and
+//!   call it) runs [`ShardedEngine::ingest_with`], one shape for every
+//!   ingest: clone every shard's database and append the batch (a
+//!   [`ShardedBatch`] can only append), [`fork`](Engine::fork) every shard
+//!   engine — same snapshot, same warm `Arc`-shared caches — and refresh
+//!   the forks *privately*, run the persist hook *before* anything is
+//!   published (published ⊆ durable), advance the one pinned suite, and
 //!   publish the successor vector with one pointer swap. In-flight readers
 //!   are never waited on; a panic in the ingest closure discards the
 //!   private clones and leaves the published vector untouched.
@@ -67,6 +67,12 @@
 //! group by), runs per-shard incremental refresh, and answers suite
 //! questions by [`par_map`] across shards plus an associative merge.
 //!
+//! That holds only while a template's walk stays in the anchor row's
+//! shard: a shard holds only its own log rows, so a step into the log on
+//! any other column would silently miss the rows other shards hold.
+//! [`ShardKey::admits`] is the rule; above one shard a template it refuses
+//! gets a typed error from [`EpochVec::eval_suite`] and is not maintained.
+//!
 //! # What is partitioned and what is replicated
 //!
 //! Only the log table is partitioned. Every shard database is a clone of
@@ -99,10 +105,10 @@
 
 use super::advance::{absorb, advance_shard, AdvanceStats, Residue};
 use super::parallel::par_map;
-use super::{Engine, RefreshError, RefreshStats};
+use super::{Engine, RefreshStats};
 use crate::chain::{ChainQuery, CmpOp, EvalOptions};
 use crate::database::{Database, TableId};
-use crate::error::Result;
+use crate::error::{Error, Result};
 use crate::pool::StringPool;
 use crate::rowset::RowSet;
 use crate::segment::SegVec;
@@ -120,6 +126,21 @@ pub struct ShardKey {
     pub table: TableId,
     /// The routing column within that table.
     pub col: ColId,
+}
+
+impl ShardKey {
+    /// Whether one shard answers `q` exactly from its own log rows: `q`
+    /// may step into the partitioned table only at step 0, entering on
+    /// `col` with `start_col == col`. Every log row such a walk reads then
+    /// shares the anchor row's routing value, hence its shard. Repeat
+    /// access, every other hand-crafted and group template and every mined
+    /// template (which never steps into the log) pass.
+    pub fn admits(&self, q: &ChainQuery) -> bool {
+        q.steps.iter().enumerate().all(|(i, step)| {
+            step.table != self.table
+                || (i == 0 && step.enter_col == self.col && q.start_col == self.col)
+        })
+    }
 }
 
 /// Deterministic shard routing: FNV-1a over the value's tag and payload
@@ -159,8 +180,8 @@ pub fn shard_of(v: &Value, pool: &StringPool, n_shards: usize) -> usize {
 /// A template suite registered for **incremental maintenance**: the
 /// anchor shape (which log rows are under audit) plus the explanation
 /// templates. Once pinned ([`ShardedEngine::pin_suite`]), every published
-/// epoch vector carries a [`Maintained`] materialization of the suite's
-/// explained/unexplained partition, advanced inside ingest by delta
+/// epoch vector carries the suite and a [`Maintained`] materialization of
+/// its explained/unexplained partition, advanced inside ingest by delta
 /// evaluation instead of recomputed by readers.
 #[derive(Debug, Clone)]
 pub struct SuitePin {
@@ -184,6 +205,10 @@ pub struct SuitePin {
 /// * `explained`   = union over the pin's templates of their explained
 ///   rows (exactly [`EpochVec::eval_suite`]'s union),
 /// * `unexplained` = `anchors \ explained`.
+///
+/// Above one shard the pin's templates are only those the shard key
+/// [admits](ShardKey::admits): [`ShardedEngine::pin_suite`] drops the rest,
+/// which no shard could answer exactly.
 ///
 /// The maintenance argument is monotonicity: tables are append-only and
 /// chain templates are monotone, so a template's explained set only ever
@@ -277,14 +302,14 @@ impl ShardEpoch {
 #[derive(Debug)]
 pub struct EpochVec {
     /// `Arc`-shared so [`ShardedEngine::pin_suite`] republishes the same
-    /// shard epochs under a longer `maintained` list without copying.
+    /// shard epochs with a new pinned suite without copying.
     shards: Arc<[ShardEpoch]>,
     key: ShardKey,
     seq: u64,
     global_log_len: usize,
-    /// Maintained materializations in **global** row ids, one per pinned
-    /// suite in registration order ([`ShardedEngine::pin_suite`]).
-    maintained: Vec<Arc<Maintained>>,
+    /// The pinned suite and its materialization in **global** row ids;
+    /// the writer advances it from here on every ingest.
+    pinned: Option<(Arc<SuitePin>, Arc<Maintained>)>,
 }
 
 impl EpochVec {
@@ -314,31 +339,15 @@ impl EpochVec {
         self.global_log_len
     }
 
-    /// The maintained materialization of pin `pin` (the id returned by
-    /// [`ShardedEngine::pin_suite`]) in **global** row ids, if this
-    /// vector carries one. Vectors published before the pin was
-    /// registered lack the entry.
+    /// The maintained materialization of the pinned suite in **global**
+    /// row ids, if this vector carries one. `pin` is the id
+    /// [`ShardedEngine::pin_suite`] returned, which is always 0; vectors
+    /// published before the suite was pinned carry none.
     pub fn maintained(&self, pin: usize) -> Option<&Arc<Maintained>> {
-        self.maintained.get(pin)
-    }
-
-    /// Which shard a routing value lands in.
-    pub fn shard_of_value(&self, v: &Value) -> usize {
-        shard_of(v, self.shards[0].db().pool(), self.shards.len())
-    }
-
-    /// Locates a global log row id: `(shard, local id)`.
-    pub fn locate(&self, global: RowId) -> Option<(usize, RowId)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .find_map(|(s, shard)| shard.find_global(global).map(|local| (s, local)))
-    }
-
-    /// Applies `f` to every shard in parallel, preserving shard order.
-    pub fn par_map_shards<R: Send>(&self, f: impl Fn(usize, &ShardEpoch) -> R + Sync) -> Vec<R> {
-        let idx: Vec<usize> = (0..self.shards.len()).collect();
-        par_map(&idx, |&s| f(s, &self.shards[s]))
+        self.pinned
+            .as_ref()
+            .filter(|_| pin == 0)
+            .map(|(_, maintained)| maintained)
     }
 
     /// Fused suite evaluation across every shard: each shard runs
@@ -348,8 +357,33 @@ impl EpochVec {
     /// associative union — the shard payload needs no re-sort and no
     /// coordinator-side hash set, which is exactly the shape a
     /// multi-node scatter-gather would put on the wire.
+    ///
+    /// Above one shard, a query the shard key does not
+    /// [admit](ShardKey::admits) gets [`Error::InvalidQuery`] in its slot;
+    /// the other slots still answer.
     pub fn eval_suite(&self, queries: &[ChainQuery], opts: EvalOptions) -> Vec<Result<RowSet>> {
-        let per_shard: Vec<Vec<Result<RowSet>>> = self.par_map_shards(|_, shard| {
+        let refused = |q: &ChainQuery| self.shards.len() > 1 && !self.key.admits(q);
+        if queries.iter().any(refused) {
+            let admitted: Vec<ChainQuery> =
+                queries.iter().filter(|q| !refused(q)).cloned().collect();
+            let mut answers = self.eval_suite(&admitted, opts).into_iter();
+            return queries
+                .iter()
+                .map(|q| {
+                    if !refused(q) {
+                        return answers.next().expect("one answer per admitted query");
+                    }
+                    Err(Error::InvalidQuery(format!(
+                        "across {n} shards a query may step into the sharded log only at \
+                         step 0, entering on the shard key column {col} with start column \
+                         {col}: each shard walks only its own log rows",
+                        n = self.shards.len(),
+                        col = self.key.col
+                    )))
+                })
+                .collect();
+        }
+        let per_shard: Vec<Vec<Result<RowSet>>> = par_map(&self.shards, |shard| {
             shard
                 .engine()
                 .eval_suite(shard.db(), queries, opts)
@@ -378,8 +412,8 @@ impl EpochVec {
 /// Cold (from-scratch) global materialization of `pin`: every shard scans
 /// its anchors and evaluates the suite in parallel, then the global-id
 /// bitmaps fold with the associative union — the same scatter-gather shape
-/// as [`EpochVec::eval_suite`]. Also the fallback whenever the incremental
-/// path is unavailable: a rebuild or a freshly registered pin.
+/// as [`EpochVec::eval_suite`]. Only [`ShardedEngine::pin_suite`] pays it;
+/// every ingest after advances the sets instead.
 pub(super) fn compute_maintained(
     shards: &[ShardEpoch],
     pin: &SuitePin,
@@ -461,14 +495,11 @@ fn advance_maintained(
 /// What one shard's refresh did during a sharded ingest.
 #[derive(Debug, Clone)]
 pub struct ShardRefresh {
-    /// The incremental refresh stats (empty when `rebuilt` is set).
+    /// The incremental refresh stats.
     pub refresh: RefreshStats,
-    /// Set when this shard's incremental refresh was refused and the
-    /// writer recovered by rebuilding the shard engine from scratch.
-    pub rebuilt: Option<RefreshError>,
-    /// What advancing each pinned suite cost in this shard, indexed by
-    /// pin id.
-    pub advance: Vec<AdvanceStats>,
+    /// What advancing the pinned suite cost in this shard (all zero when
+    /// no suite is pinned).
+    pub advance: AdvanceStats,
 }
 
 /// What one [`ShardedEngine::ingest_with`] published.
@@ -486,11 +517,6 @@ impl ShardedIngestReport {
         self.shards.iter().map(|s| s.refresh.delta.new_rows).sum()
     }
 
-    /// True when any shard fell back to a full rebuild.
-    pub fn rebuilt_any(&self) -> bool {
-        self.shards.iter().any(|s| s.rebuilt.is_some())
-    }
-
     /// The operator-facing line for an ingest whose advance re-asked the
     /// **whole** residue in some shard ([`AdvanceStats::used_full_residue`])
     /// instead of the rows the appended batch could reach; `None` on the
@@ -499,7 +525,7 @@ impl ShardedIngestReport {
         let mut full = self
             .shards
             .iter()
-            .flat_map(|s| &s.advance)
+            .map(|s| &s.advance)
             .filter(|a| a.used_full_residue);
         let first = full.next()?;
         Some(format!(
@@ -509,28 +535,6 @@ impl ShardedIngestReport {
             first.residue_rows,
             1 + full.count()
         ))
-    }
-
-    /// Operator-facing warnings, one per shard that fell back to a full
-    /// rebuild (empty on the normal incremental path). The fallback keeps
-    /// the service publishing, but it costs a whole re-snapshot and usually
-    /// means the ingest source replaced state instead of appending —
-    /// exactly the situation an operator wants to hear about rather than
-    /// have silently absorbed.
-    pub fn fallback_warnings(&self) -> Vec<String> {
-        self.shards
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| {
-                s.rebuilt.as_ref().map(|err| {
-                    format!(
-                        "epoch {} shard {i}: incremental refresh refused ({err}); \
-                         recovered by rebuilding the shard engine from scratch",
-                        self.seq
-                    )
-                })
-            })
-            .collect()
     }
 }
 
@@ -627,8 +631,6 @@ pub struct ShardedEngine {
     /// Serializes writers; holds the next sequence number.
     writer: Mutex<u64>,
     key: ShardKey,
-    /// Pinned suites, in registration order; index = pin id.
-    pins: Mutex<Vec<Arc<SuitePin>>>,
 }
 
 impl ShardedEngine {
@@ -648,43 +650,38 @@ impl ShardedEngine {
                 key,
                 seq: 0,
                 global_log_len: db.table(key.table).len(),
-                maintained: Vec::new(),
+                pinned: None,
             })),
             writer: Mutex::new(0),
             key,
-            pins: Mutex::new(Vec::new()),
         }
     }
 
-    /// Registers a suite for incremental maintenance and returns its pin
-    /// id (an index into every later vector's maintained entries). The
-    /// current vector is republished (same shard epochs, same seq) with
-    /// the pin's cold global materialization added, so a reader loading
-    /// after `pin_suite` returns already sees the maintained sets; every
-    /// later ingest advances them by per-shard deltas merged
-    /// associatively. Serialized against ingests by the writer lock.
-    pub fn pin_suite(&self, pin: SuitePin) -> usize {
+    /// Pins a suite for incremental maintenance and returns its id for
+    /// [`EpochVec::maintained`], which is always 0: an engine maintains
+    /// one suite, and a second call replaces the first. The current vector
+    /// is republished (same shard epochs, same seq) with the suite and its
+    /// cold global materialization, so a reader loading after `pin_suite`
+    /// returns already sees the maintained sets; every later ingest
+    /// advances them by per-shard deltas merged associatively. Above one
+    /// shard only the templates the shard key [admits](ShardKey::admits)
+    /// are maintained. Serialized against ingests by the writer lock; a
+    /// panic publishes nothing.
+    pub fn pin_suite(&self, mut pin: SuitePin) -> usize {
         let _writer = unpoison(self.writer.lock());
         let base = self.load();
-        let pin = Arc::new(pin);
-        let mut pins = unpoison(self.pins.lock());
-        let id = pins.len();
-        pins.push(pin.clone());
-        drop(pins);
-        let mut maintained = base.maintained.clone();
-        maintained.push(Arc::new(compute_maintained(
-            &base.shards,
-            &pin,
-            base.global_log_len,
-        )));
+        if base.shards.len() > 1 {
+            pin.queries.retain(|q| self.key.admits(q));
+        }
+        let maintained = compute_maintained(&base.shards, &pin, base.global_log_len);
         *unpoison(self.current.write()) = Arc::new(EpochVec {
             shards: base.shards.clone(),
             key: self.key,
             seq: base.seq,
             global_log_len: base.global_log_len,
-            maintained,
+            pinned: Some((Arc::new(pin), Arc::new(maintained))),
         });
-        id
+        0
     }
 
     fn partition(db: &Database, key: ShardKey, n_shards: usize) -> Arc<[ShardEpoch]> {
@@ -745,9 +742,10 @@ impl ShardedEngine {
     }
 
     /// Applies `mutate` to a private [`ShardedBatch`] (one database clone
-    /// per shard), refreshes a private fork of every shard engine, and
-    /// publishes the successor epoch vector. Returns `mutate`'s output
-    /// and the per-shard report. Writers serialize; readers never block.
+    /// per shard), refreshes a private fork of every shard engine, advances
+    /// the pinned suite, and publishes the successor epoch vector. Returns
+    /// `mutate`'s output and the per-shard report. Writers serialize;
+    /// readers never block.
     ///
     /// # Panic safety
     /// A panic in `mutate` or any refresh drops the private clones and
@@ -765,8 +763,14 @@ impl ShardedEngine {
     /// [`ShardedEngine::ingest`] with a **persist hook**: `persist` runs
     /// after every shard has been mutated and refreshed but *before*
     /// anything is published, with the staged batch, `mutate`'s output and
-    /// the would-be seq. Only if it returns `Ok` is the vector published
-    /// (and the sequence counter advanced).
+    /// the would-be seq. Only if it returns `Ok` is the pinned suite
+    /// advanced and the vector published (and the sequence counter
+    /// advanced).
+    ///
+    /// Every ingest has this one shape. A [`ShardedBatch`] only appends,
+    /// so refreshing a shard's fork cannot be refused
+    /// ([`RefreshError`](super::RefreshError) names only shrunk or
+    /// replaced tables) and the pinned suite always advances by deltas.
     ///
     /// This is the durable-ingest ordering contract: a service that writes
     /// the batch to a [`DurableStore`](crate::pile::DurableStore) inside
@@ -795,29 +799,14 @@ impl ShardedEngine {
         let seq = *next_seq + 1;
 
         // Fork + refresh every shard in parallel (shards whose tables did
-        // not grow refresh in O(1); the fallback rebuild is per-shard).
+        // not grow refresh in O(1)).
         let idx: Vec<usize> = (0..base.shards.len()).collect();
-        let refreshed: Vec<(Engine, ShardRefresh)> = par_map(&idx, |&s| {
-            let db = &batch.dbs[s];
+        let refreshed: Vec<(Engine, RefreshStats)> = par_map(&idx, |&s| {
             let mut engine = base.shards[s].engine().fork();
-            match engine.refresh(db) {
-                Ok(stats) => (
-                    engine,
-                    ShardRefresh {
-                        refresh: stats,
-                        rebuilt: None,
-                        advance: Vec::new(),
-                    },
-                ),
-                Err(err) => (
-                    Engine::new(db),
-                    ShardRefresh {
-                        refresh: RefreshStats::default(),
-                        rebuilt: Some(err),
-                        advance: Vec::new(),
-                    },
-                ),
-            }
+            let stats = engine
+                .refresh(&batch.dbs[s])
+                .expect("a ShardedBatch only appends, and an append-only refresh is never refused");
+            (engine, stats)
         });
 
         persist(&batch, &out, seq)?;
@@ -837,8 +826,11 @@ impl ShardedEngine {
             .into_iter()
             .zip(maps)
             .zip(refreshed)
-            .map(|((db, to_global), (engine, shard_report))| {
-                report.shards.push(shard_report);
+            .map(|((db, to_global), (engine, refresh))| {
+                report.shards.push(ShardRefresh {
+                    refresh,
+                    advance: AdvanceStats::default(),
+                });
                 ShardEpoch {
                     db,
                     engine,
@@ -846,36 +838,21 @@ impl ShardedEngine {
                 }
             })
             .collect();
-        // Advance every pinned suite's global materialization: per-shard
-        // deltas on the incremental path, a cold scatter-gather recompute
-        // when any shard fell back to a rebuild (or the pin is newer than
-        // `base`).
-        let pins = unpoison(self.pins.lock()).clone();
-        let rebuilt_any = report.rebuilt_any();
-        for shard in &mut report.shards {
-            shard.advance = vec![AdvanceStats::default(); pins.len()];
-        }
-        let maintained: Vec<Arc<Maintained>> = pins
-            .iter()
-            .enumerate()
-            .map(|(i, pin)| match base.maintained.get(i) {
-                Some(prev) if !rebuilt_any => {
-                    let (m, stats) =
-                        advance_maintained(&base.shards, &shards, pin, prev, global_len);
-                    for (shard, stats) in report.shards.iter_mut().zip(stats) {
-                        shard.advance[i] = stats;
-                    }
-                    Arc::new(m)
-                }
-                _ => Arc::new(compute_maintained(&shards, pin, global_len)),
-            })
-            .collect();
+        // Advance the pinned suite's global materialization by per-shard
+        // deltas.
+        let pinned = base.pinned.as_ref().map(|(pin, prev)| {
+            let (m, stats) = advance_maintained(&base.shards, &shards, pin, prev, global_len);
+            for (shard, stats) in report.shards.iter_mut().zip(stats) {
+                shard.advance = stats;
+            }
+            (pin.clone(), Arc::new(m))
+        });
         *unpoison(self.current.write()) = Arc::new(EpochVec {
             shards: shards.into(),
             key: self.key,
             seq,
             global_log_len: global_len,
-            maintained,
+            pinned,
         });
         Ok((out, report))
     }
@@ -884,8 +861,7 @@ impl ShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chain::ChainStep;
-    use crate::engine::tests::rows_of;
+    use crate::chain::{ChainStep, Rhs, StepFilter};
     use crate::types::DataType;
 
     fn world() -> (Database, TableId, TableId) {
@@ -983,15 +959,20 @@ mod tests {
     }
 
     #[test]
-    fn global_ids_round_trip_through_locate() {
+    fn global_ids_round_trip_through_find_global() {
         let (db, log, _) = world();
         let sharded = ShardedEngine::new(db, key_of(log), 4);
         let vec = sharded.load();
+        let holders = |g: RowId| -> Vec<RowId> {
+            vec.shards()
+                .iter()
+                .filter_map(|s| s.find_global(g).map(|local| s.to_global(local)))
+                .collect()
+        };
         for g in 0..20u32 {
-            let (s, local) = vec.locate(g).expect("every global id is somewhere");
-            assert_eq!(vec.shards()[s].to_global(local), g);
+            assert_eq!(holders(g), vec![g], "exactly one shard holds {g}");
         }
-        assert!(vec.locate(20).is_none());
+        assert!(holders(20).is_empty());
 
         fn key_of(log: TableId) -> ShardKey {
             ShardKey { table: log, col: 2 }
@@ -1024,8 +1005,6 @@ mod tests {
         assert_eq!(last, Some(25), "ingest returns the mutator's output");
         assert_eq!(report.seq, 1);
         assert_eq!(report.new_rows(), 6 + 3, "6 log rows + dim row x3 shards");
-        assert!(!report.rebuilt_any());
-        assert!(report.fallback_warnings().is_empty());
 
         // The pinned vector is untouched; the new one answers like the
         // oracle over the equivalently-grown database.
@@ -1129,72 +1108,16 @@ mod tests {
         assert_eq!(sharded.load().shards()[0].engine().cached_step_maps(), 1);
     }
 
-    #[test]
-    fn refused_refresh_falls_back_to_a_rebuild_and_warns() {
-        let (db, log, event) = world();
-        let q = query(log, event);
-        let pin = SuitePin {
-            log,
-            anchor_filters: vec![],
-            queries: vec![q.clone()],
-            opts: EvalOptions::default(),
-        };
-        for n in [1usize, 3] {
-            let sharded = ShardedEngine::new(db.clone(), key(&db, log), n);
-            let id = sharded.pin_suite(pin.clone());
-            let pinned = sharded.load();
-            let pinned_before = explained(&pinned, &q);
-            // `ShardedBatch`'s API only appends, so a source that
-            // *replaces* state is staged through its private fields:
-            // shard 0's Event table shrinks to one row, which the
-            // incremental refresh must refuse.
-            let mut small = db.clone_with_empty_table(event);
-            small
-                .insert(event, vec![Value::Int(0), Value::Int(0)])
-                .unwrap();
-            let ((), report) = sharded.ingest(|batch| {
-                let mut shrunk = small.clone_with_empty_table(log);
-                for (_, row) in batch.dbs[0].table(log).iter() {
-                    shrunk.insert(log, row.to_vec()).unwrap();
-                }
-                batch.dbs[0] = shrunk;
-            });
-            assert!(report.rebuilt_any());
-            assert!(matches!(
-                report.shards[0].rebuilt,
-                Some(RefreshError::TableShrank { .. })
-            ));
-            let warnings = report.fallback_warnings();
-            assert_eq!(warnings.len(), 1, "{warnings:?}");
-            assert!(warnings[0].contains("epoch 1 shard 0"), "{warnings:?}");
-            assert!(warnings[0].contains("rebuilding"), "{warnings:?}");
-            // The published vector answers exactly like from-scratch
-            // engines over the same shard databases, maintained sets
-            // included (a rebuild recomputes them cold).
-            let vec = sharded.load();
-            assert_eq!(vec.seq(), 1);
-            for shard in vec.shards() {
-                let cold = Engine::new(shard.db());
-                assert_eq!(
-                    rows_of(shard.engine(), shard.db(), &q, EvalOptions::default()).unwrap(),
-                    rows_of(&cold, shard.db(), &q, EvalOptions::default()).unwrap()
-                );
-            }
-            let cold = compute_maintained(vec.shards(), &pin, vec.global_log_len());
-            assert_eq!(vec.maintained(id).unwrap().explained, cold.explained);
-            assert_eq!(vec.maintained(id).unwrap().unexplained, cold.unexplained);
-            // The pre-fallback pinned vector is untouched.
-            assert_eq!(pinned.seq(), 0);
-            assert_eq!(explained(&pinned, &q), pinned_before);
-        }
-    }
-
+    /// The oracle is a cold recompute at **one** shard over an
+    /// independently grown database, so a shard count that changed the
+    /// answer could not hide behind an equally wrong cold pin.
     #[test]
     fn maintained_sets_match_cold_scatter_gather_at_every_seq() {
         let (db, log, event) = world();
         let q = query(log, event);
         for n in [1usize, 4] {
             let sharded = ShardedEngine::new(db.clone(), key(&db, log), n);
+            let mut oracle_db = db.clone();
             let pin = SuitePin {
                 log,
                 anchor_filters: vec![],
@@ -1204,9 +1127,10 @@ mod tests {
             // Vectors published before the pin lack the entry, never lie.
             assert!(sharded.load().maintained(0).is_none());
             let id = sharded.pin_suite(pin.clone());
-            let check = |vec: &EpochVec| {
+            let check = |vec: &EpochVec, oracle_db: &Database| {
                 let m = vec.maintained(id).expect("pinned vector carries the sets");
-                let cold = compute_maintained(vec.shards(), &pin, vec.global_log_len());
+                let one = ShardedEngine::new(oracle_db.clone(), key(&db, log), 1).load();
+                let cold = compute_maintained(one.shards(), &pin, one.global_log_len());
                 assert_eq!(m.anchors, cold.anchors, "{n} shards");
                 assert_eq!(m.explained, cold.explained, "{n} shards");
                 assert_eq!(m.unexplained, cold.unexplained, "{n} shards");
@@ -1218,20 +1142,37 @@ mod tests {
                     RowSet::union_all(vec.eval_suite(&pin.queries, pin.opts).into_iter().flatten())
                 );
             };
-            check(&sharded.load());
+            check(&sharded.load(), &oracle_db);
             for i in 0..5i64 {
+                let access = vec![Value::Int(100 + i), Value::Int(1), Value::Int(i % 11)];
+                let dim = vec![Value::Int(i % 11), Value::Int(1)];
                 sharded.ingest(|batch| {
-                    batch
-                        .insert_log(vec![Value::Int(100 + i), Value::Int(1), Value::Int(i % 11)])
-                        .unwrap();
+                    batch.insert_log(access.clone()).unwrap();
                     if i % 2 == 0 {
-                        batch
-                            .insert_dim(event, vec![Value::Int(i % 11), Value::Int(1)])
-                            .unwrap();
+                        batch.insert_dim(event, dim.clone()).unwrap();
                     }
                 });
-                check(&sharded.load());
+                oracle_db.insert(log, access).unwrap();
+                if i % 2 == 0 {
+                    oracle_db.insert(event, dim).unwrap();
+                }
+                check(&sharded.load(), &oracle_db);
             }
+            // A second pin replaces the first, and ingests advance only it.
+            sharded.pin_suite(SuitePin {
+                queries: vec![],
+                ..pin.clone()
+            });
+            sharded.ingest(|batch| {
+                batch
+                    .insert_log(vec![Value::Int(200), Value::Int(1), Value::Int(3)])
+                    .unwrap();
+            });
+            let vec = sharded.load();
+            let m = vec.maintained(0).expect("the replacement is pinned");
+            assert!(m.explained.is_empty(), "{n} shards");
+            assert_eq!(m.unexplained.len(), vec.global_log_len(), "{n} shards");
+            assert!(vec.maintained(1).is_none());
         }
     }
 
@@ -1259,7 +1200,9 @@ mod tests {
             assert!(shard.db().pool().get("Pediatrics").is_some());
         }
         // The two new rows may land in different shards but keep global order.
-        assert!(vec.locate(1).is_some() && vec.locate(2).is_some());
+        for g in [1, 2] {
+            assert!(vec.shards().iter().any(|s| s.find_global(g).is_some()));
+        }
     }
 
     #[test]
@@ -1311,5 +1254,120 @@ mod tests {
             3,
         );
         assert_eq!(sharded.load().global_log_len(), 0);
+    }
+
+    /// 80 accesses `(Lid = i, User = i % 7, Patient = i % 40)` sharded by
+    /// patient, and "L.User also opened a patient numbered >= 30": a
+    /// template that steps into the log on the user, not the shard key.
+    fn cross_shard_world() -> (Database, ShardKey, ChainQuery) {
+        let mut db = Database::new();
+        let log = db
+            .create_table(
+                "Log",
+                &[
+                    ("Lid", DataType::Int),
+                    ("User", DataType::Int),
+                    ("Patient", DataType::Int),
+                ],
+            )
+            .unwrap();
+        for i in 0..80i64 {
+            db.insert(
+                log,
+                vec![Value::Int(i), Value::Int(i % 7), Value::Int(i % 40)],
+            )
+            .unwrap();
+        }
+        let mut step = ChainStep::new(log, 1, 2);
+        step.filters.push(StepFilter {
+            col: 2,
+            op: CmpOp::Ge,
+            rhs: Rhs::Const(Value::Int(30)),
+        });
+        let q = ChainQuery {
+            log,
+            lid_col: 0,
+            start_col: 1,
+            steps: vec![step],
+            close_col: None,
+            anchor_filters: vec![],
+        };
+        (db, ShardKey { table: log, col: 2 }, q)
+    }
+
+    /// A shard walks only its own log rows, so above one shard a template
+    /// stepping into the log off the shard key would explain fewer rows
+    /// than one engine does. It gets a typed error instead.
+    #[test]
+    fn a_template_stepping_off_the_shard_key_is_refused_above_one_shard() {
+        let (db, key, q) = cross_shard_world();
+        let one = ShardedEngine::new(db.clone(), key, 1).load();
+        assert_eq!(explained(&one, &q).len(), 80);
+        for n in [2usize, 4] {
+            let vec = ShardedEngine::new(db.clone(), key, n).load();
+            let answer = vec.eval_suite(std::slice::from_ref(&q), EvalOptions::default());
+            match &answer[0] {
+                Err(Error::InvalidQuery(msg)) => {
+                    assert!(msg.contains("only at step 0"), "{n} shards: {msg}")
+                }
+                other => panic!("{n} shards answered {other:?} instead of refusing"),
+            }
+        }
+    }
+
+    #[test]
+    fn admits_lets_only_the_anchor_shards_rows_into_the_walk() {
+        let (db, key, q) = cross_shard_world();
+        let log = key.table;
+        assert!(!key.admits(&q), "steps into the log on the user");
+        // Repeat access: step 0 enters the log on the patient.
+        let mut earlier = ChainStep::new(log, 2, 1);
+        earlier.filters.push(StepFilter {
+            col: 0,
+            op: CmpOp::Lt,
+            rhs: Rhs::AnchorCol(0),
+        });
+        let repeat = ChainQuery {
+            log,
+            lid_col: 0,
+            start_col: 2,
+            steps: vec![earlier],
+            close_col: Some(1),
+            anchor_filters: vec![],
+        };
+        assert!(key.admits(&repeat));
+        // The same step from the user's start column, or entering on the
+        // user, or into the log at step 1, is refused.
+        assert!(!key.admits(&ChainQuery {
+            start_col: 1,
+            ..repeat.clone()
+        }));
+        let mut on_user = repeat.clone();
+        on_user.steps[0].enter_col = 1;
+        assert!(!key.admits(&on_user));
+        let mut second = repeat.clone();
+        second.steps.push(ChainStep::new(log, 1, 2));
+        assert!(!key.admits(&second));
+        // At two shards the suite's admitted slot answers as at one shard,
+        // and `pin_suite` maintains only the admitted template.
+        let suite = [q.clone(), repeat.clone()];
+        let one = ShardedEngine::new(db.clone(), key, 1).load();
+        let two = ShardedEngine::new(db.clone(), key, 2);
+        let answers = two.load().eval_suite(&suite, EvalOptions::default());
+        assert!(answers[0].is_err());
+        assert_eq!(
+            answers[1].as_ref().unwrap().to_vec(),
+            explained(&one, &repeat)
+        );
+        let id = two.pin_suite(SuitePin {
+            log,
+            anchor_filters: vec![],
+            queries: suite.to_vec(),
+            opts: EvalOptions::default(),
+        });
+        assert_eq!(
+            two.load().maintained(id).unwrap().explained.to_vec(),
+            explained(&one, &repeat)
+        );
     }
 }

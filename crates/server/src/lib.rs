@@ -24,8 +24,7 @@
 //!   [`ShardedEngine::ingest`](eba_relational::ShardedEngine::ingest) —
 //!   rows routed to their shard by the patient hash, every shard
 //!   refreshed incrementally in parallel — and the reply carries the
-//!   published seq and the rebuild-fallback flag (surfaced as a `warn`
-//!   line, never silently dropped);
+//!   published seq;
 //! * **typed protocol errors and a panic barrier**: malformed input gets
 //!   `ERR bad-request ...`; a panicking handler is recovered into
 //!   `ERR internal ...` and the session keeps serving (PR 3's poison
@@ -560,9 +559,10 @@ impl AuditService {
         self.sharded.shard_count()
     }
 
-    /// Rebuild-fallback warnings recorded so far (oldest first) — the
-    /// operator-facing trail of every `INGEST` that had to fall back to a
-    /// full rebuild.
+    /// Operator warnings recorded so far (oldest first): recovery notes,
+    /// shed ingests, connections and slow subscribers, ingests that failed
+    /// to persist, advances that re-asked the whole residue, and stalled
+    /// sessions.
     pub fn warnings(&self) -> Vec<String> {
         lock_plain(&self.warnings).clone()
     }

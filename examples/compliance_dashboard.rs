@@ -210,11 +210,10 @@ fn main() {
                 batch.insert_log(row).unwrap();
             }
         });
-        // A refused incremental refresh (rebuild fallback) is an
-        // operational event the office must hear about, not a flag to
-        // silently absorb.
-        for warning in report.fallback_warnings() {
-            eprintln!("!! {warning}");
+        // An advance that had to re-ask the whole residue is an
+        // operational event the office should hear about.
+        if let Some(notice) = report.full_residue_notice() {
+            eprintln!("!! {notice}");
         }
         let epochs = session.load();
         let partition = epochs.maintained(pin).expect("the suite is pinned");

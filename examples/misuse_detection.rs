@@ -11,8 +11,7 @@
 //! TCP sockets**: the detector session pins an epoch, reads the
 //! unexplained set and the triage queue over the wire, `INGEST`s fresh
 //! suspicious batches through the single-writer path, and `REPIN`s to
-//! follow the log. A rebuild fallback reported by an ingest is surfaced
-//! as a warning instead of being silently dropped.
+//! follow the log.
 //!
 //! Run with: `cargo run --release --example misuse_detection`
 
@@ -144,9 +143,7 @@ fn main() {
     // Two fresh waves of uniformly-random accesses (the paper's fake-log
     // methodology — behaviourally identical to snooping) stream in through
     // the protocol's single-writer INGEST path. Each batch publishes a new
-    // epoch; the detector REPINs and re-reads the unexplained count. A
-    // `rebuilt 1` reply (the incremental refresh was refused and the
-    // engine was rebuilt) is surfaced as a warning, never dropped.
+    // epoch; the detector REPINs and re-reads the unexplained count.
     println!("\n== Live ingest: two more batches of suspicious accesses ==");
     let users = eba::audit::fake::user_pool(&hospital.db);
     let patients: Vec<Value> = (0..hospital.world.n_patients())
@@ -165,16 +162,12 @@ fn main() {
             })
             .collect();
         let reply = detector.ingest(&rows).expect("ingest");
-        for warn in reply.body.iter().filter(|l| l.starts_with("warn ")) {
-            eprintln!("!! {warn}");
-        }
         let repin = detector.send("REPIN").expect("repin");
         let fresh = detector.send("UNEXPLAINED 0").expect("recount");
         println!(
-            "epoch {}: +{} injected accesses (rebuilt {}), {} total unexplained after {}",
+            "epoch {}: +{} injected accesses, {} total unexplained after {}",
             reply.field("seq").unwrap(),
             reply.field("rows").unwrap(),
-            reply.field("rebuilt").unwrap(),
             fresh.field("unexplained").unwrap(),
             repin.head.trim_start_matches("OK "),
         );

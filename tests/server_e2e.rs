@@ -366,10 +366,14 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
             at += pos + needle.len();
         }
 
-        let (s0, rid0) = epochs.locate(0).expect("row 0 exists");
+        let (shard0, rid0) = epochs
+            .shards()
+            .iter()
+            .find_map(|s| s.find_global(0).map(|local| (s, local)))
+            .expect("row 0 exists");
         let explanations = world
             .explainer
-            .explain(epochs.shards()[s0].db(), spec, rid0, 3)
+            .explain(shard0.db(), spec, rid0, 3)
             .expect("valid suite");
         let e = &rendered[3];
         assert!(

@@ -22,7 +22,7 @@
 mod common;
 
 use common::{ingest_rows, oracle_transcript, sharded_transcript, AuditWorld};
-use eba::relational::{EpochVec, ShardedEngine, Value};
+use eba::relational::{shard_of, EpochVec, ShardedEngine, Value};
 use proptest::prelude::*;
 
 /// Drives the oracle and one sharded engine through the same batch
@@ -99,7 +99,7 @@ fn one_shard_is_the_single_engine() {
     assert_eq!(vec.shards()[0].log_len(), vec.global_log_len());
     // Global ids and local ids coincide.
     for g in [0u32, 1, (vec.global_log_len() - 1) as u32] {
-        assert_eq!(vec.locate(g), Some((0, g)));
+        assert_eq!(vec.shards()[0].find_global(g), Some(g));
     }
 }
 
@@ -119,7 +119,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
         .collect();
     let target = {
         let vec = sharded.load();
-        vec.shard_of_value(&patient)
+        shard_of(&patient, vec.shards()[0].db().pool(), vec.shard_count())
     };
 
     for round in 0..3u64 {

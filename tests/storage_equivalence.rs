@@ -376,10 +376,9 @@ proptest! {
     }
 
     /// Satellite: a refused refresh (`TableShrank` / `CatalogShrank`)
-    /// leaves a **segmented** engine answering byte-identically. (What
-    /// the epoch handle does next — rebuild the shard from scratch, warn,
-    /// leave pinned vectors alone — is the `sharded.rs` unit test
-    /// `refused_refresh_falls_back_to_a_rebuild_and_warns`.)
+    /// leaves a **segmented** engine answering byte-identically. (The
+    /// epoch handle never meets the refusal: a `ShardedBatch` only
+    /// appends, so its refresh of a shard's fork cannot be refused.)
     #[test]
     fn refused_refresh_and_rebuild_fallback_on_segmented_storage(
         rows in prop::collection::vec((0..6i64, 0..8i64, 0u8..5, 0..9i64), 1..20),

@@ -57,15 +57,13 @@ fn render_maintained(m: &Maintained, seq: u64) -> String {
     out
 }
 
-/// Cold oracle: a brand-new sharded engine over the same database pins
-/// the same suite from scratch (pinning materializes the partition with
-/// the from-scratch path, not the incremental one).
-fn cold_maintained(
-    db: &Database,
-    world: &AuditWorld,
-    n_shards: usize,
-) -> std::sync::Arc<Maintained> {
-    let cold = ShardedEngine::new(db.clone(), world.key(), n_shards);
+/// Cold oracle: a brand-new **one-shard** engine over the same database
+/// pins the same suite from scratch (pinning materializes the partition
+/// with the from-scratch path, not the incremental one). One shard is the
+/// oracle at every live shard count, so a shard count that changed the
+/// answer cannot hide behind an equally wrong cold pin.
+fn cold_maintained(db: &Database, world: &AuditWorld) -> std::sync::Arc<Maintained> {
+    let cold = ShardedEngine::new(db.clone(), world.key(), 1);
     let pin = cold.pin_suite(world.explainer.suite_pin(&world.spec));
     let vec = cold.load();
     vec.maintained(pin)
@@ -199,7 +197,7 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publ
         let m = vec
             .maintained(pin)
             .expect("every publish carries the maintained partition");
-        let cold = cold_maintained(oracle_db, world, n_shards);
+        let cold = cold_maintained(oracle_db, world);
         assert_eq!(
             render_maintained(m, vec.seq()),
             render_maintained(&cold, vec.seq()),
@@ -249,7 +247,7 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publ
             }
         });
         on_delta_path += usize::from(report.shards.iter().any(|s| {
-            let a = s.advance[pin];
+            let a = s.advance;
             a.candidate_rows > 0 && !a.used_full_residue
         }));
         residue = check(
