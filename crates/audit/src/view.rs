@@ -10,13 +10,13 @@
 //! The view has two primitives only:
 //!
 //! * [`AuditView::eval_suite`] — a query suite to the global-id [`RowSet`]
-//!   of rows any of it explains (per-part [`Engine::eval_suite`], folded
-//!   with the associative [`RowSet::union_all`]);
+//!   of rows any of it explains ([`Engine::eval_suite`] on a warm view,
+//!   [`EpochVec::eval_suite`] on a pinned one, folded with the associative
+//!   [`RowSet::union_all`]);
 //! * log-row access per part — [`AuditView::parts`] for scans,
 //!   [`AuditView::log_row`] for one global id.
 
 use eba_core::LogSpec;
-use eba_relational::engine::par_map;
 use eba_relational::{
     ChainQuery, Database, Engine, EpochVec, EvalOptions, RowId, RowSet, ShardEpoch, TableId, Value,
 };
@@ -63,19 +63,14 @@ impl<'a> Part<'a> {
             .iter()
             .filter(move |(_, row)| is_anchor(spec, row))
     }
-
-    fn global_set(&self, local: RowSet) -> RowSet {
-        match self.shard {
-            None => local,
-            Some(s) => s.to_global_set(&local),
-        }
-    }
 }
 
 /// A consistent log state to ask audit questions of. See the module docs.
 #[derive(Debug, Clone)]
 pub struct AuditView<'a> {
     parts: Vec<Part<'a>>,
+    /// The pinned vector the parts come from (`None` for a warm view).
+    epochs: Option<&'a EpochVec>,
 }
 
 impl<'a> AuditView<'a> {
@@ -88,6 +83,7 @@ impl<'a> AuditView<'a> {
                 engine,
                 shard: None,
             }],
+            epochs: None,
         }
     }
 
@@ -103,6 +99,7 @@ impl<'a> AuditView<'a> {
                     shard: Some(s),
                 })
                 .collect(),
+            epochs: Some(epochs),
         }
     }
 
@@ -111,24 +108,30 @@ impl<'a> AuditView<'a> {
         &self.parts
     }
 
-    /// The global rows explained by at least one of `queries`: every part
-    /// evaluates the whole suite fused against its warm engine (in
-    /// parallel across parts) and the global-id sets fold associatively.
+    /// The global rows explained by at least one of `queries`: the warm
+    /// engine evaluates the whole suite fused, or, on a pinned view,
+    /// [`EpochVec::eval_suite`] does so on every shard in parallel, and the
+    /// global-id sets fold associatively.
     ///
     /// # Panics
-    /// Panics when a query does not validate against the database.
+    /// Panics when a query does not validate against the database, and,
+    /// above one shard, when the shard key does not
+    /// [admit](eba_relational::ShardKey::admits) a query: no shard could
+    /// answer it exactly, so the view refuses rather than answer part of it.
     pub fn eval_suite(&self, queries: &[ChainQuery]) -> RowSet {
-        let per_part = par_map(&self.parts, |part| {
-            let per_query = part
+        let opts = EvalOptions::default();
+        let per_query = match self.epochs {
+            Some(epochs) => epochs.eval_suite(queries, opts),
+            // A warm view is one part.
+            None => self.parts[0]
                 .engine
-                .eval_suite(part.db, queries, EvalOptions::default());
-            part.global_set(RowSet::union_all(
-                per_query
-                    .into_iter()
-                    .map(|set| set.expect("templates lower to valid queries")),
-            ))
-        });
-        RowSet::union_all(per_part)
+                .eval_suite(self.parts[0].db, queries, opts),
+        };
+        RowSet::union_all(
+            per_query
+                .into_iter()
+                .map(|set| set.expect("templates lower to valid queries")),
+        )
     }
 
     /// The part holding global log row `global`, and the row itself.
@@ -146,5 +149,73 @@ impl<'a> AuditView<'a> {
                 Some((part, part.db.table(log).row(local)))
             })
             .expect("global id came from this view")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eba_relational::{ChainStep, CmpOp, DataType, Rhs, ShardKey, ShardedEngine, StepFilter};
+
+    /// 80 accesses `(Lid = i, User = i % 7, Patient = i % 40)` sharded by
+    /// patient, and "L.User also opened a patient numbered >= 30": a
+    /// template that steps into the log on the user, not the shard key.
+    fn cross_shard_world() -> (Database, ShardKey, ChainQuery) {
+        let mut db = Database::new();
+        let log = db
+            .create_table(
+                "Log",
+                &[
+                    ("Lid", DataType::Int),
+                    ("User", DataType::Int),
+                    ("Patient", DataType::Int),
+                ],
+            )
+            .unwrap();
+        for i in 0..80i64 {
+            db.insert(
+                log,
+                vec![Value::Int(i), Value::Int(i % 7), Value::Int(i % 40)],
+            )
+            .unwrap();
+        }
+        let mut step = ChainStep::new(log, 1, 2);
+        step.filters.push(StepFilter {
+            col: 2,
+            op: CmpOp::Ge,
+            rhs: Rhs::Const(Value::Int(30)),
+        });
+        let q = ChainQuery {
+            log,
+            lid_col: 0,
+            start_col: 1,
+            steps: vec![step],
+            close_col: None,
+            anchor_filters: vec![],
+        };
+        (db, ShardKey { table: log, col: 2 }, q)
+    }
+
+    /// A pinned view refuses what its epoch vector refuses: above one
+    /// shard each shard would answer the off-key template from its own
+    /// rows only (70 and 60 of 80 at 2 and 4 shards).
+    #[test]
+    fn a_pinned_view_refuses_an_off_key_template_above_one_shard() {
+        let (db, key, q) = cross_shard_world();
+        let one = ShardedEngine::new(db.clone(), key, 1).load();
+        let view = AuditView::pinned(&one);
+        assert_eq!(view.eval_suite(std::slice::from_ref(&q)).len(), 80);
+        for n in [2usize, 4] {
+            let epochs = ShardedEngine::new(db.clone(), key, n).load();
+            let view = AuditView::pinned(&epochs);
+            let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                view.eval_suite(std::slice::from_ref(&q)).len()
+            }));
+            let err = answer.expect_err(&format!("{n} shards answered instead of refusing"));
+            let msg = err
+                .downcast_ref::<String>()
+                .expect("an `expect` panic carries a String");
+            assert!(msg.contains("only at step 0"), "{n} shards: {msg}");
+        }
     }
 }

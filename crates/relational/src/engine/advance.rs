@@ -279,6 +279,7 @@ pub(super) fn absorb(
         explained,
         unexplained,
         log_len,
+        refused: prev.refused,
     }
 }
 

@@ -67,10 +67,13 @@
 //!
 //! # When to hold a warm engine
 //!
-//! Construction costs one full database scan; each distinct step map costs
-//! one table scan on first use. Those costs only amortize across queries,
-//! so hold **one engine per logical session** and refresh it as the log
-//! grows, rather than constructing one per call:
+//! Construction costs one full database scan that hashes each cell once
+//! (the interner's lookup is one layer while nothing shares it): about
+//! 46 ms on the benchmark's 56k-row `mine` world and 133 ms on its 157k-row
+//! `stream_large` world on a 2-core box, first suite pass included. Each
+//! distinct step map costs one table scan on first use. Those costs only
+//! amortize across queries, so hold **one engine per logical session** and
+//! refresh it as the log grows, rather than constructing one per call:
 //!
 //! * a mining run (thousands of candidates sharing steps),
 //! * an interactive audit session (every "which accesses does this suite

@@ -71,7 +71,8 @@
 //! shard: a shard holds only its own log rows, so a step into the log on
 //! any other column would silently miss the rows other shards hold.
 //! [`ShardKey::admits`] is the rule; above one shard a template it refuses
-//! gets a typed error from [`EpochVec::eval_suite`] and is not maintained.
+//! gets a typed error from [`EpochVec::eval_suite`] and is not maintained
+//! ([`Maintained::refused`] counts it).
 //!
 //! # What is partitioned and what is replicated
 //!
@@ -208,7 +209,8 @@ pub struct SuitePin {
 ///
 /// Above one shard the pin's templates are only those the shard key
 /// [admits](ShardKey::admits): [`ShardedEngine::pin_suite`] drops the rest,
-/// which no shard could answer exactly.
+/// which no shard could answer exactly, and counts them in
+/// [`refused`](Maintained::refused).
 ///
 /// The maintenance argument is monotonicity: tables are append-only and
 /// chain templates are monotone, so a template's explained set only ever
@@ -233,6 +235,10 @@ pub struct Maintained {
     pub unexplained: RowSet,
     /// Log rows covered (the log's length when this was advanced).
     pub log_len: usize,
+    /// Templates of the suite passed to [`ShardedEngine::pin_suite`] that
+    /// the shard key refused, so that `explained` does not cover them
+    /// (always 0 at one shard).
+    pub refused: usize,
 }
 
 /// One shard of a published [`EpochVec`]: the shard's database and the
@@ -665,15 +671,20 @@ impl ShardedEngine {
     /// returns already sees the maintained sets; every later ingest
     /// advances them by per-shard deltas merged associatively. Above one
     /// shard only the templates the shard key [admits](ShardKey::admits)
-    /// are maintained. Serialized against ingests by the writer lock; a
+    /// are maintained; the published [`Maintained::refused`] counts the
+    /// rest. Serialized against ingests by the writer lock; a
     /// panic publishes nothing.
     pub fn pin_suite(&self, mut pin: SuitePin) -> usize {
         let _writer = unpoison(self.writer.lock());
         let base = self.load();
+        let asked = pin.queries.len();
         if base.shards.len() > 1 {
             pin.queries.retain(|q| self.key.admits(q));
         }
-        let maintained = compute_maintained(&base.shards, &pin, base.global_log_len);
+        let maintained = Maintained {
+            refused: asked - pin.queries.len(),
+            ..compute_maintained(&base.shards, &pin, base.global_log_len)
+        };
         *unpoison(self.current.write()) = Arc::new(EpochVec {
             shards: base.shards.clone(),
             key: self.key,
@@ -1365,9 +1376,8 @@ mod tests {
             queries: suite.to_vec(),
             opts: EvalOptions::default(),
         });
-        assert_eq!(
-            two.load().maintained(id).unwrap().explained.to_vec(),
-            explained(&one, &repeat)
-        );
+        let maintained = two.load().maintained(id).unwrap().clone();
+        assert_eq!(maintained.explained.to_vec(), explained(&one, &repeat));
+        assert_eq!(maintained.refused, 1, "the dropped template is counted");
     }
 }

@@ -180,6 +180,27 @@ mod tests {
     }
 
     #[test]
+    fn pool_layered_map_is_one_layer_until_cloned() {
+        let mut pool = StringPool::with_granularity(16);
+        for i in 0..500 {
+            pool.intern(&format!("s{i}"));
+        }
+        assert_eq!(pool.lookup_layers().len(), 1);
+        assert_eq!(pool.lookup_layers()[0].len(), 500);
+        // A clone interns into its own tail; the shared layer stays as is.
+        let mut clone = pool.clone();
+        assert_eq!(clone.intern("only-in-clone"), Symbol(500));
+        assert_eq!(pool.intern("only-in-pool"), Symbol(500));
+        assert!(Arc::ptr_eq(
+            &pool.lookup_layers()[0],
+            &clone.lookup_layers()[0]
+        ));
+        assert_eq!(pool.lookup_layers()[0].len(), 500);
+        assert_eq!(pool.get("only-in-clone"), None);
+        assert_eq!(clone.get("only-in-pool"), None);
+    }
+
+    #[test]
     fn seal_freezes_partial_tails_without_renumbering() {
         let mut pool = StringPool::with_granularity(100);
         let a = pool.intern("a");

@@ -11,11 +11,16 @@
 //! append-only table share all but the most recent rows.
 //!
 //! [`LayeredMap`] is the companion structure for append-only *lookup*
-//! state (the engine's value interner, whose `Value → id` map would
-//! otherwise be an `O(distinct values)` clone per epoch): an LSM-style
-//! stack of immutable `Arc`-shared layers plus a small mutable tail,
-//! merged geometrically so lookups probe `O(log n)` layers and the
-//! amortized merge cost per insert stays constant.
+//! state (the engine's value interner and the database's string pool,
+//! whose lookup maps would otherwise be an `O(distinct values)` clone per
+//! epoch): an LSM-style stack of `Arc`-shared layers plus a small mutable
+//! tail. Inserts follow one rule: while the tail is empty and no clone
+//! shares the newest layer, they go straight into that layer; otherwise
+//! they go to the tail, which is sealed at capacity and merged
+//! geometrically. A build that is never cloned (a cold engine, a string
+//! pool filled at generation or replay) therefore ends as one layer, and
+//! each lookup hashes the key once. A map written across published epochs
+//! keeps `O(log n)` layers with a constant amortized merge cost.
 //!
 //! # Copy meter
 //!
@@ -238,14 +243,27 @@ impl<T> std::ops::Index<usize> for SegVec<T> {
 /// layer is sealed and merged).
 const LAYER_TAIL_CAP: usize = 1024;
 
-/// An append-only map stored as immutable `Arc`-shared layers plus a
-/// small mutable tail, LSM-style: sealing pushes the tail as a new layer
-/// and merges adjacent layers of similar size, so the stack stays
-/// `O(log n)` deep and the amortized merge cost per insert is constant.
+/// An append-only map stored as `Arc`-shared layers plus a small mutable
+/// tail, LSM-style: sealing pushes the tail as a new layer and merges
+/// adjacent layers of similar size, so the stack stays `O(log n)` deep and
+/// the amortized merge cost per insert is constant.
 ///
 /// Cloning shares every layer and copies only the tail — the property
 /// epoch publication needs from the engine's value interner, whose
 /// reverse map would otherwise cost `O(distinct values)` per fork.
+///
+/// An insert goes straight into the newest layer when the tail is empty
+/// and that layer is uniquely owned (`Arc::get_mut` succeeds); otherwise
+/// it takes the tail path above. This is safe because uniqueness is
+/// checked at each write: a layer that a clone (a fork, a published
+/// epoch) also holds is never written, so every clone keeps seeing
+/// exactly the entries it had, and the writer falls back to its own tail.
+/// A map that is never cloned fills one tail, seals it once and then
+/// grows that one layer, so a lookup costs one hash instead of one per
+/// layer, and no merge rehashes what it already holds. Compaction follows
+/// both kinds of write, so a layer grown past the one beneath it merges
+/// as a sealed tail would, and a map forked every epoch stays `O(log n)`
+/// deep.
 ///
 /// Keys are expected to be inserted at most once (the interner checks
 /// [`get`](LayeredMap::get) first); a re-inserted key shadows the layered
@@ -322,32 +340,52 @@ impl<K: Eq + Hash + Clone, V: Clone> LayeredMap<K, V> {
         self.layers.iter().rev().find_map(|layer| layer.get(key))
     }
 
-    /// Inserts a (fresh) key. Seals and merges layers when the tail
-    /// reaches capacity.
+    /// Inserts a (fresh) key: into the newest layer while the tail is
+    /// empty and no clone shares that layer, else into the tail, sealing
+    /// and merging layers when the tail reaches capacity.
     pub fn insert(&mut self, key: K, value: V) {
         debug_assert!(
             self.get(&key).is_none(),
             "LayeredMap keys are insert-once (a re-insert shadows the \
              layered entry only until the next merge)"
         );
+        // While no clone shares the newest layer, it is this map's alone:
+        // writing into it keeps a build that is never forked at one layer,
+        // so a lookup hashes the key once. A shared layer is never written.
+        if self.tail.is_empty() {
+            if let Some(top) = self.layers.last_mut().and_then(Arc::get_mut) {
+                if top.insert(key, value).is_none() {
+                    self.total += 1;
+                }
+                self.compact();
+                return;
+            }
+        }
         if self.tail.insert(key, value).is_none() {
             self.total += 1;
         }
         if self.tail.len() >= self.tail_cap {
             self.layers.push(Arc::new(std::mem::take(&mut self.tail)));
-            // Geometric compaction: merge while the next-older layer is
-            // no larger than the freshly sealed one.
-            while self.layers.len() >= 2 {
-                let n = self.layers.len();
-                if self.layers[n - 2].len() > self.layers[n - 1].len() {
-                    break;
-                }
-                let newer = self.layers.pop().expect("len >= 2");
-                let older = self.layers.pop().expect("len >= 2");
-                let mut merged = (*older).clone();
-                merged.extend(newer.iter().map(|(k, v)| (k.clone(), v.clone())));
-                self.layers.push(Arc::new(merged));
+            self.compact();
+        }
+    }
+
+    /// Geometric compaction: merges while the next-older layer is no
+    /// larger than the newest one, whether a freshly sealed tail or an
+    /// unshared layer that inserts grew. Without the second case a map
+    /// forked every epoch would stack one layer per seal, since each
+    /// fork grows the layer it sealed past the next seal's size.
+    fn compact(&mut self) {
+        while self.layers.len() >= 2 {
+            let n = self.layers.len();
+            if self.layers[n - 2].len() > self.layers[n - 1].len() {
+                break;
             }
+            let newer = self.layers.pop().expect("len >= 2");
+            let older = self.layers.pop().expect("len >= 2");
+            let mut merged = Arc::unwrap_or_clone(older);
+            merged.extend(newer.iter().map(|(k, v)| (k.clone(), v.clone())));
+            self.layers.push(Arc::new(merged));
         }
     }
 
@@ -377,6 +415,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LayeredMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn push_get_and_iterate_across_segments() {
@@ -475,6 +514,185 @@ mod tests {
         assert!(copied_bytes() < n * 12 / 2);
         for i in 0..n {
             assert_eq!(c.get(&i), Some(&(i as u32 * 2)));
+        }
+    }
+
+    #[test]
+    fn layered_map_built_without_a_clone_is_one_layer() {
+        let cap = 8;
+        let mut m: LayeredMap<u64, u32> = LayeredMap::with_tail_cap(cap);
+        for i in 0..(cap as u64 * 50) {
+            m.insert(i, i as u32);
+        }
+        assert_eq!(m.layer_count(), 1, "one seal, then the layer grows");
+        assert!(m.tail.is_empty());
+        for i in 0..(cap as u64 * 50) {
+            assert_eq!(m.get(&i), Some(&(i as u32)));
+        }
+        // A clone shares that layer, so neither side writes it again.
+        let mut c = m.clone();
+        c.insert(1_000, 7);
+        m.insert(2_000, 9);
+        assert!(Arc::ptr_eq(&m.layers()[0], &c.layers()[0]));
+        assert_eq!(m.layers()[0].len(), cap * 50);
+        assert_eq!((m.get(&1_000), c.get(&2_000)), (None, None));
+        assert_eq!((m.get(&2_000), c.get(&1_000)), (Some(&9), Some(&7)));
+    }
+
+    /// The writer's pattern: every epoch forks the published map, inserts
+    /// a batch into the fork and publishes it in place of the old one.
+    /// Layers the fork creates are its own until the next fork, so the
+    /// rule writes into them; the stack must still stay logarithmic.
+    #[test]
+    fn layered_map_forked_every_epoch_keeps_few_layers() {
+        let cap = 16u64;
+        let mut published: LayeredMap<u64, u32> = LayeredMap::with_tail_cap(cap as usize);
+        let mut next = 0u64;
+        for _ in 0..cap * 40 {
+            published.insert(next, next as u32);
+            next += 1;
+        }
+        for batch in [7, 23, 31] {
+            for _ in 0..300 {
+                let mut fork = published.clone();
+                for _ in 0..batch {
+                    fork.insert(next, next as u32);
+                    next += 1;
+                }
+                published = fork;
+            }
+        }
+        let bound = 2 + (next as f64 / cap as f64).log2() as usize;
+        assert!(
+            published.layer_count() <= bound,
+            "{} layers over {next} keys (bound {bound})",
+            published.layer_count()
+        );
+        for k in (0..next).step_by(97) {
+            assert_eq!(published.get(&k), Some(&(k as u32)));
+        }
+    }
+
+    /// One side of a [`layered_map_writes_only_unshared_layers`] run: the
+    /// map, the keys it was given in order, and the value each key got
+    /// (its position, as the interner numbers ids).
+    struct Side {
+        map: LayeredMap<u64, u32>,
+        keys: Vec<u64>,
+    }
+
+    impl Side {
+        fn insert(&mut self, key: u64) {
+            self.map.insert(key, self.keys.len() as u32);
+            self.keys.push(key);
+        }
+    }
+
+    /// The layers two sides shared at a clone point: their addresses and
+    /// sizes (not the `Arc`s, which would make every layer look shared),
+    /// the tail both sides copied, and how many keys each side held.
+    struct ClonePoint {
+        sides: [usize; 2],
+        layers: Vec<(*const HashMap<u64, u32>, usize)>,
+        tail: usize,
+        held: [usize; 2],
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The insert rule against clones: every side answers exactly its
+        /// own keys with the ids a never-cloned build gives them, and the
+        /// layers a clone point shared stay shared by pointer, as a
+        /// prefix, on both sides.
+        #[test]
+        fn layered_map_writes_only_unshared_layers(
+            tail_cap in 1usize..10,
+            n in 0usize..240,
+            points in proptest::collection::vec(0usize..240, 0..4),
+            per_clone in 0usize..48,
+        ) {
+            let mut points: Vec<usize> = points.into_iter().map(|p| p.min(n)).collect();
+            points.sort_unstable();
+            let mut sides = vec![Side {
+                map: LayeredMap::with_tail_cap(tail_cap),
+                keys: Vec::new(),
+            }];
+            let mut clone_points: Vec<ClonePoint> = Vec::new();
+            let mut next = points.iter().peekable();
+            for key in 0..=n as u64 {
+                while next.next_if(|&&p| p as u64 == key).is_some() {
+                    let clone = Side {
+                        map: sides[0].map.clone(),
+                        keys: sides[0].keys.clone(),
+                    };
+                    sides.push(clone);
+                    let c = sides.len() - 1;
+                    clone_points.push(ClonePoint {
+                        sides: [0, c],
+                        layers: sides[0]
+                            .map
+                            .layers()
+                            .iter()
+                            .map(|l| (Arc::as_ptr(l), l.len()))
+                            .collect(),
+                        tail: sides[0].map.tail.len(),
+                        held: [sides[0].keys.len(); 2],
+                    });
+                    // After each clone point every clone gains keys of its own.
+                    for (s, side) in sides.iter_mut().enumerate().skip(1) {
+                        for _ in 0..per_clone {
+                            side.insert(((s as u64) << 32) | side.keys.len() as u64);
+                        }
+                    }
+                }
+                if key < n as u64 {
+                    sides[0].insert(key);
+                }
+            }
+            let all: Vec<u64> = sides.iter().flat_map(|s| s.keys.iter().copied()).collect();
+            for (s, side) in sides.iter().enumerate() {
+                let mut never_cloned = LayeredMap::with_tail_cap(tail_cap);
+                for (id, &k) in side.keys.iter().enumerate() {
+                    never_cloned.insert(k, id as u32);
+                }
+                prop_assert_eq!(side.map.len(), side.keys.len());
+                for &k in &all {
+                    prop_assert_eq!(side.map.get(&k), never_cloned.get(&k), "side {} key {:#x}", s, k);
+                }
+                if side.keys.len() >= tail_cap {
+                    prop_assert_eq!(never_cloned.layer_count(), 1);
+                }
+            }
+            for point in &clone_points {
+                for (i, &s) in point.sides.iter().enumerate() {
+                    // A shared layer leaves a side only through a merge, and
+                    // a merge takes layer j only when the layer above it holds
+                    // at least as many keys: the tail both sides copied, this
+                    // side's keys since the clone, and the shared layers above
+                    // j. So every layer larger than all of that stays.
+                    let since = point.tail + sides[s].keys.len() - point.held[i];
+                    let mut above = 0;
+                    let mut kept = 0;
+                    for (j, &(_, len)) in point.layers.iter().enumerate().rev() {
+                        if len > since + above {
+                            kept = j + 1;
+                            break;
+                        }
+                        above += len;
+                    }
+                    let now = sides[s].map.layers();
+                    prop_assert!(now.len() >= kept, "side {} lost shared layers", s);
+                    for (j, &(ptr, _)) in point.layers[..kept].iter().enumerate() {
+                        prop_assert!(
+                            std::ptr::eq(Arc::as_ptr(&now[j]), ptr),
+                            "side {} copied shared layer {} instead of sharing it",
+                            s,
+                            j
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -234,7 +234,8 @@ impl AuditService {
         // Pin the suite before the first session can connect: every epoch
         // this service ever publishes carries the maintained partition.
         let pin_id = sharded.pin_suite(explainer.suite_pin(&spec));
-        AuditService {
+        let refused = sharded.load().maintained(pin_id).map_or(0, |m| m.refused);
+        let svc = AuditService {
             sharded,
             pin_id,
             spec,
@@ -251,7 +252,16 @@ impl AuditService {
             subscribers: Mutex::new(Vec::new()),
             next_subscriber: AtomicU64::new(1),
             shed_subscribers: AtomicU64::new(0),
+        };
+        if refused > 0 {
+            svc.record_warning(format!(
+                "{refused} of {} templates step into the log off the shard key and are \
+                 not maintained across {} shards: suite answers leave them out",
+                svc.explainer.templates().len(),
+                svc.shard_count()
+            ));
         }
+        svc
     }
 
     /// The engine pin id of the service's explanation suite — the key
@@ -559,10 +569,10 @@ impl AuditService {
         self.sharded.shard_count()
     }
 
-    /// Operator warnings recorded so far (oldest first): recovery notes,
-    /// shed ingests, connections and slow subscribers, ingests that failed
-    /// to persist, advances that re-asked the whole residue, and stalled
-    /// sessions.
+    /// Operator warnings recorded so far (oldest first): templates the
+    /// shard key refused at startup, recovery notes, shed ingests,
+    /// connections and slow subscribers, ingests that failed to persist,
+    /// advances that re-asked the whole residue, and stalled sessions.
     pub fn warnings(&self) -> Vec<String> {
         lock_plain(&self.warnings).clone()
     }
@@ -652,6 +662,50 @@ mod tests {
         assert!(!svc.explainer.templates().is_empty());
         assert!(svc.days >= 1);
         assert!(svc.warnings().is_empty());
+    }
+
+    /// A suite template the shard key refuses is not maintained above one
+    /// shard, and the service says so once at startup.
+    #[test]
+    fn a_refused_template_is_one_startup_warning_above_one_shard() {
+        use eba_core::ExplanationTemplate;
+        let path = eba_core::Path::handcrafted;
+        for (n_shards, want) in [(1usize, 0usize), (2, 1)] {
+            let h = eba_synth::Hospital::generate(eba_synth::SynthConfig {
+                seed: 1,
+                ..eba_synth::SynthConfig::tiny()
+            });
+            let (spec, _) = handcrafted_suite(&h.db);
+            let appt = path(&h.db, &spec, &[("Appointments", "Patient", "Doctor")]).unwrap();
+            // The doctor also opened some record: a second log step.
+            let off_key = path(
+                &h.db,
+                &spec,
+                &[
+                    ("Appointments", "Patient", "Doctor"),
+                    ("Log", "User", "User"),
+                ],
+            )
+            .unwrap();
+            let explainer = Explainer::new(vec![
+                ExplanationTemplate::new(appt),
+                ExplanationTemplate::new(off_key),
+            ]);
+            let days = h.config.days;
+            let svc = AuditService::new_sharded(h.db, spec, h.log_cols, explainer, days, n_shards);
+            let m = svc
+                .sharded()
+                .load()
+                .maintained(svc.pin_id())
+                .unwrap()
+                .clone();
+            assert_eq!(m.refused, want, "{n_shards} shards");
+            let warnings = svc.warnings();
+            assert_eq!(warnings.len(), want, "{n_shards} shards: {warnings:?}");
+            if want > 0 {
+                assert!(warnings[0].contains("1 of 2 templates"), "{}", warnings[0]);
+            }
+        }
     }
 
     #[test]

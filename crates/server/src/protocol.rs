@@ -36,7 +36,8 @@
 //!                         frame per publish that adds unexplained accesses
 //! SUBSCRIBE MISUSE <t>    event mode: one `EVENT misuse` frame per user
 //!                         whose unexplained count crosses `t` in a publish
-//! WARNINGS                operator warnings recorded so far (shed, persist, full residue)
+//! WARNINGS                operator warnings recorded so far (refused templates,
+//!                         shed, persist, full residue)
 //! RECOVERY                what startup recovery replayed from the durable store
 //! QUIT                    close the session
 //! ```
@@ -141,8 +142,8 @@ pub enum Command {
         /// What to be notified about.
         kind: crate::push::SubscriptionKind,
     },
-    /// `WARNINGS` — operator warnings recorded so far (sheds, persist
-    /// failures and whole-residue advances).
+    /// `WARNINGS` — operator warnings recorded so far (refused suite
+    /// templates, sheds, persist failures and whole-residue advances).
     Warnings,
     /// `RECOVERY` — what startup recovery replayed from the durable
     /// store (or that the service is volatile).
