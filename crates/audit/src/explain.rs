@@ -69,7 +69,7 @@ impl Explainer {
 
     /// The suite as a [`SuitePin`], ready to hand to
     /// [`eba_relational::ShardedEngine::pin_suite`]: once pinned, every
-    /// published epoch vector carries the materialized
+    /// published epoch carries the materialized
     /// explained/unexplained partition, maintained incrementally per
     /// ingest and byte-identical to what [`explained`] and [`unexplained`]
     /// recompute over a view of the same epoch.
@@ -94,8 +94,8 @@ fn lower<'t>(
 }
 
 /// Rows (within the spec's anchor) explained by at least one of
-/// `templates`: the whole set is evaluated as one fused batch per part of
-/// the view ([`AuditView::eval_suite`]), and the engines' step maps and
+/// `templates`: the whole set is evaluated as one fused batch
+/// ([`AuditView::eval_suite`]), and the engines' step maps and
 /// log partitions stay warm for the next question.
 pub fn explained<'t>(
     view: &AuditView,
@@ -107,13 +107,8 @@ pub fn explained<'t>(
 
 /// Log rows passing the spec's anchor filters.
 pub fn anchors(view: &AuditView, spec: &LogSpec) -> RowSet {
-    RowSet::union_all(view.parts().iter().map(|part| {
-        let rows: Vec<RowId> = part
-            .anchor_rows(spec)
-            .map(|(rid, _)| part.to_global(rid))
-            .collect();
-        RowSet::from_sorted_vec(&rows)
-    }))
+    let rows: Vec<RowId> = view.anchor_rows(spec).map(|(rid, _)| rid).collect();
+    RowSet::from_sorted_vec(&rows)
 }
 
 /// Anchor rows *no* template explains — the paper's reduced set of
@@ -158,12 +153,12 @@ mod tests {
         (h, spec, explainer)
     }
 
-    fn sharded(h: &Hospital, spec: &LogSpec, n: usize) -> ShardedEngine {
+    fn handle(h: &Hospital, spec: &LogSpec) -> ShardedEngine {
         let key = ShardKey {
             table: spec.table,
             col: spec.patient_col,
         };
-        ShardedEngine::new(h.db.clone(), key, n)
+        ShardedEngine::new(h.db.clone(), key, 1)
     }
 
     #[test]
@@ -234,53 +229,49 @@ mod tests {
             );
         };
         check(&AuditView::warm(&h.db, &engine), "warm pair");
-        for n in [1, 3] {
-            let epochs = sharded(&h, &spec, n).load();
-            check(&AuditView::pinned(&epochs), &format!("{n} shards"));
-        }
+        let epochs = handle(&h, &spec).load();
+        check(&AuditView::pinned(&epochs), "pinned epoch");
     }
 
     #[test]
     fn pinned_suite_maintains_the_cold_partition() {
         // A pinned suite's maintained sets must match the recompute over
-        // a view of every published epoch vector — including after
-        // ingests that extend the log.
+        // a view of every published epoch — including after ingests that
+        // extend the log.
         let (h, spec, explainer) = setup();
-        for n in [1, 3] {
-            let handle = sharded(&h, &spec, n);
-            let pin_id = handle.pin_suite(explainer.suite_pin(&spec));
-            let check = |label: &str| {
-                let epochs = handle.load();
-                let view = AuditView::pinned(&epochs);
-                let m = epochs.maintained(pin_id).expect("pinned");
-                let explained = explained(&view, &spec, explainer.templates());
-                assert_eq!(m.explained, explained, "{label} ({n} shards)");
-                assert_eq!(
-                    m.unexplained,
-                    unexplained(&view, &spec, &explained),
-                    "{label} ({n} shards)"
-                );
-                assert_eq!(m.log_len, epochs.global_log_len());
-            };
-            check("cold pin");
+        let handle = handle(&h, &spec);
+        let pin_id = handle.pin_suite(explainer.suite_pin(&spec));
+        let check = |label: &str| {
+            let epochs = handle.load();
+            let view = AuditView::pinned(&epochs);
+            let m = epochs.maintained(pin_id).expect("pinned");
+            let explained = explained(&view, &spec, explainer.templates());
+            assert_eq!(m.explained, explained, "{label}");
+            assert_eq!(
+                m.unexplained,
+                unexplained(&view, &spec, &explained),
+                "{label}"
+            );
+            assert_eq!(m.log_len, epochs.global_log_len());
+        };
+        check("cold pin");
 
-            let arity = h.db.table(h.t_log).schema().arity();
-            let cols = h.log_cols;
-            for round in 0..3i64 {
-                handle.ingest(|batch| {
-                    for i in 0..4i64 {
-                        let mut row = vec![Value::Null; arity];
-                        row[cols.lid] = Value::Int(4_000_000 + 4 * round + i);
-                        row[cols.date] = Value::Date(0);
-                        row[cols.user] = Value::Int(1 + i);
-                        row[cols.patient] = Value::Int(1 + i + round);
-                        row[cols.day] = Value::Int(1);
-                        row[cols.is_first] = Value::Int(0);
-                        batch.insert_log(row).unwrap();
-                    }
-                });
-                check("after ingest");
-            }
+        let arity = h.db.table(h.t_log).schema().arity();
+        let cols = h.log_cols;
+        for round in 0..3i64 {
+            handle.ingest(|batch| {
+                for i in 0..4i64 {
+                    let mut row = vec![Value::Null; arity];
+                    row[cols.lid] = Value::Int(4_000_000 + 4 * round + i);
+                    row[cols.date] = Value::Date(0);
+                    row[cols.user] = Value::Int(1 + i);
+                    row[cols.patient] = Value::Int(1 + i + round);
+                    row[cols.day] = Value::Int(1);
+                    row[cols.is_first] = Value::Int(0);
+                    batch.insert_log(row).unwrap();
+                }
+            });
+            check("after ingest");
         }
     }
 

@@ -32,7 +32,7 @@
 //! service uses so its explanations, timeline, and triage queue all
 //! describe the same frozen log state while ingests publish new epochs
 //! behind it — and each has exactly one spelling, a function of the view
-//! and a global-id [`eba_relational::RowSet`]:
+//! and a [`eba_relational::RowSet`] of log row ids:
 //!
 //! | Question | Function |
 //! |---|---|

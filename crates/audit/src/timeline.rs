@@ -71,7 +71,7 @@ impl Timeline {
 }
 
 /// Per-day statistics for days `1..=days` of the view's log, counted
-/// against `explained` (global row ids — what [`crate::explain::explained`]
+/// against `explained` (log row ids — what [`crate::explain::explained`]
 /// returns, or a pinned suite's maintained `explained` set): one scan
 /// buckets the log, then every count is an intersection cardinality.
 pub fn daily_stats(
@@ -136,36 +136,25 @@ impl DayBuckets {
         }
     }
 
-    /// Buckets the view's log by day in global row ids: one scan per
-    /// part, anchor filters applied row by row. In-window accesses land
-    /// in their day's bucket; clock-skewed or day-less ones land in the
-    /// overflow bucket instead of vanishing.
+    /// Buckets the view's log by day: one scan, anchor filters applied
+    /// row by row. In-window accesses land in their day's bucket;
+    /// clock-skewed or day-less ones land in the overflow bucket instead
+    /// of vanishing. Row ids ascend, so every insert appends.
     pub fn build(view: &AuditView, spec: &LogSpec, cols: &LogColumns, days: u32) -> DayBuckets {
-        let mut merged = DayBuckets::empty(days);
-        for part in view.parts() {
-            // Within a part global ids ascend, so every insert appends;
-            // the parts' buckets then merge container-at-a-time.
-            let mut buckets = DayBuckets::empty(days);
-            for (rid, row) in part.anchor_rows(spec) {
-                let b = match row[cols.day] {
-                    Value::Int(day) if (1..=days as i64).contains(&day) => {
-                        &mut buckets.days[(day - 1) as usize]
-                    }
-                    _ => &mut buckets.overflow,
-                };
-                let global = part.to_global(rid);
-                b.all.insert(global);
-                if row[cols.is_first] == Value::Int(1) {
-                    b.firsts.insert(global);
+        let mut buckets = DayBuckets::empty(days);
+        for (rid, row) in view.anchor_rows(spec) {
+            let b = match row[cols.day] {
+                Value::Int(day) if (1..=days as i64).contains(&day) => {
+                    &mut buckets.days[(day - 1) as usize]
                 }
-            }
-            let pairs = merged.days.iter_mut().zip(&buckets.days);
-            for (m, b) in pairs.chain([(&mut merged.overflow, &buckets.overflow)]) {
-                m.all.union_with(&b.all);
-                m.firsts.union_with(&b.firsts);
+                _ => &mut buckets.overflow,
+            };
+            b.all.insert(rid);
+            if row[cols.is_first] == Value::Int(1) {
+                b.firsts.insert(rid);
             }
         }
-        merged
+        buckets
     }
 
     /// Derives the per-day timeline against an explained set — counts
@@ -264,10 +253,9 @@ mod tests {
     #[test]
     fn pinned_views_match_the_warm_pair_through_a_skewed_ingest() {
         // The overflow bucket must be visible through a pinned epoch
-        // vector (the view a live service holds), not just a warm pair:
-        // skewed rows arrive via ingest, the re-pinned vector's timeline
-        // carries them in the overflow bucket, and the old pin stays
-        // byte-stable — at one shard and at several.
+        // (the view a live service holds), not just a warm pair: skewed
+        // rows arrive via ingest, the re-pinned epoch's timeline carries
+        // them in the overflow bucket, and the old pin stays byte-stable.
         let (mut h, spec, explainer) = setup();
         let key = ShardKey {
             table: spec.table,
@@ -276,7 +264,7 @@ mod tests {
         let (cols, days) = (h.log_cols, h.config.days);
         let before = timeline_of(&h, &spec, &explainer);
         let skewed = skewed_rows(&h, 2_000_000);
-        let handles = [1, 3].map(|n| ShardedEngine::new(h.db.clone(), key, n));
+        let handle = ShardedEngine::new(h.db.clone(), key, 1);
         let pinned_timeline = |epochs: &EpochVec| {
             let view = AuditView::pinned(epochs);
             let explained = explained(&view, &spec, explainer.templates());
@@ -287,17 +275,15 @@ mod tests {
         }
         let after = timeline_of(&h, &spec, &explainer);
         assert_eq!(after.dropped(), 3);
-        for handle in &handles {
-            let pinned = handle.load();
-            assert_eq!(pinned_timeline(&pinned), before);
-            handle.ingest(|batch| {
-                for row in &skewed {
-                    batch.insert_log(row.clone()).unwrap();
-                }
-            });
-            assert_eq!(pinned_timeline(&pinned), before, "the old pin is untouched");
-            assert_eq!(pinned_timeline(&handle.load()), after);
-        }
+        let pinned = handle.load();
+        assert_eq!(pinned_timeline(&pinned), before);
+        handle.ingest(|batch| {
+            for row in &skewed {
+                batch.insert_log(row.clone()).unwrap();
+            }
+        });
+        assert_eq!(pinned_timeline(&pinned), before, "the old pin is untouched");
+        assert_eq!(pinned_timeline(&handle.load()), after);
     }
 
     #[test]

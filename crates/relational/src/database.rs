@@ -137,21 +137,6 @@ impl Database {
         self.pool.seal();
     }
 
-    /// A clone of this database with table `id`'s rows removed (schema,
-    /// relationships, pool, and every other table shared/cloned as
-    /// usual). This is how [`ShardedEngine`](crate::engine::ShardedEngine)
-    /// builds per-shard databases: dimension tables and the string pool
-    /// stay identical — so [`Symbol`]s align across shards — while the
-    /// partitioned log is re-inserted shard by shard.
-    pub(crate) fn clone_with_empty_table(&self, id: TableId) -> Database {
-        let mut db = self.clone();
-        let seg_rows = db.tables[id.0].segment_rows();
-        let schema = db.tables[id.0].schema().clone();
-        db.tables[id.0] = Table::with_segment_rows(schema, seg_rows);
-        unpoison(db.stats_cache.write()).retain(|attr, _| attr.table != id);
-        db
-    }
-
     // ---------------------------------------------------------------- schema
 
     /// Creates a table from `(column, type)` pairs and registers it.

@@ -1,8 +1,6 @@
-//! The per-shard **advance core** of the maintained explained/unexplained
-//! partition ([`Maintained`]): what one incremental refresh adds to one
-//! engine's slice of the partition. [`ShardedEngine`](super::ShardedEngine)
-//! runs it once per shard per ingest and merges the deltas in global row
-//! ids.
+//! The **advance core** of the maintained explained/unexplained partition
+//! ([`Maintained`]): what one incremental refresh adds to the partition.
+//! [`ShardedEngine`](super::ShardedEngine) runs it once per ingest.
 //!
 //! # Cost model
 //!
@@ -43,9 +41,9 @@ use crate::types::ColId;
 use std::collections::BTreeMap;
 
 /// What advancing the pinned suite across one ingest cost, as counts (the
-/// paper-level cost model: rows that had to be asked about). One per
-/// shard, in [`ShardRefresh::advance`](super::ShardRefresh); all zero when
-/// no suite is pinned.
+/// paper-level cost model: rows that had to be asked about). Reported in
+/// [`ShardRefresh::advance`](super::ShardRefresh); all zero when no suite
+/// is pinned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdvanceStats {
     /// Appended log rows evaluated against every template.
@@ -57,58 +55,36 @@ pub struct AdvanceStats {
     /// backward walk from the appended rows, or the whole residue when
     /// `used_full_residue` is set.
     pub candidate_rows: usize,
-    /// Rows in the previous unexplained residue (for a shard: the global
-    /// residue, which is what bounds its backward walk).
+    /// Rows in the previous unexplained residue, which is what bounds the
+    /// backward walk.
     pub residue_rows: usize,
     /// Deriving the candidates touched more values and rows than the
     /// residue holds, so the whole residue was re-asked instead.
     pub used_full_residue: bool,
 }
 
-/// One engine's view of the previous unexplained residue, in its own
-/// (shard-local) log row ids.
-pub(super) struct Residue<C, A> {
-    /// Rows in the residue — the bound on the backward walk's work.
-    pub len: usize,
-    /// Whether a local log row is in the residue.
-    pub contains: C,
-    /// The engine's whole slice of the residue; only called when the walk
-    /// outgrows `len`.
-    pub all: A,
-}
-
-/// What one engine's advance adds to the partition, in local row ids.
-pub(super) struct ShardDelta {
-    /// Appended log rows passing the pin's anchor filters.
-    pub anchors: RowSet,
-    /// Newly explained rows: appended ones, and old residue rows a grown
-    /// table now explains.
-    pub explained: RowSet,
-    pub stats: AdvanceStats,
-}
-
-/// Advances one engine's slice of `pin`'s partition from `prev` (the
-/// engine of the previous epoch) to `engine` (its refreshed fork over
-/// `db`). See the module docs for the cost model and the soundness
+/// Advances `pin`'s partition `before` from `prev` (the engine of the
+/// previous epoch) to `engine` (its refreshed fork over `db`): the
+/// appended anchors and the newly explained rows are unioned in, which
+/// never retracts because explanation is monotone under append-only
+/// growth. See the module docs for the cost model and the soundness
 /// argument.
-pub(super) fn advance_shard<C, A>(
+pub(super) fn advance(
     prev: &Engine,
     engine: &Engine,
     db: &Database,
     pin: &SuitePin,
-    residue: Residue<C, A>,
-) -> ShardDelta
-where
-    C: Fn(RowId) -> bool,
-    A: FnOnce() -> RowSet,
-{
+    before: &Maintained,
+) -> (Maintained, AdvanceStats) {
     let log = engine.snapshot().table(pin.log);
     let (l0, l1) = (prev.snapshot().rows_in(pin.log), log.n_rows);
     let fresh: Vec<RowId> = (l0..l1)
         .filter(|&r| engine.anchor_passes_filters(&pin.anchor_filters, log, r))
         .map(|r| r as RowId)
         .collect();
-    let mut explained = RowSet::new();
+    let mut anchors = before.anchors.clone();
+    anchors.union_with(&RowSet::from_sorted_vec(&fresh));
+    let mut explained = before.explained.clone();
     let mut take = |sets: Vec<Result<RowSet>>| {
         for set in sets.into_iter().flatten() {
             explained.union_with(&set);
@@ -133,27 +109,19 @@ where
         .filter(|q| grew(q) && q.validate(db).is_ok())
         .cloned()
         .collect();
+    let residue = &before.unexplained;
     let mut stats = AdvanceStats {
         tail_rows: l1 - l0,
         reasked_templates: reask.len(),
-        residue_rows: residue.len,
+        residue_rows: residue.len(),
         ..AdvanceStats::default()
     };
-    if !reask.is_empty() && residue.len > 0 {
-        let walk = residue_candidates(
-            prev,
-            engine,
-            pin.log,
-            &reask,
-            l0,
-            residue.len,
-            residue.contains,
-        );
-        let candidates = match walk {
+    if !reask.is_empty() && !residue.is_empty() {
+        let candidates = match residue_candidates(prev, engine, pin.log, &reask, l0, residue) {
             Some(rows) => RowSet::from_sorted_vec(&rows),
             None => {
                 stats.used_full_residue = true;
-                (residue.all)()
+                residue.clone()
             }
         };
         stats.candidate_rows = candidates.len();
@@ -161,25 +129,27 @@ where
             take(engine.eval_suite_rows(db, &reask, pin.opts, &candidates));
         }
     }
-    ShardDelta {
-        anchors: RowSet::from_sorted_vec(&fresh),
+    let maintained = Maintained {
+        unexplained: anchors.difference(&explained),
+        anchors,
         explained,
-        stats,
-    }
+        log_len: l1,
+    };
+    (maintained, stats)
 }
 
-/// The old (`< l0`) residue rows any of `reask` can newly explain,
-/// ascending — or `None` once deriving them has touched more than `budget`
-/// values and rows (the caller then re-asks the whole residue).
+/// The old (`< l0`) `residue` rows any of `reask` can newly explain,
+/// ascending — or `None` once deriving them has touched more values and
+/// rows than the residue holds (the caller then re-asks all of it).
 fn residue_candidates(
     prev: &Engine,
     engine: &Engine,
     log: TableId,
     reask: &[ChainQuery],
     l0: usize,
-    budget: usize,
-    in_residue: impl Fn(RowId) -> bool,
+    residue: &RowSet,
 ) -> Option<Vec<RowId>> {
+    let budget = residue.len();
     let snapshot = engine.snapshot();
     // Start values reached by the walk, per anchor start column.
     let mut starts: BTreeMap<ColId, Vec<u32>> = BTreeMap::new();
@@ -248,7 +218,7 @@ fn residue_candidates(
                 if work > budget {
                     return None;
                 }
-                if in_residue(r) {
+                if residue.contains(r) {
                     rows.push(r);
                 }
             }
@@ -257,30 +227,6 @@ fn residue_candidates(
     rows.sort_unstable();
     rows.dedup();
     Some(rows)
-}
-
-/// `prev` with the per-engine deltas `(anchors, explained)` — already in
-/// `prev`'s row-id space — unioned in. Explanation is monotone under
-/// append-only growth, so absorbing an ingest never retracts.
-pub(super) fn absorb(
-    prev: &Maintained,
-    deltas: impl IntoIterator<Item = (RowSet, RowSet)>,
-    log_len: usize,
-) -> Maintained {
-    let mut anchors = prev.anchors.clone();
-    let mut explained = prev.explained.clone();
-    for (a, e) in deltas {
-        anchors.union_with(&a);
-        explained.union_with(&e);
-    }
-    let unexplained = anchors.difference(&explained);
-    Maintained {
-        anchors,
-        explained,
-        unexplained,
-        log_len,
-        refused: prev.refused,
-    }
 }
 
 #[cfg(test)]
@@ -501,7 +447,7 @@ mod tests {
 
     /// Cold recompute of `pin` over a published vector.
     fn cold(vec: &EpochVec, pin: &SuitePin) -> Maintained {
-        compute_maintained(vec.shards(), pin, vec.global_log_len())
+        compute_maintained(&vec.shards()[0], pin)
     }
 
     /// `compute_maintained` evaluates through the engine too, so every
@@ -559,24 +505,19 @@ mod tests {
         assert!(full_path > 0, "the whole-residue path ran");
     }
 
-    /// The oracle is a cold pin at **one** shard. `reopened` and
-    /// `active_colleague` step into the log on the user, which no shard
-    /// answers alone: they grow at one shard and are refused above it.
-    /// The sharded advance stays covered at {1, 4} shards by the
-    /// co-partitioned self-joins.
+    /// The oracle is a cold pin over an independently grown database.
+    /// `reopened` and `active_colleague` step into the log on the user,
+    /// the co-partitioned self-joins on the patient: both suites advance
+    /// like the cold pin.
     #[test]
     fn sharded_self_join_growth_matches_a_cold_pin() {
         let (db, log, event) = world(60);
-        let cross = suite(log, event);
-        let answers = ShardedEngine::new(db.clone(), KEY, 4)
-            .load()
-            .eval_suite(&cross.queries, cross.opts);
-        assert!(answers[0].is_ok());
-        assert!(answers[1..].iter().all(|a| a.is_err()), "{answers:?}");
-        let co = co_partitioned(log, event);
-        for (pin, n) in [(&cross, 1usize), (&co, 1), (&co, 4)] {
+        for (name, pin) in [
+            ("off the patient", suite(log, event)),
+            ("on the patient", co_partitioned(log, event)),
+        ] {
             let mut oracle = db.clone();
-            let live = ShardedEngine::new(db.clone(), KEY, n);
+            let live = ShardedEngine::new(db.clone(), KEY, 1);
             let id = live.pin_suite(pin.clone());
             let mut candidates = 0;
             for (round, (logs, events)) in schedule().into_iter().enumerate() {
@@ -604,10 +545,10 @@ mod tests {
                 assert_same(
                     live.load().maintained(id).unwrap(),
                     cold.load().maintained(cold_id).unwrap(),
-                    &format!("{n} shards, round {round}"),
+                    &format!("{name}, round {round}"),
                 );
             }
-            assert!(candidates > 0, "{n} shards: old rows were re-asked");
+            assert!(candidates > 0, "{name}: old rows were re-asked");
         }
     }
 
@@ -646,24 +587,23 @@ mod tests {
     /// leaves the rows a one-row ingest re-asks unchanged.
     #[test]
     fn candidate_rows_follow_the_batch_not_the_residue() {
-        let run = |loners: i64| -> (AdvanceStats, AdvanceStats, Vec<AdvanceStats>) {
+        let run = |loners: i64| -> (AdvanceStats, AdvanceStats) {
             let (db, log, event) = world(loners);
-            let advance = |pin: SuitePin, n: usize| -> Vec<AdvanceStats> {
-                let live = ShardedEngine::new(db.clone(), KEY, n);
+            let advance = |pin: SuitePin| -> AdvanceStats {
+                let live = ShardedEngine::new(db.clone(), KEY, 1);
                 live.pin_suite(pin);
                 let (_, report) = live.ingest(|batch| {
                     batch.insert_log(access(500, 3, 7)).unwrap();
                 });
-                report.shards.iter().map(|s| s.advance).collect()
+                report.shards[0].advance
             };
             (
-                advance(suite(log, event), 1)[0],
-                advance(co_partitioned(log, event), 1)[0],
-                advance(co_partitioned(log, event), 4),
+                advance(suite(log, event)),
+                advance(co_partitioned(log, event)),
             )
         };
-        let (small, small_co, small_shards) = run(40);
-        let (big, big_co, big_shards) = run(80);
+        let (small, small_co) = run(40);
+        let (big, big_co) = run(80);
         assert!(!small.used_full_residue && !big.used_full_residue);
         assert_eq!(small.tail_rows, 1);
         assert_eq!(small.reasked_templates, 2, "the two self-joins");
@@ -674,16 +614,9 @@ mod tests {
             big.residue_rows >= small.residue_rows + 40,
             "{small:?} {big:?}"
         );
-        let total = |shards: &[AdvanceStats]| -> usize {
-            assert!(shards.iter().all(|s| !s.used_full_residue));
-            shards.iter().map(|s| s.candidate_rows).sum()
-        };
-        // A co-partitioned walk stays in the appended row's shard, so four
-        // shards together re-ask exactly the rows one shard re-asks.
+        assert!(!small_co.used_full_residue && !big_co.used_full_residue);
         assert!(small_co.candidate_rows > 0, "{small_co:?}");
         assert_eq!(big_co.candidate_rows, small_co.candidate_rows);
-        assert_eq!(total(&small_shards), small_co.candidate_rows);
-        assert_eq!(total(&big_shards), small_co.candidate_rows);
-        assert!(big_shards[0].residue_rows >= small_shards[0].residue_rows + 40);
+        assert!(big_co.residue_rows >= small_co.residue_rows + 40);
     }
 }

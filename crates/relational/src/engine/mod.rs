@@ -93,10 +93,10 @@
 //! the engine readers are using must serialize readers against every
 //! ingest. [`ShardedEngine`] removes that coupling with an epoch-style
 //! snapshot handoff: readers [`load`](ShardedEngine::load) an immutable
-//! [`EpochVec`] (per shard: database + engine) and evaluate against it for
-//! their whole session, while the single writer forks the current engines
-//! ([`Engine::fork`]), refreshes the forks privately, and publishes them
-//! as the next epoch vector — a pointer swap, never a wait for in-flight
+//! [`EpochVec`] (a database and the engine over it) and evaluate against
+//! it for their whole session, while the single writer forks the current
+//! engine ([`Engine::fork`]), refreshes the fork privately, and publishes
+//! it as the next epoch — a pointer swap, never a wait for in-flight
 //! queries. See [`sharded`]'s module docs for the writer/reader pattern.
 //!
 //! # Panic hygiene
@@ -119,8 +119,8 @@ pub use advance::AdvanceStats;
 pub use interner::{InternedDb, InternedTable, Interner, RefreshDelta, RefreshError, NULL_ID};
 pub use parallel::{par_map, par_map_with};
 pub use sharded::{
-    shard_of, EpochVec, Maintained, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch,
-    ShardedEngine, ShardedIngestReport, SuitePin,
+    EpochVec, Maintained, ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine,
+    ShardedIngestReport, SuitePin,
 };
 
 use crate::chain::{ChainQuery, ChainStep, CmpOp, EvalOptions, Rhs};

@@ -59,9 +59,9 @@
 //!    instead of re-snapshotting per query.
 //! 5. **Snapshot handoff** ([`ShardedEngine`], the one epoch handle): a
 //!    service answering audit queries *while* the log ingests publishes
-//!    immutable [`EpochVec`]s (per log shard: database + engine, frozen
-//!    together under one sequence number; one shard is the unsharded
-//!    engine); readers pin one vector per session and are never blocked
+//!    immutable [`EpochVec`]s (one database and the engine over it,
+//!    frozen together under one sequence number); readers pin one epoch
+//!    per session and are never blocked
 //!    by a refresh, the single writer refreshes private forks and swaps
 //!    them in atomically. The [`Database`] itself is `Send + Sync`
 //!    (poison-tolerant lazily-built caches, [`sync::unpoison`]), so one
@@ -114,7 +114,7 @@ pub use chain::{
 };
 pub use database::{AttrRef, Database, RelationshipKind, TableId};
 pub use engine::{
-    shard_of, AdvanceStats, Engine, EpochVec, Maintained, RefreshDelta, RefreshError, RefreshStats,
+    AdvanceStats, Engine, EpochVec, Maintained, RefreshDelta, RefreshError, RefreshStats,
     ShardEpoch, ShardKey, ShardRefresh, ShardedBatch, ShardedEngine, ShardedIngestReport, SuitePin,
 };
 pub use error::{Error, PileError, Result};

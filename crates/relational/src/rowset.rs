@@ -25,10 +25,9 @@
 //! [`intersect`](RowSet::intersect), [`difference`](RowSet::difference))
 //! works container-by-container — word-wise `|`/`&`/`&!` when both sides
 //! are bitmaps — and union is **associative and commutative**, which is
-//! what makes a `RowSet` the natural scatter-gather payload: each shard
-//! returns its explained rows as a bitmap over global ids and the
-//! coordinator folds them together in any order
-//! ([`RowSet::union_all`]).
+//! what makes a `RowSet` the natural fan-in payload: each slice of the
+//! engine's anchor-range split returns its explained rows as a bitmap and
+//! the driver folds them together in any order ([`RowSet::union_all`]).
 //!
 //! Iteration ([`iter`](RowSet::iter)) yields rows in ascending order, so
 //! converting to the legacy sorted-`Vec<u32>` form
@@ -432,8 +431,8 @@ impl RowSet {
     }
 
     /// In-place union: `self ∪= other`. Associative and commutative
-    /// across any fold order, which is what makes per-shard row sets
-    /// safely mergeable at the scatter-gather seam.
+    /// across any fold order, which is what makes per-slice row sets
+    /// safely mergeable at the fan-in.
     pub fn union_with(&mut self, other: &RowSet) {
         for (high, oc) in &other.containers {
             match self.find(*high) {

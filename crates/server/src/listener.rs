@@ -157,7 +157,7 @@ impl Server {
     }
 
     /// The shared service state (e.g. to compare server replies against
-    /// a library-level recompute over the same epoch vector).
+    /// a library-level recompute over the same epoch).
     pub fn service(&self) -> &Arc<AuditService> {
         &self.service
     }

@@ -21,7 +21,8 @@
 //! PIN                     report the session's pinned epoch seq
 //! REPIN                   pin the latest published epoch
 //! SEQ                     published vs pinned sequence numbers
-//! SHARDS                  shard count, live seq, per-shard log row counts
+//! SHARDS                  live seq and the pinned log's row count, in the
+//!                         one-shard shape (`shards 1`, `shard 0 rows N`)
 //! EXPLAIN <lid>           ranked explanations for one access
 //! UNEXPLAINED [limit [AFTER <rid>]]
 //!                         the unexplained accesses of the pinned epoch;
@@ -36,8 +37,8 @@
 //!                         frame per publish that adds unexplained accesses
 //! SUBSCRIBE MISUSE <t>    event mode: one `EVENT misuse` frame per user
 //!                         whose unexplained count crosses `t` in a publish
-//! WARNINGS                operator warnings recorded so far (refused templates,
-//!                         shed, persist, full residue)
+//! WARNINGS                operator warnings recorded so far (recovery, shed,
+//!                         persist, full residue)
 //! RECOVERY                what startup recovery replayed from the durable store
 //! QUIT                    close the session
 //! ```
@@ -115,8 +116,8 @@ pub enum Command {
     Repin,
     /// `SEQ` — published vs pinned sequence numbers.
     Seq,
-    /// `SHARDS` — shard count, live seq, and per-shard log row counts of
-    /// the pinned epoch vector.
+    /// `SHARDS` — live seq and the pinned epoch's log row count, in the
+    /// one-shard shape (`shards 1`, one `shard 0 rows N` line).
     Shards,
     /// `EXPLAIN <lid>` — ranked explanations for one access.
     Explain { lid: i64 },
@@ -125,7 +126,7 @@ pub enum Command {
     Unexplained {
         /// Page size (`None`: the full listing).
         limit: Option<usize>,
-        /// Resume after this **global** row id (the cursor a truncated
+        /// Resume after this log row id (the cursor a truncated
         /// page names in its `next …` line).
         after: Option<u32>,
     },
@@ -142,8 +143,8 @@ pub enum Command {
         /// What to be notified about.
         kind: crate::push::SubscriptionKind,
     },
-    /// `WARNINGS` — operator warnings recorded so far (refused suite
-    /// templates, sheds, persist failures and whole-residue advances).
+    /// `WARNINGS` — operator warnings recorded so far (recovery drops,
+    /// sheds, persist failures and whole-residue advances).
     Warnings,
     /// `RECOVERY` — what startup recovery replayed from the durable
     /// store (or that the service is volatile).

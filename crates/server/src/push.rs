@@ -183,10 +183,10 @@ impl AuditService {
         let mut rows = Vec::with_capacity(fresh.len().min(EVENT_ROWS_CAP));
         let mut affected: HashSet<Value> = HashSet::new();
         let (user_col, patient_col, lid_col) = (self.cols.user, self.cols.patient, self.cols.lid);
-        let after_view = AuditView::pinned(after);
-        for global in fresh.iter() {
-            let (part, row) = after_view.log_row(self.spec.table, global);
-            let db = part.db();
+        let db = AuditView::pinned(after).db();
+        let log = db.table(self.spec.table);
+        for rid in fresh.iter() {
+            let row = log.row(rid);
             if want_misuse {
                 affected.insert(row[user_col]);
             }
@@ -213,10 +213,10 @@ impl AuditService {
         let crossings: Vec<(Value, usize, usize)> = if want_misuse {
             let tally = |epochs: &EpochVec| -> HashMap<Value, usize> {
                 let m = epochs.maintained(pin).expect("checked above");
-                let view = AuditView::pinned(epochs);
+                let log = AuditView::pinned(epochs).db().table(self.spec.table);
                 let mut counts: HashMap<Value, usize> = HashMap::new();
-                for global in m.unexplained.iter() {
-                    let user = view.log_row(self.spec.table, global).1[user_col];
+                for rid in m.unexplained.iter() {
+                    let user = log.row(rid)[user_col];
                     if affected.contains(&user) {
                         *counts.entry(user).or_default() += 1;
                     }
@@ -225,7 +225,7 @@ impl AuditService {
             };
             let before_counts = tally(before);
             let after_counts = tally(after);
-            let pool = after.shards()[0].db().pool();
+            let pool = db.pool();
             let mut out: Vec<(Value, usize, usize)> = affected
                 .iter()
                 .map(|u| {
@@ -244,7 +244,7 @@ impl AuditService {
         };
 
         let seq = after.seq();
-        let pool = after.shards()[0].db().pool();
+        let pool = db.pool();
         let mut shed: Vec<u64> = Vec::new();
         let mut subs = crate::lock_plain(&self.subscribers);
         subs.retain(|s| {

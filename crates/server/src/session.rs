@@ -1,10 +1,8 @@
 //! Per-connection sessions: one pinned [`EpochVec`] per session. The four
 //! suite commands (`UNEXPLAINED`, `METRICS`, `TIMELINE`, `MISUSE`) read
-//! the pinned vector's maintained partition
+//! the pinned epoch's maintained partition
 //! ([`EpochVec::maintained`]) and hand its row sets to the audit layer's
-//! one function per question — a session never evaluates a suite. Shard
-//! count 1 is exactly the single-engine session (the `shard_equivalence`
-//! suite proves the answers identical).
+//! one function per question — a session never evaluates a suite.
 
 use crate::protocol::{Command, IngestRow, ProtocolError, Response};
 use crate::push::{Event, SubscriptionKind};
@@ -14,7 +12,7 @@ use eba_relational::{EpochVec, Maintained, RowId, Value};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 
-/// One connection's state: the shared service plus the epoch vector the
+/// One connection's state: the shared service plus the epoch the
 /// session has pinned. Reads answer from the pin; `REPIN` advances it;
 /// `INGEST` goes through the service's single-writer path and
 /// deliberately does **not** move the pin (the ingesting auditor keeps
@@ -29,7 +27,7 @@ pub struct Session {
 }
 
 impl Session {
-    /// Opens a session, pinning the currently published epoch vector.
+    /// Opens a session, pinning the currently published epoch.
     pub fn new(service: Arc<AuditService>) -> Session {
         let epochs = service.sharded().load();
         Session {
@@ -44,12 +42,12 @@ impl Session {
         Response::ok(format!("eba-serve 1 epoch {}", self.epochs.seq()))
     }
 
-    /// The session's pinned epoch vector.
+    /// The session's pinned epoch.
     pub fn epochs(&self) -> &Arc<EpochVec> {
         &self.epochs
     }
 
-    /// Executes one read command against the pinned epoch vector, or an
+    /// Executes one read command against the pinned epoch, or an
     /// `INGEST` batch through the writer path.
     pub fn handle(&mut self, cmd: Command, rows: Vec<IngestRow>) -> Response {
         match cmd {
@@ -90,12 +88,12 @@ impl Session {
         }
     }
 
-    /// The audit view of the pinned epoch vector.
+    /// The audit view of the pinned epoch.
     fn view(&self) -> AuditView<'_> {
         AuditView::pinned(&self.epochs)
     }
 
-    /// Answers a suite command from the pinned vector's maintained
+    /// Answers a suite command from the pinned epoch's maintained
     /// partition. The service pins its suite before the first session can
     /// open, so every vector a session can hold carries it; a missing
     /// entry is a broken invariant, reported as a typed error.
@@ -110,34 +108,29 @@ impl Session {
         }
     }
 
+    /// `SHARDS`: the reply keeps its one-shard shape, `shards 1` plus one
+    /// `shard 0 rows N` line.
     fn shards(&self) -> Response {
-        let live = self.service.sharded().seq();
         let mut resp = Response::ok(format!(
-            "shards {} seq {} pinned {}",
-            self.epochs.shard_count(),
-            live,
+            "shards 1 seq {} pinned {}",
+            self.service.sharded().seq(),
             self.epochs.seq()
         ));
-        for (i, shard) in self.epochs.shards().iter().enumerate() {
-            resp.push(format!("shard {i} rows {}", shard.log_len()));
-        }
+        resp.push(format!("shard 0 rows {}", self.epochs.global_log_len()));
         resp
     }
 
     fn explain(&self, lid: i64) -> Response {
         let svc = &self.service;
-        // The lid is not the partition key, so probe every shard's lid
-        // index; the one holding the row explains it locally.
-        let hit = self.epochs.shards().iter().find_map(|shard| {
-            let log = shard.db().table(svc.spec.table);
-            log.rows_with(svc.cols.lid, Value::Int(lid))
-                .first()
-                .map(|&rid| (shard, rid))
-        });
-        let Some((shard, rid)) = hit else {
+        let db = self.view().db();
+        let hit = db
+            .table(svc.spec.table)
+            .rows_with(svc.cols.lid, Value::Int(lid))
+            .first()
+            .copied();
+        let Some(rid) = hit else {
             return ProtocolError::NotFound(format!("no log record with Lid = {lid}")).into();
         };
-        let db = shard.db();
         let row = db.table(svc.spec.table).row(rid);
         let explanations = match svc.explainer.explain(db, &svc.spec, rid, 3) {
             Ok(e) => e,
@@ -185,20 +178,20 @@ impl Session {
             Some(u32::MAX) => Vec::new(),
             Some(rid) => m.unexplained.iter_from(rid + 1).take(shown).collect(),
         };
-        let view = self.view();
-        for global in page {
-            resp.push(self.render_log_row(&view, global));
-            last = Some(global);
+        for rid in page {
+            resp.push(self.render_log_row(rid));
+            last = Some(rid);
         }
         self.push_page_tail(&mut resp, remaining, shown, limit, last);
         resp
     }
 
-    /// Renders one pinned global log row as a listing line.
-    fn render_log_row(&self, view: &AuditView, global: RowId) -> String {
+    /// Renders one pinned log row as a listing line.
+    fn render_log_row(&self, rid: RowId) -> String {
         let svc = &self.service;
-        let (part, row) = view.log_row(svc.spec.table, global);
-        let pool = part.db().pool();
+        let db = self.view().db();
+        let row = db.table(svc.spec.table).row(rid);
+        let pool = db.pool();
         format!(
             "lid {} user {} patient {}",
             row[svc.cols.lid].display(pool),
@@ -291,7 +284,7 @@ impl Session {
     fn misuse(&self, m: &Maintained, user: Option<i64>) -> Response {
         let svc = &self.service;
         let queue = portal::misuse_summary(&self.view(), &svc.spec, &m.unexplained);
-        let pool = self.epochs.shards()[0].db().pool();
+        let pool = self.view().db().pool();
         match user {
             Some(user) => {
                 let hit = queue
@@ -363,7 +356,7 @@ impl Session {
             Err(crate::IngestRejected::Overloaded { in_flight }) => {
                 // Shed: the writer queue is saturated. Typed refusal with
                 // a retry hint; the session itself stays usable (reads
-                // still answer from the pinned epoch vector).
+                // still answer from the pinned epoch).
                 return ProtocolError::Overloaded { in_flight }.into();
             }
             Err(crate::IngestRejected::Persist(e)) => {
@@ -373,8 +366,8 @@ impl Session {
                 return ProtocolError::Persist(e.to_string()).into();
             }
         };
-        // `rebuilt` is always 0: an append-only ingest never rebuilds a
-        // shard. The field stays so the reply keeps its shape.
+        // `rebuilt` is always 0: an append-only ingest never rebuilds the
+        // engine. The field stays so the reply keeps its shape.
         Response::ok(format!(
             "ingest seq {} rows {} new_rows {} rebuilt 0",
             report.seq,
@@ -635,20 +628,9 @@ mod tests {
         let svc = sharded_service(3);
         let mut s = Session::new(svc.clone());
         let r = s.handle(Command::Shards, vec![]);
-        assert_eq!(r.head, "OK shards 3 seq 0 pinned 0");
-        assert_eq!(r.body.len(), 3);
-        let total: usize = r
-            .body
-            .iter()
-            .map(|l| {
-                l.split_whitespace()
-                    .last()
-                    .unwrap()
-                    .parse::<usize>()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total, svc.sharded().load().global_log_len());
+        assert_eq!(r.head, "OK shards 1 seq 0 pinned 0");
+        let rows = svc.sharded().load().global_log_len();
+        assert_eq!(r.body, vec![format!("shard 0 rows {rows}")]);
         // The pin holds the old layout while an ingest publishes.
         svc.ingest_rows(&[IngestRow {
             user: 1,
@@ -657,7 +639,8 @@ mod tests {
         }])
         .unwrap();
         let r = s.handle(Command::Shards, vec![]);
-        assert_eq!(r.head, "OK shards 3 seq 1 pinned 0");
+        assert_eq!(r.head, "OK shards 1 seq 1 pinned 0");
+        assert_eq!(r.body, vec![format!("shard 0 rows {rows}")]);
     }
 
     #[test]

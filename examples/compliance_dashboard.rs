@@ -11,7 +11,7 @@
 //!
 //! The office runs *while* the hospital works, so the whole dashboard
 //! sits on a [`ShardedEngine`] with its suite pinned — the production
-//! path `eba-serve` uses: every view below reads one pinned epoch vector
+//! path `eba-serve` uses: every view below reads one pinned epoch
 //! and the explained/unexplained partition it carries (maintained inside
 //! ingest, never re-evaluated here), and each overnight batch is
 //! published with `session.ingest(..)` — the refresh-on-ingest loop at
@@ -78,9 +78,8 @@ fn main() {
     let explainer = Explainer::new(templates);
 
     // The long-running office session: the database moves into the
-    // snapshot-handoff cell (one shard — its row ids are the log's own)
-    // with the suite pinned; every view below pins one epoch vector, the
-    // ingest loop at the end publishes new ones.
+    // snapshot-handoff cell with the suite pinned; every view below pins
+    // one epoch, the ingest loop at the end publishes new ones.
     let key = ShardKey {
         table: spec.table,
         col: spec.patient_col,
@@ -90,7 +89,7 @@ fn main() {
     let epochs = session.load();
     let view = AuditView::pinned(&epochs);
     let partition = epochs.maintained(pin).expect("the suite is pinned");
-    let db = epochs.shards()[0].db();
+    let db = view.db();
 
     // ---- 1. the timeline -----------------------------------------------
     println!("== Daily explanation timeline (epoch {}) ==", epochs.seq());
@@ -197,8 +196,8 @@ fn main() {
         let log = feed.table(hospital.t_log);
         let (_, report) = session.ingest(|batch| {
             for rid in before..log.len() {
-                // Strings are interned through the batch so every shard
-                // pool stays aligned with the feed's.
+                // Strings are re-interned through the batch: the feed's
+                // symbols mean nothing in the served pool.
                 let row: Vec<Value> = log
                     .row(rid as u32)
                     .iter()

@@ -21,7 +21,7 @@ use eba::audit::{split, Explainer};
 use eba::cluster::HierarchyConfig;
 use eba::core::{mine_one_way, ExplanationTemplate, LogSpec, MiningConfig};
 use eba::relational::Value;
-use eba::server::{default_shard_count, AuditService, Client, IngestRow, Server};
+use eba::server::{AuditService, Client, IngestRow, Server};
 use eba::synth::{AccessReason, Hospital, SynthConfig};
 use std::collections::HashSet;
 
@@ -77,7 +77,6 @@ fn main() {
         hospital.log_cols,
         explainer,
         hospital.config.days,
-        default_shard_count(),
     );
     let server = Server::spawn(service, "127.0.0.1:0").expect("bind ephemeral port");
     let addr = server.local_addr();

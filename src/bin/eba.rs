@@ -7,7 +7,7 @@
 //! eba explain --data DIR --lid N [--groups]
 //! eba report --data DIR --patient ID [--groups]
 //! eba investigate --data DIR [--top N] [--groups]
-//! eba serve --data DIR [--addr HOST:PORT] [--groups] [--shards N]
+//! eba serve --data DIR [--addr HOST:PORT] [--groups]
 //!           [--pile FILE] [--fsync strict|relaxed] [--timeout SECS]
 //! eba client --addr HOST:PORT --send "COMMAND ..."
 //! eba watch --addr HOST:PORT [--misuse T] [--events N]
@@ -77,7 +77,7 @@ fn usage(err: &str) -> ! {
          \x20 eba explain --data DIR --lid N [--groups]\n\
          \x20 eba report --data DIR --patient ID [--groups]\n\
          \x20 eba investigate --data DIR [--top N] [--groups]\n\
-         \x20 eba serve --data DIR [--addr HOST:PORT] [--groups] [--shards N]\n\
+         \x20 eba serve --data DIR [--addr HOST:PORT] [--groups]\n\
          \x20           [--pile FILE] [--fsync strict|relaxed] [--timeout SECS]\n\
          \x20           [--max-conn N]\n\
          \x20 eba client --addr HOST:PORT --send \"COMMAND ...\" [--retries N]\n\
@@ -394,10 +394,6 @@ fn cmd_report(opts: &Options) -> CliResult {
 /// reply — under `--fsync strict` (the default) it is fsynced first, so
 /// an acknowledged batch survives power loss. `--timeout SECS` bounds
 /// how long an idle peer may hold a session (0 disables the deadline).
-///
-/// `--shards N` hash-partitions the log by patient into N shards that
-/// refresh in parallel on `INGEST`; answers stay byte-identical to the
-/// single-shard server. Defaults to `EBA_SHARDS`, else 1.
 fn cmd_serve(opts: &Options) -> CliResult {
     let mut loaded = load_data(Path::new(opts.require("data")))?;
     let with_groups = opts.flag("groups");
@@ -407,10 +403,6 @@ fn cmd_serve(opts: &Options) -> CliResult {
     let explainer = build_explainer(&loaded, with_groups)?;
     let addr = opts.get("addr").unwrap_or("127.0.0.1:4780");
     let days = eba::server::days_in_log(&loaded.db, loaded.spec.table, &loaded.cols);
-    let shards: usize = opts.parsed("shards", eba::server::default_shard_count());
-    if shards == 0 {
-        usage("--shards expects a positive count");
-    }
     let service = match opts.get("pile") {
         None => eba::server::AuditService::new_sharded(
             loaded.db,
@@ -418,7 +410,6 @@ fn cmd_serve(opts: &Options) -> CliResult {
             loaded.cols,
             explainer,
             days,
-            shards,
         ),
         Some(pile) => {
             let policy = parse_fsync(opts);
@@ -430,7 +421,6 @@ fn cmd_serve(opts: &Options) -> CliResult {
                 days,
                 Path::new(pile),
                 policy,
-                shards,
             )?;
             let report = svc.recovery_report().expect("durable service");
             eprintln!(
@@ -442,11 +432,10 @@ fn cmd_serve(opts: &Options) -> CliResult {
     };
     let log_len = service.sharded().load().global_log_len();
     eprintln!(
-        "eba serve: {} accesses, {} templates, {}-day window, {} shard(s)",
+        "eba serve: {} accesses, {} templates, {}-day window",
         log_len,
         service.explainer.templates().len(),
-        service.days,
-        service.shard_count()
+        service.days
     );
     let server = eba::server::Server::spawn_with(service, addr, server_config(opts))?;
     println!("listening on {}", server.local_addr());

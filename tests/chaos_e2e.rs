@@ -158,7 +158,7 @@ fn byte_level_faults_never_corrupt_durable_state() {
         common::AuditWorld::tiny(71).hospital,
         &pile,
         Durability::Strict,
-        common::test_shards(),
+        1,
     )
     .expect("open durable store");
     let config = ServerConfig {

@@ -22,16 +22,6 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Shard count the concurrency suites run at: `EBA_SHARDS` (CI runs the
-/// workspace at both `1` and `4`), else 1, so a plain `cargo test`
-/// exercises the degenerate single-shard engine. It is
-/// [`eba::server::default_shard_count`], the same parser `eba serve`
-/// uses, so the library- and socket-level suites agree on the partition
-/// layout.
-pub fn test_shards() -> usize {
-    eba::server::default_shard_count()
-}
-
 /// One query's explained rows through the engine's fused driver
 /// ([`Engine::eval_suite`]), in the cold evaluator's sorted form.
 pub fn engine_rows(
@@ -108,8 +98,9 @@ impl AuditWorld {
         }
     }
 
-    /// The partition key every suite shards by — the spec's patient
-    /// column, exactly what the serving layer uses.
+    /// The log key every suite builds its epoch handle with — the spec's
+    /// log table and patient column, exactly what the serving layer
+    /// uses.
     pub fn key(&self) -> ShardKey {
         ShardKey {
             table: self.spec.table,
@@ -117,7 +108,7 @@ impl AuditWorld {
         }
     }
 
-    /// The unsharded oracle over the world's base data.
+    /// The oracle over the world's base data.
     pub fn oracle(&self) -> Oracle {
         Oracle::new(self.hospital.db.clone(), self.spec.table)
     }
@@ -147,7 +138,7 @@ impl AuditWorld {
     }
 }
 
-/// The unsharded **oracle** of the differential suites: a plain
+/// The **oracle** of the differential suites: a plain
 /// [`Database`] the test mutates, counted in epochs, with a cold
 /// [`Engine::new`] built per epoch it is asked about. It shares no
 /// `fork`/`refresh`/advance code with the [`ShardedEngine`] under test —
@@ -187,7 +178,7 @@ impl Oracle {
 }
 
 /// Stages log `rows` (valid against `source`) into an in-flight batch,
-/// strings re-interned through the batch so shard pools stay aligned.
+/// strings re-interned through the batch's pool.
 /// Returns the rows as inserted (what a persist hook records).
 pub fn stage_rows(
     batch: &mut ShardedBatch,
@@ -226,23 +217,23 @@ pub fn ingest_rows(
 // ------------------------------------------------ differential transcripts
 //
 // Every differential suite renders the full audit answer — per-query
-// support and explained global row ids, the unexplained list, the
+// support and explained row ids, the unexplained list, the
 // recall/precision confusion counts, the day-bucketed timeline, the
 // misuse triage queue, and per-patient portal reports — to one string,
 // and compares the subject's string with the oracle's.
 
 /// Patients whose portal reports the transcript includes (first, middle,
-/// last of the pool — enough to cross shard boundaries at any count).
+/// last of the pool).
 pub fn report_patients(world: &AuditWorld) -> Vec<Value> {
     let p = &world.patients;
     vec![p[0], p[p.len() / 2], p[p.len() - 1]]
 }
 
-/// Renders the audit transcript of one view. The oracle and the
-/// scatter-gather path share this rendering *and* the audit layer's one
-/// function per question; what differs is everything underneath — a cold
-/// engine over one flat database versus forked, incrementally refreshed
-/// shard engines behind local→global maps — plus the per-query rows,
+/// Renders the audit transcript of one view. The oracle and the epoch
+/// handle share this rendering *and* the audit layer's one function per
+/// question; what differs is everything underneath — a cold engine over
+/// one flat database versus a forked, incrementally refreshed engine over
+/// sealed, shared segments — plus the per-query rows,
 /// which the caller supplies (the oracle's come from the cold
 /// per-template walk, not from any engine).
 fn render(
@@ -333,8 +324,8 @@ pub fn oracle_transcript(world: &AuditWorld, oracle: &Oracle) -> String {
     )
 }
 
-/// The scatter-gather transcript at one epoch vector. Row ids are global,
-/// so a correct implementation renders byte-identically to the oracle.
+/// The transcript at one published epoch. A correct implementation
+/// renders byte-identically to the oracle.
 pub fn sharded_transcript(world: &AuditWorld, epochs: &EpochVec) -> String {
     let view = AuditView::pinned(epochs);
     let per_query = world
@@ -344,7 +335,7 @@ pub fn sharded_transcript(world: &AuditWorld, epochs: &EpochVec) -> String {
             let rows = view.eval_suite(std::slice::from_ref(q)).to_vec();
             let lids: HashSet<Value> = rows
                 .iter()
-                .map(|&r| view.log_row(q.log, r).1[q.lid_col])
+                .map(|&r| view.db().table(q.log).row(r)[q.lid_col])
                 .collect();
             (lids.len(), rows)
         })

@@ -623,8 +623,8 @@ proptest! {
 
 // ------------------------------------------------ concurrent snapshot handoff
 
-/// The handoff guarantee: N reader threads query a [`ShardedEngine`] (at
-/// `EBA_SHARDS`) while the writer appends + publishes. Every answer
+/// The handoff guarantee: N reader threads query a [`ShardedEngine`]
+/// while the writer appends + publishes. Every answer
 /// a reader observes must be exactly the answer of *some published
 /// epoch* — enforced by (a) epochs being internally consistent (every
 /// shard engine's result == row-evaluator result over the shard's own
@@ -641,18 +641,14 @@ fn shared_engine_readers_always_observe_a_published_epoch() {
     // initial vector already owns sealed (Arc-shared) row segments — the
     // segment-sharing assertions below cover real sharing, not empty
     // prefixes.
-    let shared = ShardedEngine::new(
-        world.hospital.db.clone(),
-        world.key(),
-        common::test_shards(),
-    );
+    let shared = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
     let rounds = 4u64;
     let epochs = common::EpochLog::new();
     // Pin down the initial epoch before any thread runs: under a loaded
     // scheduler the writer can publish seq 1 before a reader's first
     // load, and seq 0 would otherwise go unobserved.
     epochs.observe(0, shared.load().global_log_len());
-    // A pinned session: its vector must answer byte-identically for the
+    // A pinned session: its epoch must answer byte-identically for the
     // whole run even though every newer vector shares its sealed
     // segments (catches in-place mutation of a shared chunk).
     let pinned = shared.load();

@@ -3,9 +3,13 @@
 //! ([`RowSet`]) must be **byte-identical** to the old per-template path
 //! across the whole audit surface — per-query explained rows, the suite
 //! union, the unexplained residue, recall/precision confusion counts, and
-//! the day-bucketed timeline — at shard counts {1, 4}, including:
+//! the day-bucketed timeline — through a warm engine and a published
+//! epoch, including:
 //!
 //! * the empty template set (an empty fused pass over any database);
+//! * the data split the engine's fan-out makes: the anchor range cut
+//!   into contiguous slices, whose per-slice answers union to the whole
+//!   suite's;
 //! * overflow-day and NULL-dated rows (the timeline's overflow bucket);
 //! * proptest-driven random worlds mixing NULLs, anchor filters,
 //!   constant decorations, and anchor-dependent decorations, where the
@@ -18,7 +22,7 @@ use common::AuditWorld;
 use eba::audit::explain::{anchors, explained, explained_cold, unexplained};
 use eba::audit::{metrics, portal, timeline, AuditView};
 use eba::relational::{
-    ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RowId, RowSet, ShardKey,
+    ChainQuery, ChainStep, CmpOp, DataType, Database, Engine, EvalOptions, RowId, RowSet,
     ShardedEngine, TableId, Value,
 };
 use proptest::prelude::*;
@@ -138,11 +142,34 @@ fn anchor_dependent_policy_suite_matches_the_cold_reference() {
     assert!(sizes[0] > sizes[7], "{sizes:?}");
 }
 
+/// `eval_suite_range` over `k` contiguous slices of the anchor range
+/// `[0, n)`, unioned per query: the data split the engine's own fan-out
+/// makes over each bucket's starts.
+fn sliced(
+    engine: &Engine,
+    db: &Database,
+    queries: &[ChainQuery],
+    opts: EvalOptions,
+    n: usize,
+    k: usize,
+) -> Vec<RowSet> {
+    let mut out = vec![RowSet::new(); queries.len()];
+    for i in 0..k {
+        let (lo, hi) = (n * i / k, n * (i + 1) / k);
+        let slice = engine.eval_suite_range(db, queries, opts, lo, hi);
+        for (acc, set) in out.iter_mut().zip(slice) {
+            acc.union_with(&set.expect("valid suite"));
+        }
+    }
+    out
+}
+
 /// The repeat-access skew case: one patient holds half the log, so one
 /// start group holds half the anchor rows and its extremum walk folds
 /// that patient's whole history once, for all of them. The engine, the
-/// sharded scatter-gather and the maintained partition (advanced over the
-/// skewed batch) must each equal the cold reference, at shards {1, 4}.
+/// anchor range cut into 1, 2 and 4 slices, the published epoch and the
+/// maintained partition (advanced over the skewed batch) must each equal
+/// the cold reference.
 #[test]
 fn a_patient_holding_half_the_log_matches_the_cold_reference() {
     let world = AuditWorld::tiny(29);
@@ -178,23 +205,26 @@ fn a_patient_holding_half_the_log_matches_the_cold_reference() {
     };
     let engine = Engine::new(db);
     assert_eq!(union(engine.eval_suite(db, &suite, opts)), cold, "engine");
-    for n in [1usize, 4] {
-        let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n);
-        let pin = sharded.pin_suite(world.explainer.suite_pin(&world.spec));
-        common::ingest_rows(&sharded, db, &rows);
-        let epochs = sharded.load();
-        assert_eq!(union(epochs.eval_suite(&suite, opts)), cold, "{n} shards");
-        let maintained = epochs.maintained(pin).expect("pinned vector");
-        assert_eq!(maintained.explained, cold, "{n} shards: maintained");
+    let n = db.table(world.spec.table).len();
+    for k in [1usize, 2, 4] {
+        let slices = sliced(&engine, db, &suite, opts, n, k);
+        assert_eq!(RowSet::union_all(slices), cold, "{k} slices");
     }
+    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
+    let pin = sharded.pin_suite(world.explainer.suite_pin(&world.spec));
+    common::ingest_rows(&sharded, db, &rows);
+    let epochs = sharded.load();
+    assert_eq!(union(epochs.eval_suite(&suite, opts)), cold, "epoch");
+    let maintained = epochs.maintained(pin).expect("pinned epoch");
+    assert_eq!(maintained.explained, cold, "maintained");
 }
 
 /// The density case: `tiny` worlds whose repeat chains run longer
 /// (`p_repeat` 0.55, 0.85 and 0.95: about 9, 26 and 77 accesses per
 /// patient, around the paper's 36). On each world, repeat access explains
 /// exactly the time-ordered log's `IsFirst = 0` rows, and after one
-/// ingested batch the engine, the sharded scatter-gather and the
-/// maintained partition each equal the cold reference, at shards {1, 4}.
+/// ingested batch the engine, the published epoch and the maintained
+/// partition each equal the cold reference.
 #[test]
 fn repeat_density_worlds_match_the_cold_reference() {
     let opts = EvalOptions::default();
@@ -237,19 +267,17 @@ fn repeat_density_worlds_match_the_cold_reference() {
         let engine = Engine::new(db);
         let what = format!("p_repeat {p_repeat}");
         assert_eq!(union(engine.eval_suite(db, &suite, opts)), cold, "{what}");
-        for n in [1usize, 4] {
-            let sharded = ShardedEngine::new(base.clone(), world.key(), n);
-            let pin = sharded.pin_suite(world.explainer.suite_pin(&world.spec));
-            common::ingest_rows(&sharded, db, &rows);
-            let epochs = sharded.load();
-            assert_eq!(
-                union(epochs.eval_suite(&suite, opts)),
-                cold,
-                "{what}, {n} shards"
-            );
-            let maintained = epochs.maintained(pin).expect("pinned vector");
-            assert_eq!(maintained.explained, cold, "{what}, {n} shards: maintained");
-        }
+        let sharded = ShardedEngine::new(base.clone(), world.key(), 1);
+        let pin = sharded.pin_suite(world.explainer.suite_pin(&world.spec));
+        common::ingest_rows(&sharded, db, &rows);
+        let epochs = sharded.load();
+        assert_eq!(
+            union(epochs.eval_suite(&suite, opts)),
+            cold,
+            "{what}, epoch"
+        );
+        let maintained = epochs.maintained(pin).expect("pinned epoch");
+        assert_eq!(maintained.explained, cold, "{what}: maintained");
     }
     assert!(
         densities[0] < 15.0 && densities[1] > 20.0 && densities[2] > 60.0,
@@ -275,16 +303,10 @@ fn empty_template_set_is_an_empty_fused_pass() {
         assert_eq!(unexplained(view, &world.spec, &union), all, "{what}");
     };
     check(&AuditView::warm(db, &engine), "warm pair");
-    // And the sharded fused path agrees at both CI shard counts.
-    let key = ShardKey {
-        table: world.spec.table,
-        col: world.spec.patient_col,
-    };
-    for n in [1usize, 4] {
-        let shards = ShardedEngine::new(world.hospital.db.clone(), key, n).load();
-        assert!(shards.eval_suite(&none, opts).is_empty());
-        check(&AuditView::pinned(&shards), &format!("{n} shards"));
-    }
+    // And a published epoch agrees.
+    let epochs = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1).load();
+    assert!(epochs.eval_suite(&none, opts).is_empty());
+    check(&AuditView::pinned(&epochs), "epoch");
 }
 
 /// Renders the audit surface to one transcript string — per-query rows,
@@ -377,14 +399,14 @@ fn fused_transcript(world: &AuditWorld, engine: &Engine) -> String {
     audit_transcript(world, &per_query, &union, &view)
 }
 
-/// The sharded fused transcript over an epoch vector.
-fn sharded_fused_transcript(world: &AuditWorld, shards: &eba::relational::EpochVec) -> String {
-    let per_query: Vec<Vec<RowId>> = shards
+/// The fused transcript over a published epoch.
+fn epoch_fused_transcript(world: &AuditWorld, epochs: &eba::relational::EpochVec) -> String {
+    let per_query: Vec<Vec<RowId>> = epochs
         .eval_suite(&world.suite(), EvalOptions::default())
         .into_iter()
         .map(|s| s.unwrap().to_vec())
         .collect();
-    let view = AuditView::pinned(shards);
+    let view = AuditView::pinned(epochs);
     let union = explained(&view, &world.spec, world.explainer.templates());
     audit_transcript(world, &per_query, &union, &view)
 }
@@ -430,18 +452,12 @@ fn fused_transcripts_are_byte_identical_with_overflow_day_rows() {
     );
     let engine = Engine::new(&world.hospital.db);
     assert_eq!(fused_transcript(&world, &engine), expect, "warm fused path");
-    let key = ShardKey {
-        table: world.spec.table,
-        col: world.spec.patient_col,
-    };
-    for n in [1usize, 4] {
-        let shards = ShardedEngine::new(world.hospital.db.clone(), key, n).load();
-        assert_eq!(
-            sharded_fused_transcript(&world, &shards),
-            expect,
-            "{n} shards fused path"
-        );
-    }
+    let epochs = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1).load();
+    assert_eq!(
+        epoch_fused_transcript(&world, &epochs),
+        expect,
+        "epoch fused path"
+    );
 }
 
 // --------------------------------------------------------------- proptest
@@ -737,35 +753,28 @@ proptest! {
         }
     }
 
-    /// The sharded fused path equals the unsharded fused path (and hence
-    /// the reference) at shard counts {1, 4}, including the empty suite.
+    /// The data split the engine relies on: the anchor range cut into
+    /// k ∈ {1, 2, 4} contiguous slices, each evaluated with
+    /// `eval_suite_range`, unions per query to `eval_suite` and to the
+    /// cold reference — and the empty suite is an empty pass.
     #[test]
-    fn sharded_fused_path_matches_at_one_and_four_shards(w in random_world()) {
+    fn anchor_range_slices_union_to_the_whole_suite(w in random_world()) {
         let (db, log, event, team) = materialize(&w);
         let engine = Engine::new(&db);
         let queries = query_classes(log, event, team);
         let opts = EvalOptions::default();
-        let expect: Vec<Vec<RowId>> = engine
+        let whole: Vec<RowSet> = engine
             .eval_suite(&db, &queries, opts)
             .into_iter()
-            .map(|s| s.unwrap().to_vec())
+            .map(|s| s.unwrap())
             .collect();
-        let union = AuditView::warm(&db, &engine).eval_suite(&queries);
-        let key = ShardKey { table: log, col: 2 };
-        for n in [1usize, 4] {
-            let shards = ShardedEngine::new(db.clone(), key, n).load();
-            let got: Vec<Vec<RowId>> = shards
-                .eval_suite(&queries, opts)
-                .into_iter()
-                .map(|s| s.unwrap().to_vec())
-                .collect();
-            prop_assert_eq!(&got, &expect, "{} shards", n);
-            prop_assert_eq!(
-                &AuditView::pinned(&shards).eval_suite(&queries),
-                &union,
-                "{} shards union", n
-            );
-            prop_assert!(shards.eval_suite(&[], opts).is_empty(), "{} shards empty suite", n);
+        for (i, (q, set)) in queries.iter().zip(&whole).enumerate() {
+            prop_assert_eq!(set.to_vec(), q.explained_rows(&db, opts).unwrap(), "q{}", i);
         }
+        let n = db.table(log).len();
+        for k in [1usize, 2, 4] {
+            prop_assert_eq!(&sliced(&engine, &db, &queries, opts, n, k), &whole, "{} slices", k);
+        }
+        prop_assert!(engine.eval_suite(&db, &[], opts).is_empty());
     }
 }

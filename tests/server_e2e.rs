@@ -10,7 +10,7 @@
 //!   concurrent `INGEST` publishes a new epoch, until the session says
 //!   `REPIN` — and every answer (read by the server from the maintained
 //!   partition) matches a library-level recompute over a view of the
-//!   pinned epoch vector;
+//!   pinned epoch;
 //! * concurrent sessions vs an ingesting writer always observe published
 //!   epochs (the same invariant `tests/engine_equivalence.rs` checks at
 //!   the library layer, via the shared `tests/common` harness);
@@ -47,7 +47,6 @@ fn spawn_world_server(seed: u64) -> (common::AuditWorld, Server) {
         world.hospital.log_cols,
         world.explainer.clone(),
         world.hospital.config.days,
-        common::test_shards(),
     );
     let server = Server::spawn(service, "127.0.0.1:0").expect("bind ephemeral port");
     (world, server)
@@ -88,12 +87,12 @@ fn protocol_round_trips_over_a_real_socket() {
     assert_eq!(c.send("pin").unwrap().head, "OK epoch 0");
     assert_eq!(c.send("SEQ").unwrap().head, "OK published 0 pinned 0");
 
-    // SHARDS: layout report — one body line per shard, row counts
-    // summing to the served log (the suite runs at EBA_SHARDS).
+    // SHARDS: the one-shard layout report — one body line holding the
+    // served log's row count.
     let shards = c.send("SHARDS").unwrap();
     assert!(shards.is_ok(), "{}", shards.head);
     let n: usize = shards.field("shards").unwrap().parse().unwrap();
-    assert_eq!(n, common::test_shards());
+    assert_eq!(n, 1);
     assert_eq!(shards.body.len(), n);
     let total: usize = shards
         .body
@@ -204,22 +203,16 @@ fn protocol_round_trips_over_a_real_socket() {
     assert_eq!(again.send("PING").unwrap().head, "OK pong");
 }
 
-/// Satellite: a server running an explicitly sharded service answers
-/// every read command byte-identically to the single-shard server over
-/// real sockets, and `SHARDS` reports the partition layout (row counts
-/// summing to the log, live seq advancing while the pin holds).
+/// A service asked for 4 shards answers every read command
+/// byte-identically to one asked for 1 over real sockets (the count is
+/// ignored), and `SHARDS` keeps its one-shard shape (the log's row count,
+/// live seq advancing while the pin holds).
 #[test]
 fn sharded_server_matches_single_shard_server_over_the_wire() {
     let world = common::AuditWorld::tiny(29);
     let spawn = |n: usize| {
-        let service = AuditService::new_sharded(
-            world.hospital.db.clone(),
-            world.spec.clone(),
-            world.hospital.log_cols,
-            world.explainer.clone(),
-            world.hospital.config.days,
-            n,
-        );
+        let hospital = common::AuditWorld::tiny(29).hospital;
+        let service = AuditService::from_hospital_sharded(hospital, n);
         Server::spawn(service, "127.0.0.1:0").expect("bind ephemeral port")
     };
     let single = spawn(1);
@@ -244,29 +237,21 @@ fn sharded_server_matches_single_shard_server_over_the_wire() {
 
     // The layout report.
     let r = b.send("SHARDS").unwrap();
-    assert_eq!(r.head, "OK shards 4 seq 0 pinned 0");
-    assert_eq!(r.body.len(), 4);
-    let total: usize = r
-        .body
-        .iter()
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<usize>().unwrap())
-        .sum();
-    assert_eq!(total, world.hospital.log_len());
+    assert_eq!(r.head, "OK shards 1 seq 0 pinned 0");
+    let rows = world.hospital.log_len();
+    assert_eq!(r.body, vec![format!("shard 0 rows {rows}")]);
 
-    // An ingest on the sharded server advances the live seq; the pinned
-    // session's layout report keeps describing its pin.
+    // An ingest advances the live seq; the pinned session's layout
+    // report keeps describing its pin.
     let reply = b.ingest(&batch(&world, 8, Some(1))).expect("ingest");
     assert!(reply.is_ok(), "{}", reply.head);
-    assert_eq!(b.send("SHARDS").unwrap().head, "OK shards 4 seq 1 pinned 0");
+    let r = b.send("SHARDS").unwrap();
+    assert_eq!(r.head, "OK shards 1 seq 1 pinned 0");
+    assert_eq!(r.body, vec![format!("shard 0 rows {rows}")]);
     b.send("REPIN").unwrap();
     let repinned = b.send("SHARDS").unwrap();
-    assert_eq!(repinned.head, "OK shards 4 seq 1 pinned 1");
-    let total_after: usize = repinned
-        .body
-        .iter()
-        .map(|l| l.rsplit(' ').next().unwrap().parse::<usize>().unwrap())
-        .sum();
-    assert_eq!(total_after, world.hospital.log_len() + 8);
+    assert_eq!(repinned.head, "OK shards 1 seq 1 pinned 1");
+    assert_eq!(repinned.body, vec![format!("shard 0 rows {}", rows + 8)]);
 }
 
 /// The tentpole acceptance test: a pinned session's answers are
@@ -304,7 +289,7 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
     let before = ask_all(&mut session);
 
     // Wire answers (reads of the maintained partition) == the library's
-    // recompute over a view of the pinned epoch vector.
+    // recompute over a view of the pinned epoch.
     let assert_matches_library = |rendered: &[String], epochs: &eba::relational::EpochVec| {
         let view = AuditView::pinned(epochs);
         let explained = explained(&view, spec, world.explainer.templates());
@@ -348,12 +333,12 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
             u.contains(&format!("OK unexplained {} of ", unexplained.len())),
             "{u}"
         );
-        // Every unexplained row appears, in ascending global row order
-        // (resolved through the shard that owns it).
+        // Every unexplained row appears, in ascending row order.
         let mut at = 0usize;
+        let db = view.db();
         for global in unexplained.iter() {
-            let (part, row) = view.log_row(spec.table, global);
-            let pool = part.db().pool();
+            let row = db.table(spec.table).row(global);
+            let pool = db.pool();
             let needle = format!(
                 "\nlid {} user {} patient {}",
                 row[cols.lid].display(pool),
@@ -366,14 +351,9 @@ fn pinned_session_is_byte_stable_across_ingest_until_repin() {
             at += pos + needle.len();
         }
 
-        let (shard0, rid0) = epochs
-            .shards()
-            .iter()
-            .find_map(|s| s.find_global(0).map(|local| (s, local)))
-            .expect("row 0 exists");
         let explanations = world
             .explainer
-            .explain(shard0.db(), spec, rid0, 3)
+            .explain(db, spec, 0, 3)
             .expect("valid suite");
         let e = &rendered[3];
         assert!(
@@ -439,7 +419,7 @@ fn concurrent_socket_sessions_always_observe_published_epochs() {
     // Seq 0 is only reachable before the first ingest; record it up
     // front so a fast writer cannot leave it unobserved.
     epochs.observe(0, base_len);
-    // Library handle on the initial epoch vector: newer epochs must keep
+    // Library handle on the initial epoch: newer epochs must keep
     // sharing its sealed segments while the wire sessions hammer it.
     let pinned_epoch = server.service().sharded().load();
     for shard in pinned_epoch.shards() {
@@ -554,7 +534,7 @@ fn concurrent_socket_sessions_always_observe_published_epochs() {
 /// Satellite: clock-skewed ingests (day 0, day beyond the window, no day
 /// at all) must surface in the server's `TIMELINE` overflow bucket — and
 /// the wire numbers must equal `daily_stats` recomputed over the pinned
-/// epoch vector.
+/// epoch.
 #[test]
 fn timeline_overflow_is_served_over_the_wire() {
     let (world, server) = spawn_world_server(43);
@@ -647,7 +627,7 @@ fn mid_ingest_disconnect_publishes_nothing_and_persists_nothing() {
         common::AuditWorld::tiny(67).hospital,
         &pile,
         eba::relational::Durability::Strict,
-        common::test_shards(),
+        1,
     )
     .expect("open durable store");
     let mut server = Server::spawn(service, "127.0.0.1:0").expect("bind");

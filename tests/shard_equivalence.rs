@@ -1,33 +1,32 @@
-//! The sharding proof: a differential suite pitting [`ShardedEngine`]
-//! at shard counts {1, 2, 4} against an unsharded oracle — a plain
-//! `Database` the test mutates plus a cold `Engine::new` per epoch
-//! (`common::Oracle`) — **byte for byte** across the whole audit surface.
+//! The epoch-handle proof: a differential suite pitting [`ShardedEngine`]
+//! (asked for 1, 2 and 4 shards, a count it ignores) against an oracle —
+//! a plain `Database` the test mutates plus a cold `Engine::new` per
+//! epoch (`common::Oracle`) — **byte for byte** across the whole audit
+//! surface.
 //!
 //! Every test renders the full audit answer — per-query support and
-//! explained global row ids, the unexplained list, the recall/precision
+//! explained row ids, the unexplained list, the recall/precision
 //! confusion counts, the day-bucketed timeline, the misuse triage queue,
 //! and per-patient portal reports — to one transcript string, and
-//! asserts the scatter-gather transcript equals the oracle's exactly:
+//! asserts the handle's transcript equals the oracle's exactly:
 //!
 //! * under proptest-driven ingest/pin interleavings (random batch sizes,
 //!   including empty batches), at every published epoch;
-//! * for epoch vectors pinned mid-run: their transcripts must not drift
-//!   by a byte while later ingests publish — the single-epoch pinning
-//!   guarantee carried over to the vector;
-//! * at the degenerate boundaries: shard count 1, every row hashed to
-//!   one shard, and partitions with structurally empty shards;
+//! * for epochs pinned mid-run: their transcripts must not drift by a
+//!   byte while later ingests publish;
+//! * when every new row names one patient;
 //! * under real reader/writer concurrency (the `tests/common` harness),
-//!   where pinned vectors are re-rendered while a writer ingests.
+//!   where pinned epochs are re-rendered while a writer ingests.
 
 mod common;
 
 use common::{ingest_rows, oracle_transcript, sharded_transcript, AuditWorld};
-use eba::relational::{shard_of, EpochVec, ShardedEngine, Value};
+use eba::relational::{EpochVec, ShardedEngine, Value};
 use proptest::prelude::*;
 
-/// Drives the oracle and one sharded engine through the same batch
+/// Drives the oracle and one epoch handle through the same batch
 /// sequence, comparing transcripts at every epoch and re-checking every
-/// pinned vector at the end (the mid-ingest pinning guarantee).
+/// pinned epoch at the end (the mid-ingest pinning guarantee).
 fn run_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)]) {
     let mut oracle = world.oracle();
     let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n_shards);
@@ -42,8 +41,8 @@ fn run_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)
     pinned.push((sharded.load(), expect));
 
     for (b, &(count, seed)) in batches.iter().enumerate() {
-        // The oracle ingests the canonical batch; the sharded engine gets
-        // the exact same rows, routed by hash.
+        // The oracle ingests the canonical batch; the handle gets the
+        // exact same rows.
         let rows = oracle.ingest(|db| world.inject_batch(db, count, seed));
         ingest_rows(&sharded, &oracle.db, &rows);
 
@@ -59,13 +58,13 @@ fn run_differential(world: &AuditWorld, n_shards: usize, batches: &[(usize, u64)
         pinned.push((vec, expect));
     }
 
-    // Every vector pinned mid-run still answers byte-identically — later
-    // publications must not have touched a pinned shard epoch.
+    // Every epoch pinned mid-run still answers byte-identically — later
+    // publications must not have touched it.
     for (i, (vec, expect)) in pinned.iter().enumerate() {
         assert_eq!(
             &sharded_transcript(world, vec),
             expect,
-            "{n_shards} shards: the vector pinned at epoch {i} drifted"
+            "{n_shards} shards: the epoch pinned at epoch {i} drifted"
         );
     }
 }
@@ -75,7 +74,7 @@ proptest! {
 
     /// The headline differential: random ingest sequences (sizes include
     /// 0 — an empty publication), every epoch and every mid-run pin
-    /// byte-identical to the oracle at shard counts 1, 2, and 4.
+    /// byte-identical to the oracle whatever shard count is asked for.
     #[test]
     fn sharded_engine_matches_the_oracle_byte_for_byte(
         batches in prop::collection::vec((0usize..18, 0u64..1000), 1..4)
@@ -87,40 +86,29 @@ proptest! {
     }
 }
 
-/// Shard count 1 is *the* single engine: same epochs, same answers, no
-/// special-casing anywhere on the read path.
+/// An epoch is *the* single engine: one database, row ids that are the
+/// global ids, no special-casing anywhere on the read path.
 #[test]
 fn one_shard_is_the_single_engine() {
     let world = AuditWorld::tiny(43);
     run_differential(&world, 1, &[(12, 7), (0, 8), (5, 9)]);
-    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
+    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), 4);
     let vec = sharded.load();
-    assert_eq!(vec.shard_count(), 1);
+    assert_eq!(vec.shards().len(), 1);
     assert_eq!(vec.shards()[0].log_len(), vec.global_log_len());
-    // Global ids and local ids coincide.
     for g in [0u32, 1, (vec.global_log_len() - 1) as u32] {
-        assert_eq!(vec.shards()[0].find_global(g), Some(g));
+        assert_eq!(vec.shards()[0].to_global(g), g);
     }
 }
 
-/// Skew torture: every ingested row names the same patient, so one shard
-/// takes the whole stream while the others idle — answers still match.
+/// Skew torture: every ingested row names the same patient, so one start
+/// group takes the whole stream — answers still match.
 #[test]
 fn all_new_rows_in_one_shard_still_match_the_oracle() {
     let world = AuditWorld::tiny(47);
     let mut oracle = world.oracle();
     let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), 4);
     let patient = world.patients[0];
-    let shard_counts_before: Vec<usize> = sharded
-        .load()
-        .shards()
-        .iter()
-        .map(|s| s.log_len())
-        .collect();
-    let target = {
-        let vec = sharded.load();
-        shard_of(&patient, vec.shards()[0].db().pool(), vec.shard_count())
-    };
 
     for round in 0..3u64 {
         let rows = oracle.ingest(|db| {
@@ -139,17 +127,7 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
         ingest_rows(&sharded, &oracle.db, &rows);
 
         let vec = sharded.load();
-        // All 30-so-far new rows landed on the patient's shard; every
-        // other shard is exactly its base size.
-        for (s, shard) in vec.shards().iter().enumerate() {
-            let expected = shard_counts_before[s]
-                + if s == target {
-                    10 * (round as usize + 1)
-                } else {
-                    0
-                };
-            assert_eq!(shard.log_len(), expected, "shard {s} after round {round}");
-        }
+        assert_eq!(vec.global_log_len(), oracle.log_len());
         assert_eq!(
             sharded_transcript(&world, &vec),
             oracle_transcript(&world, &oracle),
@@ -158,50 +136,14 @@ fn all_new_rows_in_one_shard_still_match_the_oracle() {
     }
 }
 
-/// Structurally empty shards (more shards than occupied hash buckets)
-/// scatter-gather cleanly: the empty shard contributes nothing and the
-/// merged answers still match the oracle.
-#[test]
-fn empty_shards_answer_like_the_oracle() {
-    let world = AuditWorld::tiny(53);
-    // Find a shard count that leaves at least one shard empty for this
-    // seed (guaranteed to exist once n exceeds the distinct patient
-    // count; found much earlier in practice).
-    let mut chosen = None;
-    for n in 2..=128usize {
-        let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n);
-        if sharded.load().shards().iter().any(|s| s.log_len() == 0) {
-            chosen = Some((n, sharded));
-            break;
-        }
-    }
-    let (n, sharded) = chosen.expect("some shard count yields an empty shard");
-    let mut oracle = world.oracle();
-    assert_eq!(
-        sharded_transcript(&world, &sharded.load()),
-        oracle_transcript(&world, &oracle),
-        "{n} shards (with an empty shard) diverged at the base epoch"
-    );
-
-    // Ingest through the empty-shard layout and re-verify.
-    let rows = oracle.ingest(|db| world.inject_batch(db, 20, 0xE0));
-    ingest_rows(&sharded, &oracle.db, &rows);
-    assert_eq!(
-        sharded_transcript(&world, &sharded.load()),
-        oracle_transcript(&world, &oracle),
-        "{n} shards (with an empty shard) diverged after ingest"
-    );
-}
-
-/// The concurrency guarantee at the vector level: reader threads pin
-/// epoch vectors and re-render them while a writer publishes — pinned
-/// transcripts must be byte-stable, fresh loads must always see a fully
-/// published vector (seq, global length, and per-shard lengths agree).
+/// The concurrency guarantee: reader threads pin epochs and re-render
+/// them while a writer publishes — pinned transcripts must be
+/// byte-stable, fresh loads must always see a fully published epoch (seq
+/// and log length agree).
 #[test]
 fn pinned_vectors_are_byte_stable_under_concurrent_ingest() {
     let world = AuditWorld::tiny(59);
-    let n_shards = common::test_shards().max(2);
-    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), n_shards);
+    let sharded = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
     let mut oracle = world.oracle();
     let rounds = 4u64;
     let per_batch = 15usize;
@@ -227,7 +169,7 @@ fn pinned_vectors_are_byte_stable_under_concurrent_ingest() {
                 assert_eq!(
                     sharded_transcript(&world, &pinned),
                     first,
-                    "reader {i}: pinned vector drifted at iteration {iter}"
+                    "reader {i}: pinned epoch drifted at iteration {iter}"
                 );
                 // ...and every fresh load is a complete publication whose
                 // transcript matches the oracle at the same seq.
@@ -236,17 +178,12 @@ fn pinned_vectors_are_byte_stable_under_concurrent_ingest() {
                 assert_eq!(
                     vec.global_log_len(),
                     base_len + seq * per_batch,
-                    "torn vector: seq and length disagree"
-                );
-                assert_eq!(
-                    vec.shards().iter().map(|s| s.log_len()).sum::<usize>(),
-                    vec.global_log_len(),
-                    "torn vector: shard lengths disagree with the total"
+                    "torn epoch: seq and length disagree"
                 );
                 assert_eq!(
                     sharded_transcript(&world, &vec),
                     oracle_by_seq[seq],
-                    "reader {i}: live vector diverged from the oracle at seq {seq}"
+                    "reader {i}: live epoch diverged from the oracle at seq {seq}"
                 );
             });
         },

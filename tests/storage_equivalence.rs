@@ -481,10 +481,10 @@ fn handle(w: &World) -> ShardedEngine {
         table: w.log,
         col: 2,
     };
-    ShardedEngine::new(w.db.clone(), key, common::test_shards())
+    ShardedEngine::new(w.db.clone(), key, 1)
 }
 
-/// Global explained rows of every query class on a pinned vector.
+/// Global explained rows of every query class on a pinned epoch.
 fn answers(vec: &EpochVec, queries: &[(&'static str, ChainQuery)]) -> Vec<Vec<u32>> {
     queries
         .iter()
@@ -518,7 +518,7 @@ fn sealed_segments_are_pointer_shared_across_epochs() {
     let opts = EvalOptions::default();
     let shared = handle(&w);
 
-    // Warm the vector's caches, then pin it and record its answers.
+    // Warm the epoch's caches, then pin it and record its answers.
     let pinned = shared.load();
     let pinned_answers = answers(&pinned, &queries);
     assert!(
@@ -563,7 +563,7 @@ fn sealed_segments_are_pointer_shared_across_epochs() {
         prev = next;
     }
 
-    // The pinned vector answered from segments now shared with six newer
+    // The pinned epoch answered from segments now shared with six newer
     // epochs — its answers must be byte-identical to what it said before
     // any of them existed (catches in-place mutation of a shared chunk).
     assert_eq!(

@@ -4,7 +4,7 @@
 //! published epoch, and the server-push feed built on it must behave
 //! over real sockets.
 //!
-//! Library layer (differential, shards {1, 4}):
+//! Library layer (differential):
 //!
 //! * proptest-driven ingest schedules (batch sizes include 0 — an empty
 //!   publication): after every batch, the live engine's maintained
@@ -57,11 +57,9 @@ fn render_maintained(m: &Maintained, seq: u64) -> String {
     out
 }
 
-/// Cold oracle: a brand-new **one-shard** engine over the same database
-/// pins the same suite from scratch (pinning materializes the partition
-/// with the from-scratch path, not the incremental one). One shard is the
-/// oracle at every live shard count, so a shard count that changed the
-/// answer cannot hide behind an equally wrong cold pin.
+/// Cold oracle: a brand-new engine over the same database pins the same
+/// suite from scratch (pinning materializes the partition with the
+/// from-scratch path, not the incremental one).
 fn cold_maintained(db: &Database, world: &AuditWorld) -> std::sync::Arc<Maintained> {
     let cold = ShardedEngine::new(db.clone(), world.key(), 1);
     let pin = cold.pin_suite(world.explainer.suite_pin(&world.spec));
@@ -185,11 +183,11 @@ fn support_rows(
 /// advanced* partition must render byte-identically to a cold pin over
 /// the oracle's database, and every access a support row was aimed at
 /// must have left the residue. Returns how many publications re-asked a
-/// candidate subset of the residue in some shard (the delta path, as
-/// opposed to nothing to re-ask or the whole residue).
-fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publication]) -> usize {
+/// candidate subset of the residue (the delta path, as opposed to
+/// nothing to re-ask or the whole residue).
+fn run_stream_differential(world: &AuditWorld, schedule: &[Publication]) -> usize {
     let mut oracle = world.oracle();
-    let live = ShardedEngine::new(world.hospital.db.clone(), world.key(), n_shards);
+    let live = ShardedEngine::new(world.hospital.db.clone(), world.key(), 1);
     let pin = live.pin_suite(world.explainer.suite_pin(&world.spec));
 
     let check = |tag: &str, explains: &[u32], oracle_db: &Database| {
@@ -201,17 +199,17 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publ
         assert_eq!(
             render_maintained(m, vec.seq()),
             render_maintained(&cold, vec.seq()),
-            "{n_shards} shards: maintained diverged from cold at {tag}"
+            "maintained diverged from cold at {tag}"
         );
         assert_eq!(
             m.log_len,
             vec.global_log_len(),
-            "{n_shards} shards: partition covers the whole log at {tag}"
+            "partition covers the whole log at {tag}"
         );
         for &rid in explains {
             assert!(
                 m.explained.contains(rid) && !m.unexplained.contains(rid),
-                "{n_shards} shards: access {rid} is still unexplained at {tag}"
+                "access {rid} is still unexplained at {tag}"
             );
         }
         cold
@@ -235,9 +233,9 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publ
                 db.insert(*table, row.clone()).expect("valid support row");
             }
         });
-        // Log rows re-intern their strings through the batch so shard
-        // pools stay aligned — same idiom as the serving path; support
-        // rows carry ints and dates only.
+        // Log rows re-intern their strings through the batch — same
+        // idiom as the serving path; support rows carry ints and dates
+        // only.
         let ((), report) = live.ingest(|batch| {
             common::stage_rows(batch, &oracle.db, &appended);
             for (table, row) in &support.rows {
@@ -263,13 +261,11 @@ fn run_stream_differential(world: &AuditWorld, n_shards: usize, schedule: &[Publ
 fn maintained_partition_matches_cold_recompute_over_a_fixed_schedule() {
     let world = AuditWorld::tiny(51);
     // Mixed sizes, an empty publication in the middle, and a final
-    // surge — at both the degenerate and the parallel shard count.
+    // surge.
     let batches = [(5usize, 1u64), (0, 2), (12, 3), (1, 4), (17, 5)]
         .map(|(count, seed)| Publication::log(count, seed));
-    for n_shards in [1usize, 4] {
-        let on_delta_path = run_stream_differential(&world, n_shards, &batches);
-        assert!(on_delta_path >= 3, "{n_shards} shards: {on_delta_path}");
-    }
+    let on_delta_path = run_stream_differential(&world, &batches);
+    assert!(on_delta_path >= 3, "{on_delta_path}");
 }
 
 #[test]
@@ -298,10 +294,8 @@ fn support_growth_matches_cold_recompute_over_a_fixed_schedule() {
         Publication::support(Support::Mapping, 0),
         Publication::log(4, 4),
     ];
-    for n_shards in [1usize, 4] {
-        let on_delta_path = run_stream_differential(&world, n_shards, &schedule);
-        assert!(on_delta_path >= 6, "{n_shards} shards: {on_delta_path}");
-    }
+    let on_delta_path = run_stream_differential(&world, &schedule);
+    assert!(on_delta_path >= 6, "{on_delta_path}");
 }
 
 /// A random support entry: kind and aim.
@@ -322,7 +316,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random ingest schedules: the incremental partition never drifts
-    /// from the cold recompute, at shard counts 1 and 4.
+    /// from the cold recompute.
     #[test]
     fn maintained_partition_matches_cold_recompute(
         batches in prop::collection::vec((0usize..18, 0u64..1000), 1..4)
@@ -332,9 +326,7 @@ proptest! {
             .into_iter()
             .map(|(count, seed)| Publication::log(count, seed))
             .collect();
-        for n_shards in [1usize, 4] {
-            run_stream_differential(&world, n_shards, &schedule);
-        }
+        run_stream_differential(&world, &schedule);
     }
 
     /// Random schedules interleaving log batches with support-table
@@ -351,9 +343,7 @@ proptest! {
             .into_iter()
             .map(|(count, seed, support)| Publication { log: (count, seed), support })
             .collect();
-        for n_shards in [1usize, 4] {
-            run_stream_differential(&world, n_shards, &schedule);
-        }
+        run_stream_differential(&world, &schedule);
     }
 }
 
